@@ -10,9 +10,13 @@
 //!   (per-tree recursion, batched outer loop).
 //! * `flat_per_row` — `FlatGbt::predict_row` per candidate: iterative
 //!   traversal over the contiguous node arrays.
-//! * `flat_batched` — `FlatGbt::predict_batch`: the serving hot path,
-//!   rows parallelised over the worker pool. Target: ≥5× over
+//! * `flat_batched` — `FlatGbt::predict_batch`: the 8-lane stepper,
+//!   trees parallelised over scoped threads. Target: ≥5× over
 //!   `recursive_batched`.
+//! * `flat_grid` — `FlatGbt::predict_grid` over the same `(nodes × tile)`
+//!   grid: one serial region walk per tree, bit-identical to
+//!   `flat_batched`. This is what `Advisor::sweep` and the serving
+//!   daemon's `/v1/advise` run.
 //!
 //! Plus an end-to-end group timing `Advisor::answer` (which now sweeps
 //! once through whatever `Regressor` it wraps) with the recursive vs.
@@ -40,7 +44,7 @@ fn fitted_model() -> GradientBoosting {
 }
 
 /// The full (nodes, tile) candidate grid at a fixed water-cluster-sized
-/// problem — the exact matrix `Advisor::sweep` builds.
+/// problem — the exact matrix `Advisor::sweep_with` builds.
 fn candidate_matrix(o: usize, v: usize) -> Matrix {
     let mut x = Matrix::zeros(0, 4);
     for nodes in node_candidates() {
@@ -49,6 +53,12 @@ fn candidate_matrix(o: usize, v: usize) -> Matrix {
         }
     }
     x
+}
+
+/// The same grid as `predict_grid` axes: nodes (column 2) × tiles (column 3).
+fn grid_axes() -> (Vec<f64>, Vec<f64>) {
+    let axis = |g: Vec<usize>| g.into_iter().map(|k| k as f64).collect();
+    (axis(node_candidates()), axis(tile_candidates()))
 }
 
 fn bench_sweep_inference(c: &mut Criterion) {
@@ -66,6 +76,10 @@ fn bench_sweep_inference(c: &mut Criterion) {
     for (q, e) in flat.predict_batch(&x).iter().zip(&exact) {
         assert!((q - e).abs() <= QUANT_REL_TOL * (1.0 + e.abs()));
     }
+    // The grid walk must be the stepper, bit for bit.
+    let base = [116.0, 840.0, 0.0, 0.0];
+    let (nodes, tiles) = grid_axes();
+    assert_eq!(flat.predict_grid(&base, (2, &nodes), (3, &tiles)), flat.predict_batch(&x));
 
     let mut group = c.benchmark_group("advisor_sweep_inference");
     group.sample_size(10);
@@ -91,6 +105,9 @@ fn bench_sweep_inference(c: &mut Criterion) {
     });
     group.bench_function("flat_batched", |b| {
         b.iter(|| black_box(flat.predict_batch(black_box(&x))))
+    });
+    group.bench_function("flat_grid", |b| {
+        b.iter(|| black_box(flat.predict_grid(black_box(&base), (2, &nodes), (3, &tiles))))
     });
     group.finish();
 }

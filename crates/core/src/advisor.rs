@@ -10,10 +10,12 @@
 //! Every question ([`Advisor::answer`], [`Advisor::pareto_frontier`], the
 //! budget/deadline variants) is a different reduction over the *same*
 //! predictions, so the advisor materialises one [`Sweep`] per problem: the
-//! feasible candidate matrix is built once and the model is asked for all
-//! candidates in a **single batched `predict` call**, which lets batched
-//! backends (notably the flat ensembles in `chemcost_ml::flat`) evaluate
-//! rows × trees in parallel instead of pointer-chasing per candidate.
+//! model is asked for every feasible candidate in a **single
+//! [`Regressor::predict_grid`] call** over the feasible node counts × the
+//! tile grid at the problem's fixed `(O, V)`. Models without a grid
+//! method score that grid as one batched `predict`; the quantized
+//! `FlatGbt` walks each tree once over rectangles of the grid instead of
+//! once per candidate, with bit-identical results.
 //! Callers answering several questions about one problem (as the serve
 //! daemon's `/v1/advise` does for goal + budget + deadline) should call
 //! [`Advisor::sweep`] once and reduce the result, paying for exactly one
@@ -131,37 +133,51 @@ impl<'a> Advisor<'a> {
     /// is built once and each surviving node count is crossed with the
     /// whole tile grid.
     pub fn candidates(&self, o: usize, v: usize) -> Vec<(usize, usize)> {
-        let p = Problem::new(o, v);
-        let feasible_nodes: Vec<usize> = self
-            .nodes_grid
-            .iter()
-            .copied()
-            .filter(|&n| fits_in_memory(&p, n, &self.machine))
-            .collect();
-        let mut out = Vec::with_capacity(feasible_nodes.len() * self.tiles_grid.len());
-        for &n in &feasible_nodes {
-            for &t in &self.tiles_grid {
-                out.push((n, t));
-            }
-        }
-        out
+        self.cross_tiles(&self.feasible_nodes(o, v))
     }
 
-    /// Evaluate the model over every feasible candidate in **one batched
-    /// `predict` call** and return the reusable [`Sweep`].
+    /// The node counts whose memory can hold problem `(o, v)`, in grid
+    /// order.
+    fn feasible_nodes(&self, o: usize, v: usize) -> Vec<usize> {
+        let p = Problem::new(o, v);
+        self.nodes_grid.iter().copied().filter(|&n| fits_in_memory(&p, n, &self.machine)).collect()
+    }
+
+    /// `nodes` × the tile grid, nodes outer and tiles inner.
+    fn cross_tiles(&self, nodes: &[usize]) -> Vec<(usize, usize)> {
+        nodes.iter().flat_map(|&n| self.tiles_grid.iter().map(move |&t| (n, t))).collect()
+    }
+
+    /// Evaluate the model over every feasible candidate in **one
+    /// [`Regressor::predict_grid`] call** — the feasible node counts
+    /// (outer) × the tile grid (inner) at fixed `(o, v)`, which is
+    /// [`Advisor::candidates`]' order — and return the reusable
+    /// [`Sweep`]. Equal to [`Advisor::sweep_with`] over the model's
+    /// `predict`; a model that overrides `predict_grid` (the quantized
+    /// `FlatGbt`) shares its work across the grid.
     ///
     /// Every question this advisor answers is a reduction over the sweep;
     /// callers with several questions about the same problem should sweep
     /// once and reduce many times.
     pub fn sweep(&self, o: usize, v: usize) -> Sweep {
-        self.sweep_with(o, v, |x| self.model.predict(&x))
+        let nodes = self.feasible_nodes(o, v);
+        let candidates = self.cross_tiles(&nodes);
+        let axis = |grid: &[usize]| grid.iter().map(|&k| k as f64).collect::<Vec<f64>>();
+        let seconds = self.model.predict_grid(
+            &[o as f64, v as f64, 0.0, 0.0],
+            (2, &axis(&nodes)),
+            (3, &axis(&self.tiles_grid)),
+        );
+        assert_eq!(seconds.len(), candidates.len(), "predict_grid must score every candidate");
+        Sweep { candidates, seconds }
     }
 
-    /// Like [`Advisor::sweep`] but evaluating the candidate matrix
-    /// through `eval` instead of this advisor's own model. This is how
-    /// a serving layer routes the sweep through shared machinery (e.g.
-    /// a micro-batcher coalescing concurrent evaluations) while reusing
-    /// the candidate enumeration and `Sweep` reductions unchanged —
+    /// Like [`Advisor::sweep`] but writing the candidates out as an
+    /// `[o, v, nodes, tile]` matrix and evaluating it through `eval`
+    /// instead of this advisor's own model. This lets a caller time or
+    /// replace the model call (a benchmark's per-layer replay, an
+    /// equivalence test's reference) while reusing the candidate
+    /// enumeration and `Sweep` reductions unchanged —
     /// `eval` must return one predicted-seconds value per matrix row.
     /// The matrix is handed over by value (it is built here and used
     /// exactly once) so an owning consumer needs no defensive clone.
@@ -725,6 +741,43 @@ mod tests {
                     "frontier point lost at ({o},{v}): {ra:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn grid_sweep_equals_matrix_sweep() {
+        // `sweep` scores through `predict_grid`: the flat model's region
+        // walk and the recursive model's default (the grid written out as
+        // a matrix) must both equal the matrix path bit for bit, on
+        // feasible problems, unsorted custom grids and an empty sweep.
+        use chemcost_ml::flat::FlatGbt;
+        use chemcost_ml::gradient_boosting::GradientBoosting;
+        let machine = aurora();
+        let samples = chemcost_sim::datagen::generate_dataset_sized(&machine, 200, 5);
+        let mut x = Matrix::zeros(0, 4);
+        let mut y = Vec::new();
+        for s in &samples {
+            x.push_row(&s.features());
+            y.push(s.seconds);
+        }
+        let mut gb = GradientBoosting::new(60, 6, 0.1);
+        gb.seed = 3;
+        gb.fit(&x, &y).unwrap();
+        let flat = FlatGbt::compile(&gb);
+        let models: [&dyn Regressor; 2] = [&flat, &gb];
+        for model in models {
+            let default = Advisor::new(model, machine.clone());
+            let custom = Advisor::new(model, machine.clone())
+                .with_grids(vec![600, 20, 150, 20, 5], vec![120, 40, 90, 40]);
+            let too_small = Advisor::new(model, machine.clone()).with_grids(vec![5], vec![80]);
+            for advisor in [&default, &custom, &too_small] {
+                for &(o, v) in &[(116usize, 840usize), (44, 260), (345, 791), (400, 3000)] {
+                    let grid = advisor.sweep(o, v);
+                    let matrix = advisor.sweep_with(o, v, |x| model.predict(&x));
+                    assert_eq!(grid, matrix, "{} at ({o},{v})", model.name());
+                }
+            }
+            assert!(too_small.sweep(400, 3000).is_empty());
         }
     }
 

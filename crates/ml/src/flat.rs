@@ -54,6 +54,20 @@
 //! same `f64` accumulation order over trees), so serve-side batching
 //! equivalence tests keep asserting with `==`.
 //!
+//! # Grid sweeps
+//!
+//! An advisor sweep scores a `(nodes × tile)` grid at a fixed `(O, V)`.
+//! [`FlatGbt`]'s [`Regressor::predict_grid`] walks each quantized tree
+//! once over *rectangles* of that grid rather than once per row: splits
+//! on `O` or `V` send the whole rectangle one way, splits on a grid axis
+//! cut it at the axis's partition point, and a leaf adds its value to
+//! every cell it covers. A deep tree cuts a sweep grid into a few dozen
+//! rectangles, so one walk visits about a hundred nodes where the lane
+//! stepper takes thousands of steps. Every cell still sums the same
+//! leaves in the same tree order with the same comparison, so the result
+//! is bit-identical to [`FlatGbt::predict_batch`] on the grid written out
+//! as a matrix; `tests/flat_equivalence.rs` asserts that with `==`.
+//!
 //! Evaluation is **tree-major** everywhere (trees outer, rows inner): a
 //! deep ensemble's node arrays are far larger than cache, so walking one
 //! tree across all rows before moving to the next keeps its hot nodes
@@ -65,7 +79,7 @@
 
 use crate::forest::RandomForest;
 use crate::gradient_boosting::GradientBoosting;
-use crate::traits::{FitError, Regressor};
+use crate::traits::{check_grid_columns, FitError, Regressor};
 use crate::tree::{DecisionTree, FlatNode};
 use chemcost_linalg::{parallel, Matrix};
 use std::cell::RefCell;
@@ -497,6 +511,67 @@ impl QNodes {
         });
     }
 
+    /// Score the grid of `base` × `outer` × `inner` (each a column and
+    /// its sorted axis), `outer`-major in sorted order, walking each tree
+    /// **once** over rectangles of index ranges instead of once per row:
+    /// a split on any other column sends the whole rectangle down the
+    /// branch `base` takes, a split on an axis column cuts the rectangle
+    /// at that axis's partition point, and a leaf adds `weight · value`
+    /// to every cell of its rectangle. The rectangles of one tree tile
+    /// the grid, so each cell still accumulates `init + Σ weight·leaf` in
+    /// tree order with the stepper's own comparison — bit-identical to
+    /// [`Self::score_chunk`] on the grid written out as rows.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // deliberate: NaN must fall right
+    fn score_grid(
+        &self,
+        base: &[f32],
+        (col_o, outer): (usize, &GridAxis),
+        (col_i, inner): (usize, &GridAxis),
+        init: f64,
+        weight: f64,
+    ) -> Vec<f64> {
+        let (no, ni) = (outer.values.len(), inner.values.len());
+        let mut out = vec![init; no * ni];
+        // Pending rectangles: (node, [o_lo, o_hi, i_lo, i_hi]), never empty.
+        let mut stack: Vec<(usize, [usize; 4])> = Vec::new();
+        for &root in &self.roots {
+            stack.push((root as usize, [0, no, 0, ni]));
+            while let Some((mut i, mut rect)) = stack.pop() {
+                loop {
+                    let n = self.nodes[i];
+                    let [left, right] = n.children.map(|c| c as usize);
+                    // Leaves are the self-loop nodes (see `QNodes`).
+                    if left == i {
+                        fill_rect(&mut out, ni, rect, weight * self.value[i] as f64);
+                        break;
+                    }
+                    let f = n.feature as usize;
+                    let (axis, lo) = match f {
+                        _ if f == col_o => (outer, 0),
+                        _ if f == col_i => (inner, 2),
+                        _ => {
+                            i = if !(base[f] <= n.threshold) { right } else { left };
+                            continue;
+                        }
+                    };
+                    let cut = axis.split(rect[lo], rect[lo + 1], n.threshold);
+                    if cut == rect[lo] {
+                        i = right;
+                    } else if cut == rect[lo + 1] {
+                        i = left;
+                    } else {
+                        let mut upper = rect;
+                        upper[lo] = cut;
+                        stack.push((right, upper));
+                        rect[lo + 1] = cut;
+                        i = left;
+                    }
+                }
+            }
+        }
+        out
+    }
+
     /// Score one `f64` row through the quantized ensemble, converting it
     /// into thread-local scratch (allocation-free when warm).
     fn score_row_f64(&self, row: &[f64], init: f64, weight: f64) -> f64 {
@@ -506,6 +581,52 @@ impl QNodes {
             s.row.extend(row.iter().map(|&v| v as f32));
             self.score_row(&s.row, init, weight)
         })
+    }
+}
+
+/// One axis of a [`FlatGbt::predict_grid`] grid, converted to `f32` once
+/// and sorted ascending with NaNs last: the order in which every split's
+/// `x <= t` holds for a prefix, so a split cuts an index range in two.
+struct GridAxis {
+    values: Vec<f32>,
+    /// `perm[k]` is the caller's index of the `k`-th sorted value; `None`
+    /// when the axis was already in order (the advisor's grids are).
+    perm: Option<Vec<usize>>,
+}
+
+impl GridAxis {
+    fn new(axis: &[f64]) -> GridAxis {
+        let values: Vec<f32> = axis.iter().map(|&v| v as f32).collect();
+        // NaN fails every `x <= t`, so it sorts after every number.
+        let order = |x: &f32, y: &f32| match (x.is_nan(), y.is_nan()) {
+            (false, false) => x.partial_cmp(y).unwrap(),
+            (nan_x, nan_y) => nan_x.cmp(&nan_y),
+        };
+        if values.windows(2).all(|w| order(&w[0], &w[1]).is_le()) {
+            return GridAxis { values, perm: None };
+        }
+        let mut perm: Vec<usize> = (0..values.len()).collect();
+        perm.sort_by(|&i, &j| order(&values[i], &values[j]));
+        let values = perm.iter().map(|&i| values[i]).collect();
+        GridAxis { values, perm: Some(perm) }
+    }
+
+    /// First index in `lo..hi` whose value routes right at threshold `t`.
+    fn split(&self, lo: usize, hi: usize, t: f32) -> usize {
+        lo + self.values[lo..hi].partition_point(|&x| x <= t)
+    }
+
+    /// The caller's index of sorted position `k`.
+    fn original(&self, k: usize) -> usize {
+        self.perm.as_ref().map_or(k, |p| p[k])
+    }
+}
+
+/// Add `v` to every cell of the rectangle `[o_lo, o_hi) × [i_lo, i_hi)`
+/// of an outer-major grid `ni` cells wide.
+fn fill_rect(out: &mut [f64], ni: usize, [o_lo, o_hi, i_lo, i_hi]: [usize; 4], v: f64) {
+    for row in out[o_lo * ni..o_hi * ni].chunks_exact_mut(ni) {
+        row[i_lo..i_hi].iter_mut().for_each(|o| *o += v);
     }
 }
 
@@ -755,6 +876,42 @@ impl Regressor for FlatGbt {
 
     fn predict(&self, x: &Matrix) -> Vec<f64> {
         self.predict_batch(x)
+    }
+
+    /// The quantized path's serial region walk (see the module docs):
+    /// bit-identical to [`FlatGbt::predict_batch`] on the same grid
+    /// written out as a matrix, for any axis values — unsorted,
+    /// duplicated, NaN or infinite.
+    ///
+    /// # Panics
+    /// Panics on feature-count mismatch or a bad column pair.
+    fn predict_grid(
+        &self,
+        base: &[f64],
+        (col_a, a): (usize, &[f64]),
+        (col_b, b): (usize, &[f64]),
+    ) -> Vec<f64> {
+        self.check_width(base.len(), "predict_grid");
+        check_grid_columns(base.len(), col_a, col_b);
+        if a.is_empty() || b.is_empty() {
+            return Vec::new();
+        }
+        let base: Vec<f32> = base.iter().map(|&v| v as f32).collect();
+        let (a, b) = (GridAxis::new(a), GridAxis::new(b));
+        let sorted =
+            self.qnodes.score_grid(&base, (col_a, &a), (col_b, &b), self.init, self.learning_rate);
+        if a.perm.is_none() && b.perm.is_none() {
+            return sorted;
+        }
+        let nb = b.values.len();
+        let mut out = vec![0.0; sorted.len()];
+        for (i, row) in sorted.chunks_exact(nb).enumerate() {
+            let base = a.original(i) * nb;
+            for (j, &s) in row.iter().enumerate() {
+                out[base + b.original(j)] = s;
+            }
+        }
+        out
     }
 
     fn name(&self) -> &'static str {

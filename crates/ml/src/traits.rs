@@ -58,6 +58,15 @@ pub(crate) fn validate_fit_inputs(x: &Matrix, y: &[f64]) -> Result<(), FitError>
     Ok(())
 }
 
+/// Assert the [`Regressor::predict_grid`] column contract: two distinct
+/// columns inside a `width`-wide row.
+pub(crate) fn check_grid_columns(width: usize, col_a: usize, col_b: usize) {
+    assert!(
+        col_a != col_b && col_a < width && col_b < width,
+        "predict_grid: axis columns {col_a} and {col_b} must be distinct and below {width}"
+    );
+}
+
 /// A trainable regression model.
 ///
 /// `fit` may be called repeatedly; each call discards previous state.
@@ -92,6 +101,35 @@ pub trait Regressor: Send + Sync {
     fn predict_one(&self, row: &[f64]) -> f64 {
         let m = Matrix::from_rows(&[row]);
         self.predict(&m)[0]
+    }
+
+    /// Predict every row of a two-axis grid: `base` with column `col_a`
+    /// set to each `a[i]` and column `col_b` to each `b[j]`, returned
+    /// row-major (`out[i * b.len() + j]`, `a` outer). `base`'s own
+    /// entries at `col_a` and `col_b` are ignored.
+    ///
+    /// The default writes the grid out as a matrix and calls
+    /// [`Regressor::predict`]; models that can share work across the
+    /// grid override it with the same results.
+    ///
+    /// # Panics
+    /// Panics if `col_a == col_b` or either is out of `base`'s range.
+    fn predict_grid(
+        &self,
+        base: &[f64],
+        (col_a, a): (usize, &[f64]),
+        (col_b, b): (usize, &[f64]),
+    ) -> Vec<f64> {
+        check_grid_columns(base.len(), col_a, col_b);
+        if a.is_empty() || b.is_empty() {
+            return Vec::new();
+        }
+        let x = Matrix::from_fn(a.len() * b.len(), base.len(), |r, c| match c {
+            _ if c == col_a => a[r / b.len()],
+            _ if c == col_b => b[r % b.len()],
+            _ => base[c],
+        });
+        self.predict(&x)
     }
 
     /// A short human-readable name ("GB", "KR", …) used in reports.

@@ -11,6 +11,10 @@
 //!   thresholds quantize toward −∞ so routing is preserved exactly, and
 //!   the only error is one `f64 → f32` rounding per leaf value. Covered on
 //!   proptest-generated models and on the 750-tree paper-config ensemble.
+//! * **Grid tier** — `FlatGbt::predict_grid` (the advisor's sweep path)
+//!   must equal `predict_batch` on the same grid written out as a matrix,
+//!   bit for bit, for any axis values and on every sweep the paper-config
+//!   model serves.
 
 use chemcost_linalg::Matrix;
 use chemcost_ml::flat::{FlatForest, FlatGbt, QUANT_REL_TOL};
@@ -18,6 +22,12 @@ use chemcost_ml::forest::RandomForest;
 use chemcost_ml::gradient_boosting::{GbLoss, GradientBoosting};
 use chemcost_ml::tree::MaxFeatures;
 use chemcost_ml::Regressor;
+use chemcost_sim::ccsd::Problem;
+use chemcost_sim::datagen::{
+    aurora_problems, frontier_problems, generate_dataset_sized, node_candidates, tile_candidates,
+};
+use chemcost_sim::machine::{aurora, frontier};
+use chemcost_sim::simulate::fits_in_memory;
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random training corpus with a nonlinear target.
@@ -221,6 +231,129 @@ fn compiled_model_survives_persistence_round_trip() {
         FlatGbt::compile(&restored).predict_batch(&q),
         FlatGbt::compile(&gb).predict_batch(&q)
     );
+}
+
+/// The grid `base` × `a` (column `col_a`, outer) × `b` (column `col_b`,
+/// inner) written out row-major as a matrix — what `predict_grid` scores.
+fn grid_matrix(base: &[f64], (col_a, a): (usize, &[f64]), (col_b, b): (usize, &[f64])) -> Matrix {
+    let mut x = Matrix::zeros(0, base.len());
+    for &va in a {
+        for &vb in b {
+            let mut row = base.to_vec();
+            row[col_a] = va;
+            row[col_b] = vb;
+            x.push_row(&row);
+        }
+    }
+    x
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A grid axis value: mostly inside the corpus's `[0, 100)` feature
+/// range (with repeats), sometimes NaN, ±∞ or −0.
+fn axis_value(code: u64) -> f64 {
+    match code {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -0.0,
+        c => ((c * 37) % 101) as f64 - 0.5,
+    }
+}
+
+#[test]
+fn grid_walk_matches_the_stepper_on_every_served_sweep() {
+    // The deployed shape (750 stages, depth 10) fitted on the Aurora
+    // corpus, swept exactly as `Advisor::sweep` sweeps: the memory-
+    // feasible node counts × every tile size, at every (O, V) of both
+    // machines' corpora, at 200 seeded cold questions from the
+    // serving benchmark's range, and at problems no node count can hold.
+    let machine = aurora();
+    let samples = generate_dataset_sized(&machine, 600, 42);
+    let x = Matrix::from_fn(samples.len(), 4, |i, j| samples[i].features()[j]);
+    let y: Vec<f64> = samples.iter().map(|s| s.seconds).collect();
+    let mut gb = GradientBoosting::paper_config();
+    gb.fit(&x, &y).unwrap();
+    let flat = FlatGbt::compile(&gb);
+
+    let mut questions: Vec<(usize, usize, _)> = Vec::new();
+    for (problems, m) in [(aurora_problems(), aurora()), (frontier_problems(), frontier())] {
+        questions.extend(problems.iter().map(|p| (p.o, p.v, m.clone())));
+    }
+    let mut state = 42u64;
+    let mut next = |lo: usize, hi: usize| {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        lo + ((state >> 33) as usize) % (hi - lo)
+    };
+    for _ in 0..200 {
+        questions.push((next(40, 350), next(250, 1600), machine.clone()));
+    }
+    questions.push((1000, 20_000, machine.clone()));
+    questions.push((1000, 20_000, frontier()));
+
+    let tiles: Vec<f64> = tile_candidates().into_iter().map(|t| t as f64).collect();
+    let mut empty = 0;
+    for (o, v, m) in &questions {
+        let p = Problem::new(*o, *v);
+        let nodes: Vec<f64> = node_candidates()
+            .into_iter()
+            .filter(|&n| fits_in_memory(&p, n, m))
+            .map(|n| n as f64)
+            .collect();
+        empty += nodes.is_empty() as usize;
+        let base = [*o as f64, *v as f64, 0.0, 0.0];
+        let grid = flat.predict_grid(&base, (2, &nodes), (3, &tiles));
+        let matrix = flat.predict_batch(&grid_matrix(&base, (2, &nodes), (3, &tiles)));
+        assert_eq!(grid.len(), nodes.len() * tiles.len());
+        assert_eq!(bits(&grid), bits(&matrix), "sweep ({o}, {v}) on {}", m.name);
+    }
+    assert_eq!(empty, 2, "only the oversized problems should have empty sweeps");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Small random GB models over random grids — unsorted, duplicated,
+    /// NaN and ±∞ axis values, 1-long axes, a NaN in `base`, either
+    /// column order: the grid walk equals the stepper on the written-out
+    /// matrix bit for bit, and the recursive model's default
+    /// `predict_grid` equals its `predict` on that matrix.
+    #[test]
+    fn prop_grid_matches_matrix(
+        d in 2usize..5,
+        n_estimators in 1usize..25,
+        max_depth in 1usize..7,
+        seed in 0u64..1000,
+        a_codes in collection::vec(0u64..40, 1..9),
+        b_codes in collection::vec(0u64..40, 1..9),
+        cols in 0usize..12,
+        nan_at in 0usize..8,
+    ) {
+        let (x, y) = corpus(120, d, seed);
+        let mut gb = GradientBoosting::new(n_estimators, max_depth, 0.2);
+        gb.seed = seed;
+        gb.fit(&x, &y).unwrap();
+        let flat = FlatGbt::compile(&gb);
+
+        let col_a = cols % d;
+        let col_b = (col_a + 1 + cols / d % (d - 1)) % d;
+        let a: Vec<f64> = a_codes.iter().map(|&c| axis_value(c)).collect();
+        let b: Vec<f64> = b_codes.iter().map(|&c| axis_value(c)).collect();
+        let mut base = queries(1, d).row(0).to_vec();
+        if nan_at < d {
+            base[nan_at] = f64::NAN;
+        }
+        let m = grid_matrix(&base, (col_a, &a), (col_b, &b));
+        let grid = flat.predict_grid(&base, (col_a, &a), (col_b, &b));
+        prop_assert_eq!(bits(&grid), bits(&flat.predict_batch(&m)));
+        prop_assert_eq!(
+            bits(&gb.predict_grid(&base, (col_a, &a), (col_b, &b))),
+            bits(&gb.predict(&m))
+        );
+    }
 }
 
 proptest! {

@@ -1,22 +1,25 @@
 //! Micro-batched model inference.
 //!
-//! The event-loop server can have many `/v1/predict` and `/v1/advise`
-//! requests in flight at once, and `BENCH_baseline.json` shows the flat
-//! model is ~4.5× cheaper per row when rows are scored in one batched
-//! call than one call per row. The [`Batcher`] exploits that: worker
-//! threads hand it their evaluation matrices and block; a collector
-//! thread coalesces everything that arrives within a bounded window
-//! (default ≤200µs, `--batch-window-us`) or up to a row budget
-//! (`--batch-max`) into **one** `FlatGbt::predict_batch` call per model,
-//! then distributes the slices back.
+//! The event-loop server can have many `/v1/predict` requests in flight
+//! at once, and `BENCH_baseline.json` shows the flat model is ~4.5×
+//! cheaper per row when rows are scored in one batched call than one
+//! call per row. The [`Batcher`] exploits that: worker threads hand it
+//! their evaluation matrices and block; a collector thread coalesces
+//! everything that arrives within a bounded window (default ≤200µs,
+//! `--batch-window-us`) or up to a row budget (`--batch-max`) into
+//! **one** `FlatGbt::predict_batch` call per model, then distributes the
+//! slices back. `/v1/advise` never comes here: its sweep is a grid that
+//! `FlatGbt::predict_grid` scores in one walk per tree, inline on the
+//! worker, which a batch of unrelated rows could not share.
 //!
 //! The window is a latency ceiling, not a floor: the collector flushes
 //! early when the row budget fills (`full`), and — the common
 //! low-traffic case — as soon as every thread currently inside a
 //! predict-capable route has already submitted its matrix (`drain`),
 //! because waiting any longer can only add latency, never batching.
-//! A request whose own matrix already meets the row budget (an advise
-//! sweep is ~465 rows) bypasses the queue entirely and scores inline.
+//! A request whose own matrix already meets the row budget (a predict
+//! body of `--batch-max` rows or more) bypasses the queue entirely and
+//! scores inline.
 //!
 //! Each flush increments `chemcost_batch_flush_total{reason}` and
 //! records the coalesced row count in `chemcost_batch_size`
@@ -185,8 +188,9 @@ impl Batcher {
     pub fn predict(&self, flat: &Arc<FlatGbt>, x: Matrix) -> Vec<f64> {
         let submitted = Instant::now();
         let rows = x.nrows();
-        // Already a full batch on its own (e.g. an advise sweep):
-        // coalescing cannot help, so score inline and skip the queue.
+        // Already a full batch on its own (a predict body of at least
+        // `--batch-max` rows): coalescing cannot help, so score inline
+        // and skip the queue.
         if rows >= self.config.max_rows {
             self.metrics.record_batch_flush(FlushReason::Full, rows);
             let seconds = flat.predict_batch(&x);

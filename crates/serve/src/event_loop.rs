@@ -564,9 +564,10 @@ impl Loop<'_> {
         let tx = self.done_tx.clone();
         let waker = Arc::clone(&self.waker);
         // Declare batch interest for the whole queue wait: a parsed
-        // predict/advise request can still join a micro-batch, so the
-        // collector must not drain while it sits in the compute queue.
-        // The guard moves into the job and drops when handling ends.
+        // predict request can still join a micro-batch, so the collector
+        // must not drain while it sits in the compute queue. (Advise
+        // sweeps score inline and never join one.) The guard moves into
+        // the job and drops when handling ends.
         let batch_interest =
             self.router.is_batched_path(&req.path).then(|| self.router.batch_interest());
         self.metrics.pool_enqueued();

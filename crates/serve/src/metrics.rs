@@ -433,6 +433,21 @@ impl RenderSlab {
     }
 }
 
+/// Render the cumulative bucket lines and return their total, which the
+/// caller prints as `_count`. Concurrent `observe` calls bump bucket →
+/// sum → count, so a separately loaded `count` can run ahead of the
+/// buckets read a moment earlier and print a `+Inf` bucket below
+/// `_count`; the total read in this one pass always equals `+Inf`.
+fn render_buckets(out: &mut String, buckets: &[AtomicU64; 11], slab: &RenderSlab) -> u64 {
+    let mut cumulative = 0u64;
+    for (bucket, prefix) in buckets.iter().zip(&slab.bucket_prefixes) {
+        cumulative += bucket.load(Ordering::Relaxed);
+        out.push_str(prefix);
+        let _ = writeln!(out, "{cumulative}");
+    }
+    cumulative
+}
+
 /// Cumulative bucket counts (+ overflow) with sum and count — one
 /// Prometheus histogram series set.
 #[derive(Default)]
@@ -459,17 +474,12 @@ impl Histogram {
     /// comma included).
     fn render(&self, out: &mut String, name: &str, extra: &str) {
         let slab = self.slab.get_or_init(|| RenderSlab::build(name, extra, &BUCKETS));
-        let mut cumulative = 0u64;
-        for (bucket, prefix) in self.buckets.iter().zip(&slab.bucket_prefixes) {
-            cumulative += bucket.load(Ordering::Relaxed);
-            out.push_str(prefix);
-            let _ = writeln!(out, "{cumulative}");
-        }
+        let count = render_buckets(out, &self.buckets, slab);
         let sum = self.sum_micros.load(Ordering::Relaxed) as f64 / 1e6;
         out.push_str(&slab.sum_prefix);
         let _ = writeln!(out, "{sum}");
         out.push_str(&slab.count_prefix);
-        let _ = writeln!(out, "{}", self.count.load(Ordering::Relaxed));
+        let _ = writeln!(out, "{count}");
     }
 }
 
@@ -499,16 +509,11 @@ impl SizeHistogram {
 
     fn render(&self, out: &mut String, name: &str) {
         let slab = self.slab.get_or_init(|| RenderSlab::build(name, "", &SIZE_BUCKETS));
-        let mut cumulative = 0u64;
-        for (bucket, prefix) in self.buckets.iter().zip(&slab.bucket_prefixes) {
-            cumulative += bucket.load(Ordering::Relaxed);
-            out.push_str(prefix);
-            let _ = writeln!(out, "{cumulative}");
-        }
+        let count = render_buckets(out, &self.buckets, slab);
         out.push_str(&slab.sum_prefix);
         let _ = writeln!(out, "{}", self.sum.load(Ordering::Relaxed));
         out.push_str(&slab.count_prefix);
-        let _ = writeln!(out, "{}", self.count.load(Ordering::Relaxed));
+        let _ = writeln!(out, "{count}");
     }
 }
 

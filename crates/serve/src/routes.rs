@@ -7,13 +7,15 @@
 //! The two model-query endpoints ride the fast inference path:
 //! `/v1/predict` and `/v1/advise` both evaluate the registry's compiled
 //! [`chemcost_ml::flat::FlatGbt`] (quantized traversal, within the
-//! documented `QUANT_REL_TOL` of the recursive ensemble and identical
-//! across the batched/unbatched serving paths), `/v1/advise` runs **one**
-//! candidate sweep per request via [`Advisor::sweep`] no matter how many
-//! questions the body asks, and fully-answered advise responses are
-//! replayed from a keyed, sharded LRU [`AdviseCache`] until the model is
-//! reloaded — a warm hit probes with a borrowed key and replays the
-//! `Arc<str>` body without copying it.
+//! documented `QUANT_REL_TOL` of the recursive ensemble). `/v1/predict`
+//! rows ride the micro-batcher when one is installed, with answers
+//! identical to unbatched scoring. `/v1/advise` runs **one** candidate
+//! sweep per request via [`Advisor::sweep`] no matter how many questions
+//! the body asks, inline on its worker: the sweep is one grid walk per
+//! tree (`FlatGbt`'s `predict_grid`), so it never enters the batcher.
+//! Fully-answered advise responses are replayed from a keyed, sharded LRU
+//! [`AdviseCache`] until the model is reloaded — a warm hit probes with a
+//! borrowed key and replays the `Arc<str>` body without copying it.
 
 use crate::batcher::{Batcher, RouteGuard};
 use crate::cache::{AdviseCache, AdviseKeyRef, CachedRec};
@@ -209,8 +211,8 @@ impl Router {
     }
 
     /// Install the micro-batcher all clones of this router will score
-    /// `/v1/predict` and `/v1/advise` through. One-shot: later calls on
-    /// the same router (or any clone) are ignored.
+    /// `/v1/predict` rows through. One-shot: later calls on the same
+    /// router (or any clone) are ignored.
     pub fn install_batcher(&self, batcher: Arc<Batcher>) {
         let _ = self.batcher.set(batcher);
     }
@@ -228,18 +230,19 @@ impl Router {
     /// worker-handoff time (see `event_loop::EventLoop::dispatch`):
     /// requests sitting in the compute queue can still join a batch, so
     /// counting them keeps the collector from draining a micro-batch
-    /// while queued submitters are seconds of scheduling away. Handlers
-    /// keep their own guard for in-process callers (tests, benches, the
-    /// CLI) that never cross the event loop.
+    /// while queued submitters are seconds of scheduling away. The
+    /// predict handler keeps its own guard for in-process callers (tests,
+    /// benches, the CLI) that never cross the event loop.
     fn enter_batched_route(&self) -> Option<RouteGuard> {
         self.batcher.get().map(Batcher::enter_route)
     }
 
     /// Whether `path` routes to a handler that submits to the batcher —
     /// the event loop pins batch interest across the worker-queue wait
-    /// for exactly these requests.
+    /// for exactly these requests. Only `/v1/predict` does: an advise
+    /// sweep scores inline.
     pub(crate) fn is_batched_path(&self, path: &str) -> bool {
-        self.batcher.get().is_some() && matches!(path, "/v1/predict" | "/v1/advise")
+        self.batcher.get().is_some() && path == "/v1/predict"
     }
 
     /// Take a batch-interest guard (see [`Router::enter_batched_route`]);
@@ -656,9 +659,6 @@ impl Router {
     // "budget"/"deadline" fields are the user's node-hour and
     // job-walltime questions. Distinct concepts.
     fn advise(&self, body: &[u8], wall_budget: Option<Deadline>) -> Response {
-        // Declare interest to the batcher before parsing: a concurrent
-        // sibling mid-parse still counts as a pending submission.
-        let _batch_interest = self.enter_batched_route();
         // Fast scan of the canonical body shape: borrowed strings, no
         // Json tree, nothing allocated before the cache probe. Anything
         // unusual falls back to the tree parser, which owns every error
@@ -796,8 +796,9 @@ impl Router {
         }
 
         // One sweep answers every question in the request: the flat model
-        // predicts the whole candidate matrix in a single batched call and
-        // the per-goal answers are reductions over that shared sweep.
+        // scores the whole (nodes × tile) grid in one walk per tree, on
+        // this worker, and the per-goal answers are reductions over that
+        // shared sweep.
         let sweep_started = Instant::now();
         let sweep = {
             let _span = obs::span!(
@@ -809,14 +810,7 @@ impl Router {
                 model = resolved.name.as_str(),
                 model_version = resolved.version,
             );
-            let advisor = Advisor::new(resolved.flat.as_ref(), machine);
-            match self.batcher.get() {
-                // The sweep's one batched evaluation rides the
-                // micro-batcher like any other, so concurrent advise
-                // and predict requests coalesce into shared calls.
-                Some(batcher) => advisor.sweep_with(o, v, |x| batcher.predict(&resolved.flat, x)),
-                None => advisor.sweep(o, v),
-            }
+            Advisor::new(resolved.flat.as_ref(), machine).sweep(o, v)
         };
         self.metrics.record_advise_stage(AdviseStage::Sweep, sweep_started.elapsed());
 

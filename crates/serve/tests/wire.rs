@@ -443,3 +443,143 @@ fn concurrent_predicts_are_micro_batched() {
     let _ = read_response(&mut trigger, &mut Vec::new());
     server_thread.join().unwrap().expect("clean shutdown");
 }
+
+/// The value of the unlabelled (or fully labelled) series `name` in a
+/// `/metrics` scrape.
+fn scrape_value(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(name).and_then(|rest| rest.strip_prefix(' ')))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("{name} missing from /metrics"))
+}
+
+fn scrape(addr: SocketAddr) -> String {
+    let mut stream = connect(addr);
+    stream.write_all(&http("GET", "/metrics", "", true)).unwrap();
+    read_response(&mut stream, &mut Vec::new()).body
+}
+
+/// Advise sweeps score inline on their worker, never through the
+/// micro-batcher: distinct cold advises leave every batch metric at
+/// zero, answer bit for bit what the stepper's matrix sweep answers, and
+/// predicts sent while advises are in flight still coalesce.
+#[test]
+fn cold_advises_bypass_the_batcher_and_match_the_stepper() {
+    use chemcost_core::advisor::{Advisor, Goal, Recommendation};
+    use chemcost_ml::flat::FlatGbt;
+    use chemcost_serve::json::Json;
+    use chemcost_serve::{BatcherConfig, FlushReason};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    const ADVISES: usize = 32;
+    const CLIENTS: usize = 8;
+
+    let server = new_server(4)
+        .with_batch_config(BatcherConfig { window: Duration::from_millis(5), max_rows: 1024 });
+    let addr = server.local_addr().unwrap();
+    let server_thread = std::thread::spawn(move || server.run());
+
+    // The reference: the daemon's model, swept through the 8-lane
+    // stepper on the written-out candidate matrix.
+    let flat = FlatGbt::compile(&tiny_model());
+    let advisor = Advisor::new(&flat, by_name("aurora").unwrap());
+    let same = |got: &Json, want: &Recommendation| {
+        let num = |k: &str| got.get(k).and_then(Json::as_f64).unwrap_or(f64::NAN);
+        num("nodes") == want.nodes as f64
+            && num("tile") == want.tile as f64
+            && num("predicted_seconds").to_bits() == want.predicted_seconds.to_bits()
+            && num("predicted_node_hours").to_bits() == want.predicted_node_hours.to_bits()
+    };
+
+    let mut stream = connect(addr);
+    let mut carry = Vec::new();
+    for k in 0..ADVISES {
+        let (o, v, goal) = (40 + 9 * k, 250 + 41 * k, ["stq", "bq", "pareto"][k % 3]);
+        let body = format!(r#"{{"o":{o},"v":{v},"goal":"{goal}"}}"#);
+        stream.write_all(&http("POST", "/v1/advise", &body, false)).unwrap();
+        let resp = read_response(&mut stream, &mut carry);
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let doc = Json::parse(&resp.body).expect("advise JSON");
+        let sweep = advisor.sweep_with(o, v, |x| flat.predict_batch(&x));
+        match goal {
+            "pareto" => {
+                let got = doc.get("frontier").and_then(Json::as_array).expect("frontier");
+                let want = sweep.pareto_frontier();
+                assert_eq!(got.len(), want.len(), "({o},{v}) frontier: {}", resp.body);
+                for (g, w) in got.iter().zip(&want) {
+                    assert!(same(g, w), "({o},{v}) frontier point {g:?} vs {w:?}");
+                }
+            }
+            _ => {
+                let g = if goal == "stq" { Goal::ShortestTime } else { Goal::Budget };
+                let want = sweep.best(g).expect("feasible question");
+                let got = doc.get("recommendation").expect("recommendation");
+                assert!(same(got, &want), "({o},{v}) {goal}: {got:?} vs {want:?}");
+            }
+        }
+    }
+
+    let metrics = scrape(addr);
+    assert_eq!(scrape_value(&metrics, "chemcost_batch_size_count"), 0, "{metrics}");
+    for reason in FlushReason::ALL {
+        let series = format!("chemcost_batch_flush_total{{reason=\"{}\"}}", reason.label());
+        assert_eq!(scrape_value(&metrics, &series), 0, "{series}");
+    }
+
+    // Keep cold advises in flight on their own connection while a burst
+    // of one-row predicts arrives together under a 5 ms window.
+    let stop = Arc::new(AtomicBool::new(false));
+    let answered = Arc::new(AtomicUsize::new(0));
+    let advising = {
+        let (stop, answered) = (Arc::clone(&stop), Arc::clone(&answered));
+        std::thread::spawn(move || {
+            let mut stream = connect(addr);
+            let mut carry = Vec::new();
+            for j in 0.. {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let body = format!(r#"{{"o":{},"v":{},"goal":"stq"}}"#, 45 + j % 300, 251 + j);
+                stream.write_all(&http("POST", "/v1/advise", &body, false)).unwrap();
+                let resp = read_response(&mut stream, &mut carry);
+                assert_eq!(resp.status, 200, "{}", resp.body);
+                answered.fetch_add(1, Ordering::SeqCst);
+            }
+        })
+    };
+    while answered.load(Ordering::SeqCst) == 0 {
+        assert!(!advising.is_finished(), "advise client died before its first answer");
+        std::thread::yield_now();
+    }
+    let barrier = Arc::new(Barrier::new(CLIENTS));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|_| {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let mut stream = connect(addr);
+                barrier.wait();
+                stream.write_all(&http("POST", "/v1/predict", PREDICT_BODY, true)).unwrap();
+                let resp = read_response(&mut stream, &mut Vec::new());
+                assert_eq!(resp.status, 200, "{}", resp.body);
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().expect("predict client");
+    }
+    let during = answered.load(Ordering::SeqCst);
+    stop.store(true, Ordering::SeqCst);
+    advising.join().expect("advise client");
+    assert!(answered.load(Ordering::SeqCst) > 1 && during >= 1, "advises must overlap the burst");
+
+    // Every batched row is a predict row, and the burst coalesced.
+    let metrics = scrape(addr);
+    assert_eq!(scrape_value(&metrics, "chemcost_batch_size_sum"), CLIENTS as u64, "{metrics}");
+    let calls = scrape_value(&metrics, "chemcost_batch_size_count");
+    assert!(calls < CLIENTS as u64, "expected coalescing: {calls} batch calls for {CLIENTS} rows");
+
+    let mut trigger = connect(addr);
+    trigger.write_all(&http("POST", "/v1/shutdown", "", true)).unwrap();
+    let _ = read_response(&mut trigger, &mut Vec::new());
+    server_thread.join().unwrap().expect("clean shutdown");
+}

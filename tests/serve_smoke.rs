@@ -1,8 +1,10 @@
 //! Smoke test for the deployed service, run as its own CI job: start the
 //! real `chemcost serve` binary with structured logging on, drive
 //! predict + advise over the wire, scrape `/metrics`, validate the
-//! exposition with the in-repo linter, and check that the advise
-//! request's JSONL records correlate under one trace id.
+//! exposition with the in-repo linter, and check that each request's
+//! JSONL records correlate under its trace id: the advise from accept
+//! through its inline sweep, the predict through the micro-batcher's
+//! `batch.flush`.
 
 use chemcost::serve::json::Json;
 use chemcost::serve::metrics::lint_exposition;
@@ -80,10 +82,11 @@ fn serve_smoke_predict_advise_metrics_and_logs() {
         (status, head.to_string(), body.to_string())
     };
 
+    let predict_trace = "smoke-predict-1";
     let (status, _, body) = exchange(
         "POST",
         "/v1/predict",
-        "",
+        &format!("X-Request-Id: {predict_trace}\r\n"),
         r#"{"rows": [{"o": 100, "v": 800, "nodes": 32, "tile": 24}]}"#,
     );
     assert_eq!(status, 200, "{body}");
@@ -152,7 +155,8 @@ fn serve_smoke_predict_advise_metrics_and_logs() {
     assert!(code.success(), "serve exited with {code:?}");
 
     // The advise request's records correlate in the JSONL log: the same
-    // trace id from accept through sweep to the access-log line.
+    // trace id from accept through sweep to the access-log line. The
+    // sweep scores inline, so the batcher's flush names the predict.
     let text = std::fs::read_to_string(&log).expect("read JSONL log");
     let mut names = Vec::new();
     let mut batch_flush_correlated = false;
@@ -167,7 +171,7 @@ fn serve_smoke_predict_advise_metrics_and_logs() {
             && v.get("fields")
                 .and_then(|f| f.get("traces"))
                 .and_then(Json::as_str)
-                .is_some_and(|t| t.split(',').any(|t| t == trace_id))
+                .is_some_and(|t| t.split(',').any(|t| t == predict_trace))
         {
             batch_flush_correlated = true;
         }
@@ -176,7 +180,7 @@ fn serve_smoke_predict_advise_metrics_and_logs() {
     {
         assert!(names.iter().any(|n| n == name), "{name} missing from trace: {names:?}");
     }
-    assert!(batch_flush_correlated, "no batch.flush event names the advise trace id");
+    assert!(batch_flush_correlated, "no batch.flush event names the predict trace id");
 
     std::fs::remove_dir_all(&dir).ok();
 }
