@@ -3,10 +3,11 @@
 //! holding one persistent connection and issuing sequential
 //! `/v1/predict` requests. Unlike `serve_throughput` (in-process router
 //! medians), this measures what an operator sees — socket, parser,
-//! micro-batcher, worker pool and encoder together — and reports the
-//! p99 per-request latency via `iter_custom`, so the recorded entry
-//! `serve_concurrent/p99/conns/N` IS the tail. CI gates these entries
-//! with `bench_compare --tail-threshold`.
+//! worker pool, the model call inline on its worker, and encoder
+//! together — and reports the p99 per-request latency via
+//! `iter_custom`, so the recorded entry `serve_concurrent/p99/conns/N`
+//! IS the tail. CI gates these entries with `bench_compare
+//! --tail-threshold`.
 
 use chemcost_core::data::{MachineData, Target};
 use chemcost_ml::gradient_boosting::GradientBoosting;

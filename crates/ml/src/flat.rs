@@ -447,7 +447,8 @@ impl QNodes {
         }
     }
 
-    /// Score every row of `x` into `out`, in parallel for large batches.
+    /// Score every row of `x` into `out`, in parallel for large batches
+    /// when `split` allows it.
     ///
     /// The parallel split is over **trees**, not rows: each worker owns a
     /// contiguous run of trees and fills their leaf values for every row
@@ -460,7 +461,14 @@ impl QNodes {
     /// All scratch (the `f32` row conversion, the per-tree leaf buffer)
     /// is thread-local and reused, and `out` is resized in place: a warm
     /// steady-state caller that holds on to `out` allocates nothing here.
-    fn score_batch_into(&self, x: &Matrix, init: f64, weight: f64, out: &mut Vec<f64>) {
+    fn score_batch_into(
+        &self,
+        x: &Matrix,
+        init: f64,
+        weight: f64,
+        split: bool,
+        out: &mut Vec<f64>,
+    ) {
         let n = x.nrows();
         let ncols = x.ncols();
         out.clear();
@@ -472,12 +480,13 @@ impl QNodes {
             for i in 0..n {
                 s.rows.extend(x.row(i).iter().map(|&v| v as f32));
             }
-            // Small batches — and any batch on a single-core host, where
-            // the tree-split buys nothing — take the direct tree-major
-            // pass and skip the intermediate leaf buffer entirely. Both
-            // paths accumulate each row's leaves in tree order in `f64`,
-            // so the choice never changes a result bit.
-            if n < PAR_MIN_ROWS || parallel::default_threads() <= 1 {
+            // Small batches, callers that asked for no split, and any
+            // batch on a single-core host, where the tree-split buys
+            // nothing, take the direct tree-major pass and skip the
+            // intermediate leaf buffer entirely. Both paths accumulate
+            // each row's leaves in tree order in `f64`, so the choice
+            // never changes a result bit.
+            if !split || n < PAR_MIN_ROWS || parallel::default_threads() <= 1 {
                 self.score_chunk(&s.rows, ncols, 0, out, init, weight);
                 return;
             }
@@ -711,7 +720,7 @@ impl FlatForest {
         assert!(x.ncols() >= self.min_features, "FlatForest::predict_batch: too few columns");
         let k = self.n_trees() as f64;
         let mut out = Vec::new();
-        self.qnodes.score_batch_into(x, 0.0, 1.0, &mut out);
+        self.qnodes.score_batch_into(x, 0.0, 1.0, true, &mut out);
         for o in &mut out {
             *o /= k;
         }
@@ -843,7 +852,21 @@ impl FlatGbt {
     /// Panics on feature-count mismatch.
     pub fn predict_batch_into(&self, x: &Matrix, out: &mut Vec<f64>) {
         self.check_width(x.ncols(), "predict_batch");
-        self.qnodes.score_batch_into(x, self.init, self.learning_rate, out);
+        self.qnodes.score_batch_into(x, self.init, self.learning_rate, true, out);
+    }
+
+    /// [`predict_batch`](FlatGbt::predict_batch) on the calling thread
+    /// alone, whatever the batch size: for a caller whose siblings
+    /// already keep every core busy, such as a server worker with other
+    /// requests in flight. Bit-identical to `predict_batch`.
+    ///
+    /// # Panics
+    /// Panics on feature-count mismatch.
+    pub fn predict_batch_serial(&self, x: &Matrix) -> Vec<f64> {
+        self.check_width(x.ncols(), "predict_batch_serial");
+        let mut out = Vec::new();
+        self.qnodes.score_batch_into(x, self.init, self.learning_rate, false, &mut out);
+        out
     }
 
     /// Predict one row on the exact `f64` path — bit-for-bit
@@ -994,6 +1017,8 @@ mod tests {
 
     #[test]
     fn single_row_matches_batch() {
+        // 90 rows: past PAR_MIN_ROWS, so predict_batch splits over trees
+        // on a multi-core host while predict_batch_serial never does.
         let (x, y) = training_data(90);
         let mut gb = GradientBoosting::new(25, 3, 0.2);
         gb.fit(&x, &y).unwrap();
@@ -1002,6 +1027,7 @@ mod tests {
         for (i, &b) in batch.iter().enumerate() {
             assert_eq!(flat.predict_row(x.row(i)), b);
         }
+        assert_eq!(flat.predict_batch_serial(&x), batch);
     }
 
     #[test]

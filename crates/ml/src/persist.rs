@@ -26,9 +26,14 @@
 //! versions decode with [`decode_gb_full`].
 //!
 //! Decoding validates every structural field (magic, version, counts,
-//! child indices in range, split features < n_features), so arbitrary or
-//! corrupted bytes produce [`DecodeError`], never a panic — fuzzed in
-//! `tests/properties.rs`.
+//! split features < n_features, and child indices that point forward
+//! within their tree to a node no other split claims), so arbitrary or
+//! corrupted bytes produce [`DecodeError`], never a panic or a tree
+//! that loops — fuzzed in `tests/properties.rs`. Trees are written in
+//! preorder, so a valid child index is always greater than its
+//! parent's and names a node of its own; a backward or self link would
+//! make every walk of the tree cycle, and a shared child would make
+//! the number of root-to-leaf paths grow exponentially with depth.
 
 use crate::gradient_boosting::GradientBoosting;
 use crate::tree::FlatNode;
@@ -172,20 +177,34 @@ pub fn decode_gb_full(mut buf: &[u8]) -> Result<(GradientBoosting, Option<Lineag
             return Err(DecodeError::Truncated);
         }
         let mut nodes = Vec::with_capacity(n_nodes);
-        for _ in 0..n_nodes {
+        // Which nodes a split already names as its child.
+        let mut claimed = vec![false; n_nodes];
+        for i in 0..n_nodes {
             let feature = buf.get_u32_le();
             let threshold = buf.get_f64_le();
             let left = buf.get_u32_le();
             let right = buf.get_u32_le();
             let value = buf.get_f64_le();
             if feature != u32::MAX {
-                if left as usize >= n_nodes || right as usize >= n_nodes {
-                    return Err(DecodeError::Corrupt("child index out of range".into()));
-                }
                 if feature as usize >= n_features {
                     return Err(DecodeError::Corrupt(format!(
                         "split feature {feature} >= feature count {n_features}"
                     )));
+                }
+                if left as usize >= n_nodes || right as usize >= n_nodes {
+                    return Err(DecodeError::Corrupt("child index out of range".into()));
+                }
+                for child in [left as usize, right as usize] {
+                    if child <= i {
+                        return Err(DecodeError::Corrupt(format!(
+                            "node {i} links back to node {child}"
+                        )));
+                    }
+                    if std::mem::replace(&mut claimed[child], true) {
+                        return Err(DecodeError::Corrupt(format!(
+                            "node {child} is the child of two splits"
+                        )));
+                    }
                 }
             }
             nodes.push(FlatNode { feature, threshold, left, right, value });
@@ -313,6 +332,58 @@ mod tests {
         bytes[node0 + 12..node0 + 16].copy_from_slice(&u32::MAX.to_le_bytes()); // left
         let r = decode_gb(&bytes);
         assert!(r.is_err(), "corrupt child index must be rejected");
+    }
+
+    /// A child link back to an ancestor would send every walk of the
+    /// tree round a cycle forever (`FlatGbt::compile` measures depth by
+    /// walking it), so decode refuses it. Asserted on decode only: the
+    /// bad model is never compiled.
+    #[test]
+    fn rejects_backward_child_link() {
+        // A 1-tree model whose node 1, a split, links its left child
+        // back to the root.
+        let x = Matrix::from_fn(40, 2, |i, j| ((i * (j + 3)) % 11) as f64);
+        let y: Vec<f64> = (0..40).map(|i| x[(i, 0)] * 3.0 + x[(i, 1)]).collect();
+        let mut gb = GradientBoosting::new(1, 3, 0.5);
+        gb.fit(&x, &y).unwrap();
+        let mut bytes = encode_gb(&gb).to_vec();
+        let node1 = 32 + 4 + 28;
+        let feature = u32::from_le_bytes(bytes[node1..node1 + 4].try_into().unwrap());
+        assert_ne!(feature, u32::MAX, "node 1 must be a split for this case");
+        bytes[node1 + 12..node1 + 16].copy_from_slice(&0u32.to_le_bytes()); // left → root
+        match decode_gb(&bytes) {
+            Err(DecodeError::Corrupt(msg)) => assert!(msg.contains("links back"), "{msg}"),
+            other => panic!("expected Corrupt(links back), got {other:?}"),
+        }
+    }
+
+    /// Forward links alone do not make a tree: a chain of 64 splits
+    /// whose left and right child are both the next node has 2⁶³
+    /// root-to-leaf paths, and any walk without a visited set (depth
+    /// measurement, scoring) would never finish. Decode refuses the
+    /// shared child; the model is never compiled.
+    #[test]
+    fn rejects_a_child_shared_by_two_links() {
+        let x = Matrix::from_fn(40, 2, |i, j| ((i * (j + 3)) % 11) as f64);
+        let y: Vec<f64> = (0..40).map(|i| x[(i, 0)] * 3.0 + x[(i, 1)]).collect();
+        let mut gb = GradientBoosting::new(1, 3, 0.5);
+        gb.fit(&x, &y).unwrap();
+        // Keep the fitted 1-tree header, replace the tree with the chain.
+        let n = 64u32;
+        let mut bytes = encode_gb(&gb)[..32].to_vec();
+        bytes.extend_from_slice(&n.to_le_bytes());
+        for i in 0..n {
+            let (feature, child) = if i + 1 < n { (0, i + 1) } else { (u32::MAX, 0) };
+            bytes.extend_from_slice(&feature.to_le_bytes());
+            bytes.extend_from_slice(&1.0f64.to_le_bytes());
+            bytes.extend_from_slice(&child.to_le_bytes()); // left
+            bytes.extend_from_slice(&child.to_le_bytes()); // right
+            bytes.extend_from_slice(&0.5f64.to_le_bytes());
+        }
+        match decode_gb(&bytes) {
+            Err(DecodeError::Corrupt(msg)) => assert!(msg.contains("two splits"), "{msg}"),
+            other => panic!("expected Corrupt(two splits), got {other:?}"),
+        }
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! 3. **Parser limits** — oversized header lines (`431`) and bodies
 //!    (`413`) are rejected mid-stream, before buffering the rest.
 //! 4. **Write high-water mark** — a connection whose response backlog
-//!    passes [`WRITE_HIGH_WATER`] stops being read until it drains, so
-//!    a slow consumer cannot balloon server memory.
+//!    passes 256 KiB (`WRITE_HIGH_WATER`) stops being read until it
+//!    drains, so a slow consumer cannot balloon server memory.
 //!
 //! Graceful drain: when `POST /v1/shutdown` is handled, the loop stops
 //! accepting (the listener is closed), stops reading every connection,
@@ -262,8 +262,8 @@ struct Loop<'a> {
 }
 
 /// Run the event loop until graceful drain completes. Owns the
-/// listener; the worker `pool` and the router's installed [`Batcher`]
-/// stay alive for the caller to join/shut down afterwards.
+/// listener; the worker `pool` stays alive for the caller to join
+/// afterwards.
 pub(crate) fn run(
     listener: TcpListener,
     router: Router,
@@ -563,13 +563,6 @@ impl Loop<'_> {
         let metrics = Arc::clone(&self.metrics);
         let tx = self.done_tx.clone();
         let waker = Arc::clone(&self.waker);
-        // Declare batch interest for the whole queue wait: a parsed
-        // predict request can still join a micro-batch, so the collector
-        // must not drain while it sits in the compute queue. (Advise
-        // sweeps score inline and never join one.) The guard moves into
-        // the job and drops when handling ends.
-        let batch_interest =
-            self.router.is_batched_path(&req.path).then(|| self.router.batch_interest());
         self.metrics.pool_enqueued();
         let job: crate::pool::Job = Box::new(move || {
             metrics.pool_dequeued();
@@ -581,11 +574,9 @@ impl Loop<'_> {
                 std::thread::sleep(delay);
             }
             timeline.stamp_dequeued();
-            crate::timeline::begin_capture();
             let response = router.handle_from(&req, arrived);
-            drop(batch_interest);
             timeline.stamp_handler_done();
-            timeline.absorb(crate::timeline::end_capture(), response.status);
+            timeline.absorb(&response);
             let _ = tx.send(Done { token, seq, response, keep_alive, timeline: Some(timeline) });
             let _ = waker.wake();
         });
@@ -722,7 +713,7 @@ impl Loop<'_> {
         out
     }
 
-    /// A request's last byte is on the wire: derive the six stages, feed
+    /// A request's last byte is on the wire: derive the five stages, feed
     /// the histograms and the flight recorder, emit `request.timeline`.
     fn finalize_timeline(&self, timeline: TimelineBuilder) {
         let done = timeline.complete(Instant::now());

@@ -24,7 +24,6 @@ use chemcost_health::{
 };
 use chemcost_obs::{self as obs, Level};
 
-use crate::batcher::FlushReason;
 use crate::fault::FaultKind;
 use crate::metrics::{AdviseStage, DeadlineStage, Metrics, RequestStage, Route};
 use crate::routes::Router;
@@ -62,17 +61,6 @@ pub fn builtin_slos() -> Vec<SloSpec> {
             "drift_trips",
             Signal::DeltaPrefix { prefix: "quality.drift_trips.".into() },
             0.5,
-        ),
-        // Batches closing on the window timer instead of drain/full
-        // means submitters keep missing each other — latency for no
-        // coalescing gain.
-        SloSpec::new(
-            "batch_window_overrun",
-            Signal::Ratio {
-                num: vec!["batch.flush.window".into()],
-                den: vec!["batch.flush.".into()],
-            },
-            0.95,
         ),
     ]
 }
@@ -114,11 +102,6 @@ impl MetricsSampler {
         counters.push("cache.misses".into());
         counters.push("quality.accepted".into());
         counters.push("quality.rejected".into());
-        for reason in FlushReason::ALL {
-            counters.push(format!("batch.flush.{}", reason.label()));
-        }
-        counters.push("batch.calls".into());
-        counters.push("batch.rows".into());
         counters.push("loop.iterations".into());
         for (model, machine) in &groups {
             counters.push(format!("quality.drift_trips.{model}@{machine}"));
@@ -178,11 +161,6 @@ impl MetricsSampler {
         counters.push(metrics.cache_misses());
         counters.push(metrics.quality_accepted());
         counters.push(metrics.quality_rejected());
-        for reason in FlushReason::ALL {
-            counters.push(metrics.batch_flushes(reason));
-        }
-        counters.push(metrics.batch_calls());
-        counters.push(metrics.batch_rows());
         counters.push(metrics.loop_iterations());
         let quality = metrics.quality_entries();
         for (model, machine) in &self.groups {
@@ -316,4 +294,34 @@ pub fn start(router: &Router, config: HealthConfig) -> HealthHandle {
             .expect("spawn health sampler")
     };
     HealthHandle { hub, stop, thread: Some(thread) }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn builtin_slos_are_the_five_documented_objectives() {
+        let names: Vec<String> = builtin_slos().into_iter().map(|s| s.name).collect();
+        assert_eq!(
+            names,
+            [
+                "advise_p99_latency",
+                "error_ratio",
+                "deadline_miss_ratio",
+                "model_mape",
+                "drift_trips"
+            ]
+        );
+    }
+
+    #[test]
+    fn schema_has_no_batch_series() {
+        let sampler = MetricsSampler::new(&Metrics::new());
+        let schema = sampler.schema();
+        assert!(schema.counters.iter().all(|c| !c.starts_with("batch.")), "{:?}", schema.counters);
+        let stages: Vec<&str> = schema.histograms.iter().map(|h| h.name.as_str()).collect();
+        assert!(!stages.contains(&"stage.batch_wait"), "{stages:?}");
+        assert_eq!(stages.iter().filter(|h| h.starts_with("stage.")).count(), 5);
+    }
 }

@@ -25,12 +25,12 @@
 //! Built as an event-driven data plane (see [`event_loop`] and
 //! `docs/SERVING.md`): one nonblocking epoll loop owns every socket —
 //! HTTP/1.1 keep-alive and pipelining, bounded buffers, per-request
-//! `503` shedding — while a bounded worker pool runs the handlers and a
-//! micro-batcher ([`batcher`]) coalesces concurrent flat-model
-//! evaluations into single batched calls. No external HTTP or JSON
-//! dependencies.
+//! `503` shedding — while a bounded worker pool ([`pool`]) runs the
+//! handlers, each scoring its own model call on the worker that parsed
+//! the request (a predict splits over the cores only while it is the
+//! sole request in flight), so under load `--workers` is the daemon's
+//! compute parallelism. No external HTTP or JSON dependencies.
 
-pub mod batcher;
 pub mod cache;
 pub mod client;
 pub mod event_loop;
@@ -45,7 +45,6 @@ pub mod registry;
 pub mod routes;
 pub mod timeline;
 
-pub use batcher::{Batcher, BatcherConfig, FlushReason};
 pub use cache::{AdviseCache, AdviseKey};
 pub use chemcost_health::{parse_duration, parse_slo_file, sparkline, HealthConfig, HealthHub};
 pub use client::{Client, ClientError, RetryPolicy};
@@ -74,7 +73,6 @@ pub struct Server {
     workers: usize,
     queue_cap: usize,
     max_conns: usize,
-    batch_config: BatcherConfig,
     faults: Option<Arc<FaultPlane>>,
     health_config: Option<HealthConfig>,
 }
@@ -91,7 +89,6 @@ impl Server {
             workers: workers.max(1),
             queue_cap: workers.max(1) * 4,
             max_conns: DEFAULT_MAX_CONNS,
-            batch_config: BatcherConfig::default(),
             faults: None,
             health_config: Some(HealthConfig {
                 slos: health_bridge::builtin_slos(),
@@ -114,14 +111,6 @@ impl Server {
     /// Clamped to at least 1.
     pub fn with_max_conns(mut self, max: usize) -> Server {
         self.max_conns = max.max(1);
-        self
-    }
-
-    /// Override the micro-batcher tuning (`chemcost serve
-    /// --batch-window-us` / `--batch-max`).
-    pub fn with_batch_config(mut self, config: BatcherConfig) -> Server {
-        self.batch_config =
-            BatcherConfig { window: config.window, max_rows: config.max_rows.max(1) };
         self
     }
 
@@ -175,14 +164,6 @@ impl Server {
     pub fn run(self) -> std::io::Result<()> {
         let local_addr = self.listener.local_addr()?;
         let pool = ThreadPool::new(self.workers, self.queue_cap);
-        let metrics = Arc::clone(self.router.metrics());
-        // The batcher outlives the event loop: workers blocked inside
-        // `Batcher::predict` must get their answers before `pool.join()`
-        // below can return.
-        let batcher = Batcher::start(self.batch_config, Arc::clone(&metrics));
-        self.router.install_batcher(Arc::clone(&batcher));
-        // Start the health plane after the batcher so its very first
-        // self-scrape already sees every pre-registered series.
         let health = self
             .health_config
             .as_ref()
@@ -194,16 +175,13 @@ impl Server {
             workers = self.workers,
             queue_cap = self.queue_cap,
             max_conns = self.max_conns,
-            batch_window_us = self.batch_config.window.as_micros() as u64,
-            batch_max = self.batch_config.max_rows,
         );
         let config = EventLoopConfig { max_conns: self.max_conns, idle_timeout: READ_TIMEOUT };
         let result =
             event_loop::run(self.listener, self.router.clone(), &pool, self.faults.clone(), config);
-        // Drain order matters: join the workers (they stop submitting),
-        // then stop the batcher's collector, then the background trainer.
+        // Drain order matters: join the workers (they may still queue
+        // retrains), then stop the background trainer.
         pool.join();
-        batcher.shutdown();
         self.router.lifecycle().shutdown();
         if let Some(health) = health {
             health.stop();

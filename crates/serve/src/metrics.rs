@@ -14,7 +14,7 @@
 //! # Hot-path layout
 //!
 //! The per-request counters (route requests/errors, advise-cache
-//! hits/misses, keep-alive reuses) are [`ShardedCounter`]s: each is a
+//! hits/misses, keep-alive reuses) are `ShardedCounter`s: each is a
 //! small array of cache-line-padded atomics and every thread increments
 //! its own stripe, so concurrent request threads never bounce one
 //! counter's cache line between cores. Reads sum the stripes — counters
@@ -31,7 +31,6 @@
 //! asserts this through [`REQUIRED_SERIES`] +
 //! [`lint_exposition_with_required`].
 
-use crate::batcher::FlushReason;
 use crate::fault::FaultKind;
 use chemcost_lifecycle::{LifecycleObserver, LifecycleState, PromotionOutcome, TRANSITIONS};
 use std::fmt::Write as _;
@@ -204,7 +203,7 @@ impl DeadlineStage {
 
 /// One stage of a request's end-to-end timeline through the event-driven
 /// data plane; the `stage` label on
-/// `chemcost_request_stage_duration_seconds`. The six stages partition
+/// `chemcost_request_stage_duration_seconds`. The five stages partition
 /// the first-byte → last-byte wall time (see `crate::timeline`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestStage {
@@ -212,10 +211,7 @@ pub enum RequestStage {
     Read,
     /// Parse complete → a worker dequeued the request.
     Queue,
-    /// Time the worker spent blocked in the micro-batcher (window wait
-    /// plus the coalesced model call).
-    BatchWait,
-    /// Worker dequeue → handler done, minus the batch wait.
+    /// Worker dequeue → handler done, the model call included.
     Handler,
     /// Handler done → response encoded onto the wire buffer (waiting for
     /// its turn in the pipeline reorder).
@@ -226,10 +222,9 @@ pub enum RequestStage {
 
 impl RequestStage {
     /// Every stage, in timeline order.
-    pub const ALL: [RequestStage; 6] = [
+    pub const ALL: [RequestStage; 5] = [
         RequestStage::Read,
         RequestStage::Queue,
-        RequestStage::BatchWait,
         RequestStage::Handler,
         RequestStage::Reorder,
         RequestStage::Write,
@@ -240,10 +235,9 @@ impl RequestStage {
         match self {
             RequestStage::Read => 0,
             RequestStage::Queue => 1,
-            RequestStage::BatchWait => 2,
-            RequestStage::Handler => 3,
-            RequestStage::Reorder => 4,
-            RequestStage::Write => 5,
+            RequestStage::Handler => 2,
+            RequestStage::Reorder => 3,
+            RequestStage::Write => 4,
         }
     }
 
@@ -252,7 +246,6 @@ impl RequestStage {
         match self {
             RequestStage::Read => "read",
             RequestStage::Queue => "queue",
-            RequestStage::BatchWait => "batch_wait",
             RequestStage::Handler => "handler",
             RequestStage::Reorder => "reorder",
             RequestStage::Write => "write",
@@ -266,7 +259,6 @@ impl RequestStage {
         match self {
             RequestStage::Read => "read_us",
             RequestStage::Queue => "queue_us",
-            RequestStage::BatchWait => "batch_wait_us",
             RequestStage::Handler => "handler_us",
             RequestStage::Reorder => "reorder_us",
             RequestStage::Write => "write_us",
@@ -313,8 +305,6 @@ pub const REQUIRED_SERIES: &[&str] = &[
     "chemcost_lifecycle_fit_duration_seconds",
     "chemcost_lifecycle_promotions_total",
     "chemcost_connections_open",
-    "chemcost_batch_size",
-    "chemcost_batch_flush_total",
     "chemcost_keepalive_reuses_total",
     "chemcost_request_stage_duration_seconds",
     "chemcost_event_loop_iteration_duration_seconds",
@@ -483,8 +473,8 @@ impl Histogram {
     }
 }
 
-/// Bucket upper bounds for `chemcost_batch_size` — coalesced rows per
-/// flat-model call. Powers of two up to the default `--batch-max`.
+/// Bucket upper bounds for `chemcost_event_loop_events_per_wake`:
+/// powers of two.
 const SIZE_BUCKETS: [u64; 10] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512];
 
 /// A histogram over discrete sizes (row counts), same Prometheus shape
@@ -603,7 +593,7 @@ pub struct Metrics {
     /// Whole-request handling latency.
     latency: Histogram,
     /// Per-stage request-timeline latency, indexed by [`RequestStage`].
-    request_stages: [Histogram; 6],
+    request_stages: [Histogram; 5],
     /// Event-loop iteration duration (one epoll wake's processing).
     loop_iteration: Histogram,
     /// Readiness events delivered per epoll wake.
@@ -659,10 +649,6 @@ pub struct Metrics {
     connections_open: AtomicI64,
     /// Requests served on a reused (non-first) keep-alive exchange.
     keepalive_reuses: ShardedCounter,
-    /// Batcher flushes, indexed by [`FlushReason`].
-    batch_flushes: [AtomicU64; 4],
-    /// Coalesced rows per flat-model batch call.
-    batch_size: SizeHistogram,
     /// Monotonic clock anchor for the two timestamps below.
     start: Instant,
     /// Micros-since-`start` + 1 of the moment the serving model went
@@ -716,8 +702,6 @@ impl Default for Metrics {
             lifecycle_promotions: Default::default(),
             connections_open: AtomicI64::new(0),
             keepalive_reuses: ShardedCounter::default(),
-            batch_flushes: Default::default(),
-            batch_size: SizeHistogram::default(),
             start: Instant::now(),
             stale_since: AtomicU64::new(0),
             last_shed: AtomicU64::new(0),
@@ -1045,28 +1029,6 @@ impl Metrics {
     /// Keep-alive reuses so far.
     pub fn keepalive_reuses(&self) -> u64 {
         self.keepalive_reuses.load()
-    }
-
-    /// Record one batcher flush: why it closed and how many rows the
-    /// resulting flat-model call carried.
-    pub fn record_batch_flush(&self, reason: FlushReason, rows: usize) {
-        self.batch_flushes[reason.index()].fetch_add(1, Ordering::Relaxed);
-        self.batch_size.observe(rows);
-    }
-
-    /// Flushes recorded for one reason.
-    pub fn batch_flushes(&self, reason: FlushReason) -> u64 {
-        self.batch_flushes[reason.index()].load(Ordering::Relaxed)
-    }
-
-    /// Batched flat-model calls recorded so far (all reasons).
-    pub fn batch_calls(&self) -> u64 {
-        self.batch_size.count.load(Ordering::Relaxed)
-    }
-
-    /// Total rows scored through the batcher so far.
-    pub fn batch_rows(&self) -> u64 {
-        self.batch_size.sum.load(Ordering::Relaxed)
     }
 
     /// Record one stage of a completed request timeline.
@@ -1519,28 +1481,12 @@ impl Metrics {
         out.push_str("# TYPE chemcost_connections_open gauge\n");
         out.push_str(&format!("chemcost_connections_open {}\n", self.connections_open()));
         out.push_str(
-            "# HELP chemcost_batch_size Coalesced rows per flat-model batch call made by the micro-batcher.\n",
-        );
-        out.push_str("# TYPE chemcost_batch_size histogram\n");
-        self.batch_size.render(&mut out, "chemcost_batch_size");
-        out.push_str(
-            "# HELP chemcost_batch_flush_total Micro-batcher flushes, by trigger (full budget, window expiry, drain, shutdown).\n",
-        );
-        out.push_str("# TYPE chemcost_batch_flush_total counter\n");
-        for reason in FlushReason::ALL {
-            out.push_str(&format!(
-                "chemcost_batch_flush_total{{reason=\"{}\"}} {}\n",
-                reason.label(),
-                self.batch_flushes(reason)
-            ));
-        }
-        out.push_str(
             "# HELP chemcost_keepalive_reuses_total Requests served on a reused keep-alive exchange (any request after a connection's first).\n",
         );
         out.push_str("# TYPE chemcost_keepalive_reuses_total counter\n");
         out.push_str(&format!("chemcost_keepalive_reuses_total {}\n", self.keepalive_reuses()));
         out.push_str(
-            "# HELP chemcost_request_stage_duration_seconds Per-stage request-timeline latency through the event loop (read, queue, batch_wait, handler, reorder, write); the stages of one request sum to its first-byte to last-byte wall time.\n",
+            "# HELP chemcost_request_stage_duration_seconds Per-stage request-timeline latency through the event loop (read, queue, handler, reorder, write); the stages of one request sum to its first-byte to last-byte wall time.\n",
         );
         out.push_str("# TYPE chemcost_request_stage_duration_seconds histogram\n");
         for stage in RequestStage::ALL {
@@ -2434,31 +2380,15 @@ mod tests {
         m.record_keepalive_reuse();
         m.record_keepalive_reuse();
         assert_eq!(m.keepalive_reuses(), 3);
-        m.record_batch_flush(FlushReason::Drain, 2);
-        m.record_batch_flush(FlushReason::Window, 7);
-        m.record_batch_flush(FlushReason::Window, 600);
-        assert_eq!(m.batch_flushes(FlushReason::Drain), 1);
-        assert_eq!(m.batch_flushes(FlushReason::Window), 2);
-        assert_eq!(m.batch_flushes(FlushReason::Full), 0);
-        assert_eq!(m.batch_calls(), 3);
-        assert_eq!(m.batch_rows(), 609);
         let text = m.render();
         assert!(text.contains("chemcost_connections_open 1"), "{text}");
         assert!(text.contains("chemcost_keepalive_reuses_total 3"), "{text}");
-        assert!(text.contains("chemcost_batch_flush_total{reason=\"drain\"} 1"), "{text}");
-        assert!(text.contains("chemcost_batch_flush_total{reason=\"window\"} 2"), "{text}");
-        assert!(text.contains("chemcost_batch_flush_total{reason=\"shutdown\"} 0"), "{text}");
-        assert!(text.contains("chemcost_batch_size_bucket{le=\"2\"} 1"), "{text}");
-        assert!(text.contains("chemcost_batch_size_bucket{le=\"8\"} 2"), "{text}");
-        assert!(text.contains("chemcost_batch_size_bucket{le=\"+Inf\"} 3"), "{text}");
-        assert!(text.contains("chemcost_batch_size_sum 609"), "{text}");
-        assert!(text.contains("chemcost_batch_size_count 3"), "{text}");
         lint_exposition(&text).expect("serving exposition must lint clean");
     }
 
     /// Negative (satellite): stripping any serving-data-plane family's
     /// sample lines must trip the required-series linter — the event
-    /// loop and batcher series are pre-registered like every other.
+    /// loop series are pre-registered like every other.
     #[test]
     fn required_linter_flags_missing_serving_series() {
         let m = Metrics::new();
@@ -2466,12 +2396,7 @@ mod tests {
         m.set_lifecycle_state("gb", "aurora", LifecycleState::Idle);
         let full = m.render();
         lint_exposition_with_required(&full, REQUIRED_SERIES).expect("full exposition is complete");
-        for family in [
-            "chemcost_connections_open",
-            "chemcost_batch_size",
-            "chemcost_batch_flush_total",
-            "chemcost_keepalive_reuses_total",
-        ] {
+        for family in ["chemcost_connections_open", "chemcost_keepalive_reuses_total"] {
             let stripped: String = full
                 .lines()
                 .filter(|l| {
@@ -2496,14 +2421,13 @@ mod tests {
         let m = Metrics::new();
         m.record_request_stage(RequestStage::Read, Duration::from_micros(40));
         m.record_request_stage(RequestStage::Queue, Duration::from_micros(90));
-        m.record_request_stage(RequestStage::BatchWait, Duration::from_micros(210));
         m.record_request_stage(RequestStage::Handler, Duration::from_micros(800));
         m.record_request_stage(RequestStage::Handler, Duration::from_micros(700));
         m.record_request_stage(RequestStage::Reorder, Duration::from_micros(5));
         m.record_request_stage(RequestStage::Write, Duration::from_micros(60));
         assert_eq!(m.request_stage_count(RequestStage::Handler), 2);
         assert_eq!(m.request_stage_count(RequestStage::Write), 1);
-        assert!((m.request_stage_sum_seconds(RequestStage::BatchWait) - 210e-6).abs() < 1e-12);
+        assert!((m.request_stage_sum_seconds(RequestStage::Queue) - 90e-6).abs() < 1e-12);
         m.record_loop_iteration(Duration::from_micros(120), 3);
         m.record_loop_iteration(Duration::from_micros(80), 0);
         assert_eq!(m.loop_iterations(), 2);
@@ -2516,10 +2440,6 @@ mod tests {
         let text = m.render();
         assert!(
             text.contains("chemcost_request_stage_duration_seconds_count{stage=\"handler\"} 2"),
-            "{text}"
-        );
-        assert!(
-            text.contains("chemcost_request_stage_duration_seconds_count{stage=\"batch_wait\"} 1"),
             "{text}"
         );
         assert!(

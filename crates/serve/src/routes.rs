@@ -7,17 +7,18 @@
 //! The two model-query endpoints ride the fast inference path:
 //! `/v1/predict` and `/v1/advise` both evaluate the registry's compiled
 //! [`chemcost_ml::flat::FlatGbt`] (quantized traversal, within the
-//! documented `QUANT_REL_TOL` of the recursive ensemble). `/v1/predict`
-//! rows ride the micro-batcher when one is installed, with answers
-//! identical to unbatched scoring. `/v1/advise` runs **one** candidate
-//! sweep per request via [`Advisor::sweep`] no matter how many questions
-//! the body asks, inline on its worker: the sweep is one grid walk per
-//! tree (`FlatGbt`'s `predict_grid`), so it never enters the batcher.
+//! documented `QUANT_REL_TOL` of the recursive ensemble), inline on
+//! the worker that parsed the request. `/v1/predict` scores its rows in
+//! one batch call, split over the cores only while it is the sole
+//! request in flight (see `Router::alone`); otherwise the other workers
+//! already use those cores and it scores serially. `/v1/advise` runs
+//! **one** candidate sweep per request via [`Advisor::sweep`] no matter
+//! how many questions the body asks: the sweep is one grid walk per
+//! tree (`FlatGbt`'s `predict_grid`).
 //! Fully-answered advise responses are replayed from a keyed, sharded LRU
 //! [`AdviseCache`] until the model is reloaded — a warm hit probes with a
 //! borrowed key and replays the `Arc<str>` body without copying it.
 
-use crate::batcher::{Batcher, RouteGuard};
 use crate::cache::{AdviseCache, AdviseKeyRef, CachedRec};
 use crate::http::{Body, Request, Response};
 use crate::json::{self, Json, Scanner};
@@ -133,17 +134,12 @@ pub struct Router {
     shutdown: Arc<AtomicBool>,
     /// Budget applied to requests that don't send `X-Deadline-Ms`.
     default_deadline_ms: Option<u64>,
-    /// Micro-batcher coalescing concurrent flat-model evaluations.
-    /// Installed once by `Server::run`; empty in tests and benches that
-    /// drive the router in-process, which then score directly — the
-    /// handler stays a pure function either way.
-    batcher: Arc<OnceLock<Arc<Batcher>>>,
     /// Flight recorder behind `GET /debug/requests`: the event loop
     /// records every completed request timeline here.
     flight: Arc<FlightRecorder>,
     /// Health hub behind `GET /v1/health` and `GET /debug/slo`.
-    /// Installed once by `Server::run` (like the batcher); absent in
-    /// routers driven in-process, which then answer "disabled".
+    /// Installed once by `Server::run`; absent in routers driven
+    /// in-process, which then answer "disabled".
     health: Arc<OnceLock<Arc<chemcost_health::HealthHub>>>,
 }
 
@@ -187,7 +183,6 @@ impl Router {
             lifecycle,
             shutdown: Arc::new(AtomicBool::new(false)),
             default_deadline_ms: None,
-            batcher: Arc::new(OnceLock::new()),
             flight: Arc::new(FlightRecorder::new()),
             health: Arc::new(OnceLock::new()),
         }
@@ -199,8 +194,8 @@ impl Router {
     }
 
     /// Install the health hub all clones of this router will serve
-    /// `GET /v1/health` and `GET /debug/slo` from. One-shot, like
-    /// [`Router::install_batcher`].
+    /// `GET /v1/health` and `GET /debug/slo` from. One-shot: later
+    /// calls on the same router (or any clone) are ignored.
     pub fn install_health(&self, hub: Arc<chemcost_health::HealthHub>) {
         let _ = self.health.set(hub);
     }
@@ -208,47 +203,6 @@ impl Router {
     /// The installed health hub, if any.
     pub fn health(&self) -> Option<&Arc<chemcost_health::HealthHub>> {
         self.health.get()
-    }
-
-    /// Install the micro-batcher all clones of this router will score
-    /// `/v1/predict` rows through. One-shot: later calls on the same
-    /// router (or any clone) are ignored.
-    pub fn install_batcher(&self, batcher: Arc<Batcher>) {
-        let _ = self.batcher.set(batcher);
-    }
-
-    /// The installed micro-batcher, if any.
-    pub fn batcher(&self) -> Option<&Arc<Batcher>> {
-        self.batcher.get()
-    }
-
-    /// Mark the calling thread as inside a predict-capable route while
-    /// the guard lives, so the batcher knows whether more submissions
-    /// can still arrive. `None` (no batcher installed) costs nothing.
-    ///
-    /// The event loop also takes a guard per *parsed* predict request at
-    /// worker-handoff time (see `event_loop::EventLoop::dispatch`):
-    /// requests sitting in the compute queue can still join a batch, so
-    /// counting them keeps the collector from draining a micro-batch
-    /// while queued submitters are seconds of scheduling away. The
-    /// predict handler keeps its own guard for in-process callers (tests,
-    /// benches, the CLI) that never cross the event loop.
-    fn enter_batched_route(&self) -> Option<RouteGuard> {
-        self.batcher.get().map(Batcher::enter_route)
-    }
-
-    /// Whether `path` routes to a handler that submits to the batcher —
-    /// the event loop pins batch interest across the worker-queue wait
-    /// for exactly these requests. Only `/v1/predict` does: an advise
-    /// sweep scores inline.
-    pub(crate) fn is_batched_path(&self, path: &str) -> bool {
-        self.batcher.get().is_some() && path == "/v1/predict"
-    }
-
-    /// Take a batch-interest guard (see [`Router::enter_batched_route`]);
-    /// `pub(crate)` for the event loop's queued-request interest.
-    pub(crate) fn batch_interest(&self) -> Option<RouteGuard> {
-        self.enter_batched_route()
     }
 
     /// Apply `ms` as the deadline for requests without `X-Deadline-Ms`
@@ -307,9 +261,6 @@ impl Router {
             _ => Arc::from(obs::next_trace_id()),
         };
         let _trace = obs::TraceScope::enter(Arc::clone(&trace_id));
-        // Hand the resolved id to the event loop's timeline capture (a
-        // no-op when the router is driven in-process).
-        crate::timeline::note_trace(&trace_id);
         obs::event!(
             Level::Debug,
             "http.accept",
@@ -333,8 +284,8 @@ impl Router {
         // Two clocks (satellite of PR 8): `handler` is pure handler
         // time (the per-route latency histograms keep their meaning),
         // while the access log and the slow-request warning measure
-        // from `arrived` — the deadline anchor — so queue and batch
-        // wait count toward them. `max` guards callers passing a future
+        // from `arrived` — the deadline anchor — so queue wait counts
+        // toward them. `max` guards callers passing a future
         // `arrived` (never the event loop, but `Instant` math panics).
         let handler = started.elapsed();
         let total = arrived.elapsed().max(handler);
@@ -544,9 +495,6 @@ impl Router {
     }
 
     fn predict(&self, body: &[u8]) -> Response {
-        // Declare interest to the batcher before parsing: a concurrent
-        // sibling mid-parse still counts as a pending submission.
-        let _batch_interest = self.enter_batched_route();
         // Fast scan of the canonical body shape: borrowed strings, no
         // Json tree. Anything unusual (escapes, extra keys, bad values)
         // falls back to the tree parser, which owns every error message.
@@ -595,6 +543,17 @@ impl Router {
         self.finish_predict(resolved, features)
     }
 
+    /// Is the calling request the only one in a handler, with none
+    /// waiting for a worker? Then the cores the other workers would use
+    /// are idle and a model call may split over them; otherwise each
+    /// worker scores on its own thread, so `--workers` bounds the
+    /// daemon's inference threads under load. Both counters are read
+    /// after this request entered `in_flight`, so of two requests
+    /// checking at once at most one sees itself alone.
+    fn alone(&self) -> bool {
+        self.metrics.in_flight() <= 1 && self.metrics.pool_queue_depth() == 0
+    }
+
     /// Inference + response encoding shared by the fast-scanned and
     /// tree-parsed predict paths. Features are already validated.
     fn finish_predict(&self, resolved: ResolvedModel, features: Vec<[f64; 4]>) -> Response {
@@ -603,13 +562,13 @@ impl Router {
         // without the response or its latency depending on the result.
         self.lifecycle.shadow_predict(&resolved.name, &resolved.machine, &features[0]);
         let x = Matrix::from_fn(features.len(), 4, |i, j| features[i][j]);
-        // Flat inference runs the quantized traversal: within QUANT_REL_TOL
-        // of resolved.model's recursive path, and bit-identical whether or
-        // not it rides the micro-batcher — under the event-loop server the
-        // call coalesces with concurrent requests into shared batches.
-        let seconds = match self.batcher.get() {
-            Some(batcher) => batcher.predict(&resolved.flat, x),
-            None => resolved.flat.predict_batch(&x),
+        // Flat inference runs the quantized traversal, within
+        // QUANT_REL_TOL of resolved.model's recursive path. Split and
+        // serial scoring give the same bits.
+        let seconds = if self.alone() {
+            resolved.flat.predict_batch(&x)
+        } else {
+            resolved.flat.predict_batch_serial(&x)
         };
         // Direct-write the response: byte-identical to encoding a Json
         // tree (write_num/write_escaped are the tree encoder's own
@@ -1745,6 +1704,37 @@ mod tests {
         assert!((got - expect).abs() <= QUANT_REL_TOL * (1.0 + expect.abs()));
         let nh = preds[0].get("node_hours").and_then(Json::as_f64).unwrap();
         assert!((nh - got * 64.0 / 3600.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_predict_splits_only_while_it_is_the_sole_request() {
+        let router = test_router();
+        let m = &router.metrics;
+        m.inc_in_flight(); // the calling request, as `handle_from` counts it
+        assert!(router.alone());
+        m.inc_in_flight(); // a second request in a handler
+        assert!(!router.alone());
+        m.dec_in_flight();
+        m.pool_enqueued(); // a request waiting for a worker
+        assert!(!router.alone());
+        m.pool_dequeued();
+        assert!(router.alone());
+        m.dec_in_flight();
+
+        // Past the split threshold, both ways answer the same bytes.
+        let rows: Vec<String> = (0..96)
+            .map(|i| {
+                let (o, v, nodes, tile) = (40 + i * 3, 300 + i * 11, 4 << (i % 6), 24 + i % 5 * 8);
+                format!(r#"{{"o":{o},"v":{v},"nodes":{nodes},"tile":{tile}}}"#)
+            })
+            .collect();
+        let body = format!(r#"{{"rows":[{}]}}"#, rows.join(","));
+        let split = post(&router, "/v1/predict", &body);
+        m.inc_in_flight();
+        let serial = post(&router, "/v1/predict", &body);
+        m.dec_in_flight();
+        assert_eq!(split.status, 200, "{:?}", String::from_utf8_lossy(&split.body));
+        assert_eq!(split.body, serial.body);
     }
 
     #[test]

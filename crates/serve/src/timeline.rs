@@ -3,37 +3,30 @@
 //! The event loop stamps every request at its lifecycle edges — first
 //! byte read, parse complete (the deadline anchor), worker dequeue,
 //! handler done, reorder release (response encoded onto the wire
-//! buffer), last byte flushed to the socket — and the batcher reports
-//! how long the request's worker sat inside [`crate::batcher::Batcher::
-//! predict`] (window wait plus the coalesced model call). Out of those
-//! stamps a [`TimelineBuilder`] derives six non-overlapping stages that
-//! sum **exactly** to the request's end-to-end wall time:
+//! buffer), last byte flushed to the socket. Out of those stamps a
+//! [`TimelineBuilder`] derives five non-overlapping stages that sum
+//! **exactly** to the request's end-to-end wall time:
 //!
-//! | stage        | span                                                  |
-//! |--------------|-------------------------------------------------------|
-//! | `read`       | first byte → parse complete                           |
-//! | `queue`      | parse complete → worker dequeue                       |
-//! | `batch_wait` | time blocked in the micro-batcher (wait + model call) |
-//! | `handler`    | worker dequeue → handler done, minus `batch_wait`     |
-//! | `reorder`    | handler done → response encoded (pipeline reordering) |
-//! | `write`      | response encoded → last byte accepted by the socket   |
+//! | stage     | span                                                     |
+//! |-----------|----------------------------------------------------------|
+//! | `read`    | first byte → parse complete                              |
+//! | `queue`   | parse complete → worker dequeue                          |
+//! | `handler` | worker dequeue → handler done (model call included)      |
+//! | `reorder` | handler done → response encoded (pipeline reordering)    |
+//! | `write`   | response encoded → last byte accepted by the socket      |
 //!
 //! Completed timelines are exported three ways (see
 //! `docs/OBSERVABILITY.md`): the
 //! `chemcost_request_stage_duration_seconds{stage=…}` histograms, the
 //! [`FlightRecorder`] behind `GET /debug/requests` (slowest-K +
 //! most-recent-N, rendered by `chemcost top`), and a `request.timeline`
-//! obs event under the request's trace id.
-//!
-//! Worker-side notes (batch waits, the trace id) travel through a
-//! thread-local capture — the handler call tree is deep inside
-//! `Router::handle_from` and threading a context parameter through the
-//! batcher would leak serving concerns into every predict signature.
+//! obs event under the request's trace id, which the timeline reads off
+//! the `X-Request-Id` header `Router::handle_from` puts on every
+//! response.
 
-use crate::batcher::FlushReason;
+use crate::http::Response;
 use crate::json::Json;
 use crate::metrics::RequestStage;
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
@@ -42,67 +35,6 @@ use std::time::{Duration, Instant, SystemTime};
 pub const RECENT_CAP: usize = 64;
 /// Slowest complete timelines kept by the flight recorder.
 pub const SLOWEST_CAP: usize = 16;
-
-/// What the worker thread observed while handling one request:
-/// accumulated micro-batcher waits and the request's trace id.
-#[derive(Debug, Clone, Default)]
-pub struct HandlerNotes {
-    /// Total time the worker spent blocked in `Batcher::predict`
-    /// (window wait + the coalesced model call), across all calls.
-    pub batch_wait: Duration,
-    /// `Batcher::predict` calls the request made (a predict makes one;
-    /// an advise, whose sweep scores inline, makes none).
-    pub batch_calls: u32,
-    /// Coalesced rows of the batched model calls that served this
-    /// request (the whole batch, not just this request's share).
-    pub batch_rows: u64,
-    /// Why the last batch serving this request flushed.
-    pub last_reason: Option<FlushReason>,
-    /// The trace id `Router::handle_from` resolved for the request.
-    pub trace: Option<Arc<str>>,
-}
-
-thread_local! {
-    /// Active capture for the request this worker thread is handling.
-    /// `None` outside a captured request (e.g. the router driven
-    /// in-process by tests/benches) — notes are then dropped.
-    static CAPTURE: RefCell<Option<HandlerNotes>> = const { RefCell::new(None) };
-}
-
-/// Start capturing handler notes on this thread (called by the event
-/// loop's worker job just before `Router::handle_from`).
-pub(crate) fn begin_capture() {
-    CAPTURE.with(|c| *c.borrow_mut() = Some(HandlerNotes::default()));
-}
-
-/// Stop capturing and return what was noted since [`begin_capture`].
-pub(crate) fn end_capture() -> Option<HandlerNotes> {
-    CAPTURE.with(|c| c.borrow_mut().take())
-}
-
-/// Record one completed `Batcher::predict` call: how long the caller was
-/// blocked, how many rows the coalesced batch carried, and why it
-/// flushed. A no-op when no capture is active.
-pub(crate) fn note_batch(wait: Duration, rows: usize, reason: FlushReason) {
-    CAPTURE.with(|c| {
-        if let Some(notes) = c.borrow_mut().as_mut() {
-            notes.batch_wait += wait;
-            notes.batch_calls += 1;
-            notes.batch_rows += rows as u64;
-            notes.last_reason = Some(reason);
-        }
-    });
-}
-
-/// Record the request's resolved trace id. A no-op when no capture is
-/// active.
-pub(crate) fn note_trace(trace: &Arc<str>) {
-    CAPTURE.with(|c| {
-        if let Some(notes) = c.borrow_mut().as_mut() {
-            notes.trace = Some(Arc::clone(trace));
-        }
-    });
-}
 
 /// A request's lifecycle stamps, accumulated as it moves through the
 /// data plane. Built by the event loop at parse time, stamped by the
@@ -120,8 +52,8 @@ pub struct TimelineBuilder {
     /// When the response was encoded onto the wire buffer (its turn in
     /// the pipeline reorder came up).
     encoded: Option<Instant>,
-    /// Worker-side notes (batch waits, trace id).
-    notes: HandlerNotes,
+    /// The request's trace id, once the handler has answered.
+    trace: String,
     method: String,
     path: String,
     status: u16,
@@ -137,7 +69,7 @@ impl TimelineBuilder {
             dequeued: None,
             handler_done: None,
             encoded: None,
-            notes: HandlerNotes::default(),
+            trace: String::new(),
             method: method.to_string(),
             path: path.to_string(),
             status: 0,
@@ -160,12 +92,13 @@ impl TimelineBuilder {
         self.encoded = Some(Instant::now());
     }
 
-    /// Attach the worker's captured notes and the response status.
-    pub fn absorb(&mut self, notes: Option<HandlerNotes>, status: u16) {
-        if let Some(notes) = notes {
-            self.notes = notes;
+    /// Take the handler's answer: its status and its `X-Request-Id`
+    /// (the trace id).
+    pub fn absorb(&mut self, response: &Response) {
+        if let Some((_, id)) = response.headers.iter().find(|(name, _)| *name == "X-Request-Id") {
+            self.trace.clone_from(id);
         }
-        self.status = status;
+        self.status = response.status;
     }
 
     /// Finalize at `last_byte` (the instant the socket accepted the last
@@ -176,19 +109,14 @@ impl TimelineBuilder {
         let handler_done = self.handler_done.unwrap_or(dequeued).max(dequeued);
         let encoded = self.encoded.unwrap_or(handler_done).max(handler_done);
         let last_byte = last_byte.max(encoded);
-        let handler_span = handler_done - dequeued;
-        // Batch waits happen inside the handler span; clamping keeps the
-        // six stages summing exactly to first_byte → last_byte.
-        let batch_wait = self.notes.batch_wait.min(handler_span);
-        let mut stages = [Duration::ZERO; 6];
+        let mut stages = [Duration::ZERO; 5];
         stages[RequestStage::Read.index()] = self.parsed - self.first_byte;
         stages[RequestStage::Queue.index()] = dequeued - self.parsed;
-        stages[RequestStage::BatchWait.index()] = batch_wait;
-        stages[RequestStage::Handler.index()] = handler_span - batch_wait;
+        stages[RequestStage::Handler.index()] = handler_done - dequeued;
         stages[RequestStage::Reorder.index()] = encoded - handler_done;
         stages[RequestStage::Write.index()] = last_byte - encoded;
         CompletedTimeline {
-            trace: self.notes.trace.as_deref().unwrap_or("").to_string(),
+            trace: self.trace,
             method: self.method,
             path: self.path,
             status: self.status,
@@ -197,10 +125,6 @@ impl TimelineBuilder {
                 .map_or(0, |d| d.as_micros() as u64),
             total: last_byte - self.first_byte,
             stages,
-            batch_calls: self.notes.batch_calls,
-            batch_rows: self.notes.batch_rows,
-            batch_wait: self.notes.batch_wait,
-            batch_reason: self.notes.last_reason.map(FlushReason::label),
         }
     }
 }
@@ -224,15 +148,7 @@ pub struct CompletedTimeline {
     pub total: Duration,
     /// Per-stage durations, indexed by [`RequestStage::index`]. Sums
     /// exactly to `total` by construction.
-    pub stages: [Duration; 6],
-    /// `Batcher::predict` calls the request made.
-    pub batch_calls: u32,
-    /// Coalesced rows of the batches that served it.
-    pub batch_rows: u64,
-    /// Total time blocked in the batcher (unclamped).
-    pub batch_wait: Duration,
-    /// Why the last batch serving it flushed.
-    pub batch_reason: Option<&'static str>,
+    pub stages: [Duration; 5],
 }
 
 impl CompletedTimeline {
@@ -244,7 +160,7 @@ impl CompletedTimeline {
     /// The JSON object served from `GET /debug/requests`.
     pub fn to_json(&self) -> Json {
         let us = |d: Duration| Json::Num(d.as_micros() as f64);
-        let mut stage_fields: Vec<(String, Json)> = Vec::with_capacity(6);
+        let mut stage_fields: Vec<(String, Json)> = Vec::with_capacity(RequestStage::ALL.len());
         for stage in RequestStage::ALL {
             stage_fields.push((format!("{}_us", stage.label()), us(self.stages[stage.index()])));
         }
@@ -256,15 +172,6 @@ impl CompletedTimeline {
             ("ts_us", Json::Num(self.completed_unix_us as f64)),
             ("total_us", us(self.total)),
             ("stages", Json::Obj(stage_fields)),
-            (
-                "batch",
-                Json::obj([
-                    ("calls", Json::Num(self.batch_calls as f64)),
-                    ("rows", Json::Num(self.batch_rows as f64)),
-                    ("wait_us", us(self.batch_wait)),
-                    ("last_reason", self.batch_reason.map_or(Json::Null, |r| r.into())),
-                ]),
-            ),
         ])
     }
 
@@ -288,8 +195,6 @@ impl CompletedTimeline {
                 Field::new("method", self.method.as_str()),
                 Field::new("path", self.path.as_str()),
                 Field::new("status", self.status),
-                Field::new("batch_calls", self.batch_calls as u64),
-                Field::new("batch_rows", self.batch_rows),
             ],
         );
     }
@@ -422,49 +327,20 @@ mod tests {
         tl.dequeued = Some(t0 + Duration::from_micros(250));
         tl.handler_done = Some(t0 + Duration::from_micros(1250));
         tl.encoded = Some(t0 + Duration::from_micros(1300));
-        tl.absorb(
-            Some(HandlerNotes {
-                batch_wait: Duration::from_micros(600),
-                batch_calls: 1,
-                batch_rows: 8,
-                last_reason: Some(FlushReason::Drain),
-                trace: Some(Arc::from("t-1")),
-            }),
-            200,
-        );
+        let mut response = Response::json(200, "{}");
+        response.headers.push(("X-Request-Id", "t-1".into()));
+        tl.absorb(&response);
         let done = tl.complete(t0 + Duration::from_micros(1400));
         let sum: Duration = done.stages.iter().sum();
         assert_eq!(sum, done.total);
         assert_eq!(done.total, Duration::from_micros(1400));
         assert_eq!(done.stages[RequestStage::Read.index()], Duration::from_micros(50));
         assert_eq!(done.stages[RequestStage::Queue.index()], Duration::from_micros(200));
-        assert_eq!(done.stages[RequestStage::BatchWait.index()], Duration::from_micros(600));
-        assert_eq!(done.stages[RequestStage::Handler.index()], Duration::from_micros(400));
+        assert_eq!(done.stages[RequestStage::Handler.index()], Duration::from_micros(1000));
         assert_eq!(done.stages[RequestStage::Reorder.index()], Duration::from_micros(50));
         assert_eq!(done.stages[RequestStage::Write.index()], Duration::from_micros(100));
         assert_eq!(done.trace, "t-1");
         assert_eq!(done.status, 200);
-        assert_eq!(done.batch_reason, Some("drain"));
-    }
-
-    #[test]
-    fn batch_wait_is_clamped_to_the_handler_span() {
-        let t0 = Instant::now();
-        let mut tl = TimelineBuilder::new(t0, t0, "POST", "/v1/predict");
-        tl.dequeued = Some(t0 + Duration::from_micros(10));
-        tl.handler_done = Some(t0 + Duration::from_micros(110));
-        tl.absorb(
-            Some(HandlerNotes {
-                batch_wait: Duration::from_secs(5), // nonsense: longer than the handler ran
-                ..HandlerNotes::default()
-            }),
-            200,
-        );
-        let done = tl.complete(t0 + Duration::from_micros(120));
-        assert_eq!(done.stages[RequestStage::BatchWait.index()], Duration::from_micros(100));
-        assert_eq!(done.stages[RequestStage::Handler.index()], Duration::ZERO);
-        let sum: Duration = done.stages.iter().sum();
-        assert_eq!(sum, done.total);
     }
 
     #[test]
@@ -477,22 +353,6 @@ mod tests {
         assert_eq!(done.stages[RequestStage::Queue.index()], Duration::ZERO);
         assert_eq!(done.stages[RequestStage::Handler.index()], Duration::ZERO);
         assert_eq!(done.stages[RequestStage::Write.index()], Duration::from_micros(20));
-    }
-
-    #[test]
-    fn capture_accumulates_batch_notes_only_while_active() {
-        note_batch(Duration::from_micros(99), 4, FlushReason::Window); // no capture: dropped
-        begin_capture();
-        note_batch(Duration::from_micros(10), 3, FlushReason::Drain);
-        note_batch(Duration::from_micros(20), 5, FlushReason::Window);
-        note_trace(&Arc::from("cap-1"));
-        let notes = end_capture().expect("capture was active");
-        assert_eq!(notes.batch_wait, Duration::from_micros(30));
-        assert_eq!(notes.batch_calls, 2);
-        assert_eq!(notes.batch_rows, 8);
-        assert_eq!(notes.last_reason, Some(FlushReason::Window));
-        assert_eq!(notes.trace.as_deref(), Some("cap-1"));
-        assert!(end_capture().is_none(), "capture is one-shot");
     }
 
     #[test]
@@ -527,7 +387,7 @@ mod tests {
         let recent = doc.get("recent").and_then(Json::as_array).expect("recent array");
         assert_eq!(recent.len(), 1);
         let entry = &recent[0];
-        for key in ["trace", "method", "path", "status", "ts_us", "total_us", "stages", "batch"] {
+        for key in ["trace", "method", "path", "status", "ts_us", "total_us", "stages"] {
             assert!(entry.get(key).is_some(), "missing {key}");
         }
         let stages = entry.get("stages").expect("stages object");

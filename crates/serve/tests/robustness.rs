@@ -1,6 +1,6 @@
 //! Property tests for the robustness layer: `X-Deadline-Ms` parsing
 //! (through both the direct parser and the full HTTP request reader) and
-//! registry reloads against truncated or garbage model files.
+//! registry reloads against truncated, garbage or cyclic model files.
 //!
 //! The invariants under test are the ones `docs/ROBUSTNESS.md` promises:
 //! a malformed deadline header is always a structured 400-class error,
@@ -12,10 +12,11 @@ use chemcost_ml::gradient_boosting::GradientBoosting;
 use chemcost_ml::Regressor;
 use chemcost_serve::http::{read_request, Request};
 use chemcost_serve::parse_deadline_ms;
-use chemcost_serve::ModelRegistry;
+use chemcost_serve::{ModelRegistry, Router};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::io::BufReader;
+use std::sync::Arc;
 
 /// A request carrying the given `X-Deadline-Ms` raw value (pre-lowered
 /// header key, as `read_request` produces).
@@ -225,4 +226,66 @@ proptest! {
 
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// `valid` (an encoded model) with the first split node after the
+/// root in tree 0 linked back to the root: a cycle that would hang any
+/// walk of the tree, so decode must refuse it.
+fn with_backward_link(valid: &[u8]) -> Vec<u8> {
+    const HEADER: usize = 32;
+    const NODE: usize = 28;
+    let u32_at = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
+    let n_nodes = u32_at(valid, HEADER) as usize;
+    let split = (1..n_nodes)
+        .map(|i| HEADER + 4 + i * NODE)
+        .find(|&at| u32_at(valid, at) != u32::MAX)
+        .expect("tree 0 has a split below its root");
+    let mut bytes = valid.to_vec();
+    bytes[split + 12..split + 16].copy_from_slice(&0u32.to_le_bytes()); // left → root
+    bytes
+}
+
+/// `valid` with tree 0's root split sending both branches to its left
+/// child: a node with two parents, whose paths double at every shared
+/// level, so decode must refuse it.
+fn with_shared_child(valid: &[u8]) -> Vec<u8> {
+    const ROOT: usize = 32 + 4;
+    let mut bytes = valid.to_vec();
+    assert_ne!(&bytes[ROOT..ROOT + 4], &u32::MAX.to_le_bytes(), "tree 0's root is a split");
+    let left: [u8; 4] = bytes[ROOT + 12..ROOT + 16].try_into().unwrap();
+    bytes[ROOT + 16..ROOT + 20].copy_from_slice(&left); // right → left child
+    bytes
+}
+
+/// A reload of a model file whose child links do not form a tree (a
+/// link back at the root, a child shared by both branches) answers 500,
+/// and the last-good model keeps answering unchanged.
+#[test]
+fn backward_child_link_reload_answers_500_and_keeps_last_good() {
+    let dir = std::env::temp_dir().join(format!("chemcost-backlink-{}", std::process::id()));
+    let (reg, path, valid) = file_backed_registry(&dir);
+    let router = Router::new(Arc::new(reg));
+    let predict = Request::new(
+        "POST",
+        "/v1/predict",
+        br#"{"model":"m","rows":[{"o":100,"v":800,"nodes":32,"tile":24}]}"#,
+    );
+    let before = router.handle(&predict);
+    assert_eq!(before.status, 200);
+
+    for (bad, why) in
+        [(with_backward_link(&valid), "links back"), (with_shared_child(&valid), "two splits")]
+    {
+        std::fs::write(&path, bad).unwrap();
+        let reload = router.handle(&Request::new("POST", "/v1/models/m/reload", b""));
+        let body = String::from_utf8_lossy(reload.body.as_bytes()).into_owned();
+        assert_eq!(reload.status, 500, "{body}");
+        assert!(body.contains(why) && body.contains("\"serving_version\":1"), "{body}");
+
+        let after = router.handle(&predict);
+        assert_eq!(after.status, 200);
+        assert_eq!(after.body.as_bytes(), before.body.as_bytes(), "last-good model must serve");
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
 }

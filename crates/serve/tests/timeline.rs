@@ -1,15 +1,15 @@
-//! Wire-level tests for PR 8's request timelines: stage sums reconcile
-//! with end-to-end latency under a concurrent keep-alive load with the
-//! micro-batcher active, the flight recorder retains/evicts correctly
-//! under sustained traffic, and one trace id correlates the access log,
-//! the batcher's `batch.flush` event, and the `request.timeline` event.
+//! Wire-level tests for the request timelines: stage sums reconcile
+//! with end-to-end latency under a concurrent keep-alive load, the
+//! flight recorder retains/evicts correctly under sustained traffic, and
+//! one trace id correlates the access log and the `request.timeline`
+//! event.
 
 use chemcost_linalg::Matrix;
 use chemcost_ml::gradient_boosting::GradientBoosting;
 use chemcost_ml::Regressor;
 use chemcost_obs as obs;
 use chemcost_serve::json::Json;
-use chemcost_serve::{BatcherConfig, ModelRegistry, Router, Server};
+use chemcost_serve::{ModelRegistry, Router, Server};
 use chemcost_sim::datagen::generate_dataset_sized;
 use chemcost_sim::machine::by_name;
 use std::io::{Read, Write};
@@ -17,8 +17,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-const STAGE_KEYS: [&str; 6] =
-    ["read_us", "queue_us", "batch_wait_us", "handler_us", "reorder_us", "write_us"];
+const STAGE_KEYS: [&str; 5] = ["read_us", "queue_us", "handler_us", "reorder_us", "write_us"];
 
 fn tiny_model() -> GradientBoosting {
     let machine = by_name("aurora").unwrap();
@@ -111,25 +110,23 @@ fn stage(entry: &Json, key: &str) -> f64 {
     entry.get("stages").and_then(|s| s.get(key)).and_then(Json::as_f64).unwrap_or(f64::NAN)
 }
 
-/// The acceptance soak: concurrent keep-alive predicts with the
-/// micro-batcher active. Every `/debug/requests` timeline's stage sum
-/// reconciles with its end-to-end total (±5%), batch wait and queue
-/// wait are separately attributed, trace-matched server totals stay
-/// within the client-measured end-to-end time, and the stage histograms
-/// plus event-loop health series show up on `/metrics`.
+/// The acceptance soak: concurrent keep-alive predicts. Every
+/// `/debug/requests` timeline's stage sum reconciles with its end-to-end
+/// total (±5%), each predict's model call lands in its `handler` stage,
+/// trace-matched server totals stay within the client-measured
+/// end-to-end time, and the stage histograms plus event-loop health
+/// series show up on `/metrics`.
 #[test]
 fn stage_sums_reconcile_with_end_to_end_latency() {
     const CLIENTS: usize = 16;
     const ROUNDS: usize = 4;
 
-    let server = new_server(4)
-        .with_queue_cap(4 * CLIENTS)
-        .with_batch_config(BatcherConfig { window: Duration::from_millis(2), max_rows: 1024 });
+    let server = new_server(4).with_queue_cap(4 * CLIENTS);
     let addr = server.local_addr().unwrap();
     let server_thread = std::thread::spawn(move || server.run());
 
-    // Barrier-synced rounds so requests really do coalesce in the
-    // batcher; each request carries a unique trace id and measures its
+    // Barrier-synced rounds so requests really do contend for the four
+    // workers; each request carries a unique trace id and measures its
     // own client-side end-to-end latency.
     let barrier = Arc::new(Barrier::new(CLIENTS));
     let clients: Vec<_> = (0..CLIENTS)
@@ -165,7 +162,7 @@ fn stage_sums_reconcile_with_end_to_end_latency() {
     );
     let recent = doc.get("recent").and_then(Json::as_array).expect("recent array");
     assert!(!recent.is_empty());
-    let mut batch_attributed = 0usize;
+    let mut handled = 0usize;
     for entry in recent {
         let total = entry.get("total_us").and_then(Json::as_f64).expect("total_us");
         let sum: f64 = STAGE_KEYS.iter().map(|k| stage(entry, k)).sum();
@@ -178,22 +175,14 @@ fn stage_sums_reconcile_with_end_to_end_latency() {
             (sum - total).abs() <= tolerance,
             "stage sum {sum} vs total {total} µs out of tolerance: {entry:?}"
         );
-        if entry.get("path").and_then(Json::as_str) == Some("/v1/predict") {
-            let calls = entry
-                .get("batch")
-                .and_then(|b| b.get("calls"))
-                .and_then(Json::as_usize)
-                .unwrap_or(0);
-            assert!(calls >= 1, "predict did not route through the batcher: {entry:?}");
-            if stage(entry, "batch_wait_us") > 0.0 {
-                batch_attributed += 1;
-            }
+        if entry.get("path").and_then(Json::as_str) == Some("/v1/predict")
+            && stage(entry, "handler_us") > 0.0
+        {
+            handled += 1;
         }
     }
-    // Queue wait and batch wait are *separately* attributed: with 16
-    // barrier-synced clients on 4 workers, at least one retained
-    // timeline must show measurable batch wait.
-    assert!(batch_attributed > 0, "no timeline attributes batch wait: {doc:?}");
+    // The model call runs inside the handler stage, on the worker.
+    assert!(handled > 0, "no predict timeline attributes handler time: {doc:?}");
 
     // Trace-matched server totals stay within what the client measured
     // (small slack: the server stamps `last byte` on its next loop pass
@@ -227,7 +216,7 @@ fn stage_sums_reconcile_with_end_to_end_latency() {
             .and_then(|v| v.parse().ok())
             .unwrap_or_else(|| panic!("series {name} missing from /metrics"))
     };
-    for key in ["read", "queue", "batch_wait", "handler", "reorder", "write"] {
+    for key in ["read", "queue", "handler", "reorder", "write"] {
         let count =
             series(&format!("chemcost_request_stage_duration_seconds_count{{stage=\"{key}\"}}"));
         assert!(count >= sent as f64, "stage {key} count {count} < {sent}");
@@ -291,17 +280,16 @@ fn flight_recorder_retention_and_eviction_under_load() {
     server_thread.join().unwrap().expect("clean shutdown");
 }
 
-/// One trace id ties the whole story together in the obs stream: the
-/// access log (`http.request`), the batcher's `batch.flush` (via its
-/// `traces` field), and the completed `request.timeline`.
+/// One trace id ties the predict's story together in the obs stream:
+/// the access log (`http.request`) and the completed `request.timeline`
+/// both carry the request's own trace id.
 #[test]
-fn one_trace_id_correlates_access_log_batch_flush_and_timeline() {
+fn one_trace_id_correlates_access_log_and_timeline() {
     obs::set_level(Some(obs::Level::Debug));
     let ring = Arc::new(obs::RingSink::new(4096));
     let handle = obs::add_sink(ring.clone());
 
-    let server = new_server(2)
-        .with_batch_config(BatcherConfig { window: Duration::from_millis(2), max_rows: 1024 });
+    let server = new_server(2);
     let addr = server.local_addr().unwrap();
     let server_thread = std::thread::spawn(move || server.run());
 
@@ -312,44 +300,38 @@ fn one_trace_id_correlates_access_log_batch_flush_and_timeline() {
     assert_eq!(status, 200, "{body}");
 
     // The timeline event fires on the event-loop thread after the last
-    // byte flushes, and batch.flush on the collector thread: poll.
+    // byte flushes: poll.
     let deadline = Instant::now() + Duration::from_secs(5);
-    let (request_ev, flush_ev, timeline_ev) = loop {
+    let (request_ev, timeline_ev) = loop {
         let request_ev = ring
             .events_named("http.request")
             .into_iter()
             .find(|e| e.trace.as_deref() == Some(trace_id));
-        let flush_ev = ring.events_named("batch.flush").into_iter().find(|e| {
-            matches!(e.field("traces"), Some(obs::Value::Str(t))
-                if t.split(',').any(|t| t == trace_id))
-        });
         let timeline_ev = ring
             .events_named("request.timeline")
             .into_iter()
             .find(|e| e.trace.as_deref() == Some(trace_id));
-        if let (Some(r), Some(f), Some(t)) = (&request_ev, &flush_ev, &timeline_ev) {
-            break (r.clone(), f.clone(), t.clone());
+        if let (Some(r), Some(t)) = (&request_ev, &timeline_ev) {
+            break (r.clone(), t.clone());
         }
         assert!(
             Instant::now() < deadline,
-            "missing correlated events: http.request={request_ev:?} batch.flush={flush_ev:?} \
+            "missing correlated events: http.request={request_ev:?} \
              request.timeline={timeline_ev:?}"
         );
         std::thread::sleep(Duration::from_millis(10));
     };
     obs::remove_sink(handle);
+    assert_eq!(request_ev.field("path"), Some(&obs::Value::Str("/v1/predict".into())));
 
-    // The access log now measures from parse completion: its duration
-    // covers handler time plus queue/batch wait.
+    // The access log measures from parse completion: its duration
+    // covers handler time plus queue wait.
     let (Some(obs::Value::U64(total)), Some(obs::Value::U64(handler))) =
         (request_ev.field("duration_us"), request_ev.field("handler_us"))
     else {
         panic!("http.request missing duration fields: {request_ev:?}");
     };
     assert!(total >= handler, "access-log total {total} < handler {handler}");
-
-    assert!(flush_ev.field("reason").is_some());
-    assert!(flush_ev.field("window_overrun_us").is_some());
 
     // The timeline event carries every stage plus a consistent total.
     let (Some(obs::Value::U64(tl_total)), Some(obs::Value::Str(path))) =

@@ -381,31 +381,71 @@ fn soak_100_keepalive_connections_on_two_workers_without_sheds() {
     server_thread.join().unwrap().expect("clean shutdown after soak");
 }
 
-// -- micro-batching is observable on the wire ----------------------------
+// -- concurrent predicts score on their own workers --------------------
 
-/// Concurrent predicts through real sockets land in the batcher: with a
-/// generous window, simultaneous requests coalesce into fewer flat-model
-/// batch calls than requests.
+/// Client `c`'s distinct predict body: `ROWS` rows, returned both as the
+/// JSON body and as the feature matrix the reference scores.
+fn predict_rows(c: usize, rows: usize) -> (String, Matrix) {
+    let nodes = [4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
+    let tiles = [24.0, 32.0, 40.0, 48.0, 56.0, 64.0];
+    let x = Matrix::from_fn(rows, 4, |r, j| match j {
+        0 => (40 + (c * rows + r) % 150) as f64,
+        1 => (300 + 7 * r + 13 * c) as f64,
+        2 => nodes[r % 6],
+        _ => tiles[(r + c) % 6],
+    });
+    let body: Vec<String> = (0..rows)
+        .map(|r| {
+            let row = x.row(r);
+            format!(r#"{{"o":{},"v":{},"nodes":{},"tile":{}}}"#, row[0], row[1], row[2], row[3])
+        })
+        .collect();
+    (format!(r#"{{"rows":[{}]}}"#, body.join(",")), x)
+}
+
+/// Concurrent keep-alive predicts, each scored inline on the worker that
+/// parsed it: eight barrier-released clients send distinct 64-row bodies,
+/// and every answer equals `FlatGbt::predict_batch` on the same rows bit
+/// for bit, whichever worker served it and whatever ran beside it.
 #[test]
-fn concurrent_predicts_are_micro_batched() {
-    use chemcost_serve::BatcherConfig;
+fn concurrent_predicts_match_predict_batch_bit_for_bit() {
+    use chemcost_ml::flat::FlatGbt;
+    use chemcost_serve::json::Json;
     const CLIENTS: usize = 8;
+    const ROWS: usize = 64;
+    const ROUNDS: usize = 3;
 
-    let server = new_server(4)
-        .with_batch_config(BatcherConfig { window: Duration::from_millis(5), max_rows: 1024 });
+    let server = new_server(4);
     let addr = server.local_addr().unwrap();
     let server_thread = std::thread::spawn(move || server.run());
+    let flat = Arc::new(FlatGbt::compile(&tiny_model()));
 
     let barrier = Arc::new(Barrier::new(CLIENTS));
     let clients: Vec<_> = (0..CLIENTS)
-        .map(|_| {
-            let barrier = Arc::clone(&barrier);
+        .map(|c| {
+            let (barrier, flat) = (Arc::clone(&barrier), Arc::clone(&flat));
             std::thread::spawn(move || {
+                let (body, x) = predict_rows(c, ROWS);
+                let want = flat.predict_batch(&x);
                 let mut stream = connect(addr);
-                barrier.wait();
-                stream.write_all(&http("POST", "/v1/predict", PREDICT_BODY, true)).unwrap();
-                let resp = read_response(&mut stream, &mut Vec::new());
-                assert_eq!(resp.status, 200, "{}", resp.body);
+                let mut carry = Vec::new();
+                for round in 0..ROUNDS {
+                    barrier.wait();
+                    stream.write_all(&http("POST", "/v1/predict", &body, false)).unwrap();
+                    let resp = read_response(&mut stream, &mut carry);
+                    assert_eq!(resp.status, 200, "{}", resp.body);
+                    assert_eq!(resp.connection, "keep-alive");
+                    let doc = Json::parse(&resp.body).expect("predict JSON");
+                    let got: Vec<u64> = doc
+                        .get("predictions")
+                        .and_then(Json::as_array)
+                        .expect("predictions")
+                        .iter()
+                        .map(|p| p.get("seconds").and_then(Json::as_f64).unwrap().to_bits())
+                        .collect();
+                    let want: Vec<u64> = want.iter().map(|s| s.to_bits()).collect();
+                    assert_eq!(got, want, "client {c} round {round}");
+                }
             })
         })
         .collect();
@@ -413,69 +453,22 @@ fn concurrent_predicts_are_micro_batched() {
         c.join().expect("client thread");
     }
 
-    let mut stream = connect(addr);
-    stream.write_all(&http("GET", "/metrics", "", true)).unwrap();
-    let metrics = read_response(&mut stream, &mut Vec::new());
-    let batch_rows: u64 = metrics
-        .body
-        .lines()
-        .find(|l| l.starts_with("chemcost_batch_size_sum "))
-        .and_then(|l| l.rsplit(' ').next())
-        .and_then(|v| v.parse().ok())
-        .expect("chemcost_batch_size_sum in /metrics");
-    let batch_calls: u64 = metrics
-        .body
-        .lines()
-        .find(|l| l.starts_with("chemcost_batch_size_count "))
-        .and_then(|l| l.rsplit(' ').next())
-        .and_then(|v| v.parse().ok())
-        .expect("chemcost_batch_size_count in /metrics");
-    // 8 one-row requests arrived together under a 5 ms window: the rows
-    // all went through the batcher, in strictly fewer calls than rows.
-    assert_eq!(batch_rows, CLIENTS as u64, "every predict row must route through the batcher");
-    assert!(
-        batch_calls < CLIENTS as u64,
-        "expected coalescing: {batch_calls} batch calls for {CLIENTS} rows"
-    );
-
     let mut trigger = connect(addr);
     trigger.write_all(&http("POST", "/v1/shutdown", "", true)).unwrap();
     let _ = read_response(&mut trigger, &mut Vec::new());
     server_thread.join().unwrap().expect("clean shutdown");
 }
 
-/// The value of the unlabelled (or fully labelled) series `name` in a
-/// `/metrics` scrape.
-fn scrape_value(metrics: &str, name: &str) -> u64 {
-    metrics
-        .lines()
-        .find_map(|l| l.strip_prefix(name).and_then(|rest| rest.strip_prefix(' ')))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("{name} missing from /metrics"))
-}
-
-fn scrape(addr: SocketAddr) -> String {
-    let mut stream = connect(addr);
-    stream.write_all(&http("GET", "/metrics", "", true)).unwrap();
-    read_response(&mut stream, &mut Vec::new()).body
-}
-
-/// Advise sweeps score inline on their worker, never through the
-/// micro-batcher: distinct cold advises leave every batch metric at
-/// zero, answer bit for bit what the stepper's matrix sweep answers, and
-/// predicts sent while advises are in flight still coalesce.
+/// Distinct cold advises over the wire answer bit for bit what the
+/// stepper's matrix sweep answers.
 #[test]
-fn cold_advises_bypass_the_batcher_and_match_the_stepper() {
+fn cold_advises_match_the_stepper() {
     use chemcost_core::advisor::{Advisor, Goal, Recommendation};
     use chemcost_ml::flat::FlatGbt;
     use chemcost_serve::json::Json;
-    use chemcost_serve::{BatcherConfig, FlushReason};
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     const ADVISES: usize = 32;
-    const CLIENTS: usize = 8;
 
-    let server = new_server(4)
-        .with_batch_config(BatcherConfig { window: Duration::from_millis(5), max_rows: 1024 });
+    let server = new_server(4);
     let addr = server.local_addr().unwrap();
     let server_thread = std::thread::spawn(move || server.run());
 
@@ -518,65 +511,6 @@ fn cold_advises_bypass_the_batcher_and_match_the_stepper() {
             }
         }
     }
-
-    let metrics = scrape(addr);
-    assert_eq!(scrape_value(&metrics, "chemcost_batch_size_count"), 0, "{metrics}");
-    for reason in FlushReason::ALL {
-        let series = format!("chemcost_batch_flush_total{{reason=\"{}\"}}", reason.label());
-        assert_eq!(scrape_value(&metrics, &series), 0, "{series}");
-    }
-
-    // Keep cold advises in flight on their own connection while a burst
-    // of one-row predicts arrives together under a 5 ms window.
-    let stop = Arc::new(AtomicBool::new(false));
-    let answered = Arc::new(AtomicUsize::new(0));
-    let advising = {
-        let (stop, answered) = (Arc::clone(&stop), Arc::clone(&answered));
-        std::thread::spawn(move || {
-            let mut stream = connect(addr);
-            let mut carry = Vec::new();
-            for j in 0.. {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let body = format!(r#"{{"o":{},"v":{},"goal":"stq"}}"#, 45 + j % 300, 251 + j);
-                stream.write_all(&http("POST", "/v1/advise", &body, false)).unwrap();
-                let resp = read_response(&mut stream, &mut carry);
-                assert_eq!(resp.status, 200, "{}", resp.body);
-                answered.fetch_add(1, Ordering::SeqCst);
-            }
-        })
-    };
-    while answered.load(Ordering::SeqCst) == 0 {
-        assert!(!advising.is_finished(), "advise client died before its first answer");
-        std::thread::yield_now();
-    }
-    let barrier = Arc::new(Barrier::new(CLIENTS));
-    let clients: Vec<_> = (0..CLIENTS)
-        .map(|_| {
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                let mut stream = connect(addr);
-                barrier.wait();
-                stream.write_all(&http("POST", "/v1/predict", PREDICT_BODY, true)).unwrap();
-                let resp = read_response(&mut stream, &mut Vec::new());
-                assert_eq!(resp.status, 200, "{}", resp.body);
-            })
-        })
-        .collect();
-    for c in clients {
-        c.join().expect("predict client");
-    }
-    let during = answered.load(Ordering::SeqCst);
-    stop.store(true, Ordering::SeqCst);
-    advising.join().expect("advise client");
-    assert!(answered.load(Ordering::SeqCst) > 1 && during >= 1, "advises must overlap the burst");
-
-    // Every batched row is a predict row, and the burst coalesced.
-    let metrics = scrape(addr);
-    assert_eq!(scrape_value(&metrics, "chemcost_batch_size_sum"), CLIENTS as u64, "{metrics}");
-    let calls = scrape_value(&metrics, "chemcost_batch_size_count");
-    assert!(calls < CLIENTS as u64, "expected coalescing: {calls} batch calls for {CLIENTS} rows");
 
     let mut trigger = connect(addr);
     trigger.write_all(&http("POST", "/v1/shutdown", "", true)).unwrap();

@@ -59,8 +59,6 @@ fn known_options(command: &str) -> Option<&'static [&'static str]> {
             "workers",
             "queue-cap",
             "max-conns",
-            "batch-window-us",
-            "batch-max",
             "chaos",
             "default-deadline-ms",
             "scrape-interval-ms",
@@ -152,8 +150,8 @@ fn usage() -> &'static str {
        trace      --machine NAME --nodes N --tile T (--o O --v V | --molecule ... --basis ...)\n\
                   [--noise SIGMA] [--seed S] [--out FILE]  (per-task JSONL + utilization)\n\
        serve      --model FILE --machine NAME [--addr HOST:PORT] [--workers N] [--queue-cap N]\n\
-                  [--max-conns N] [--batch-window-us US] [--batch-max ROWS]\n\
-                  [--default-deadline-ms MS] [--scrape-interval-ms MS] [--slo-file FILE]\n\
+                  [--max-conns N] [--default-deadline-ms MS] [--scrape-interval-ms MS]\n\
+                  [--slo-file FILE]\n\
                   [--chaos slow-io|drop-conn|truncate-body|saturate|poison-reload|all]\n\
                    (chaos seeded by CHEMCOST_CHAOS_SEED; SLO rules in docs/HEALTH.md)\n\
        call       --path /v1/… [--addr HOST:PORT] [--method GET|POST] [--body JSON]\n\
@@ -441,23 +439,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         }
         server = server.with_max_conns(max);
     }
-    if args.options.contains_key("batch-window-us") || args.options.contains_key("batch-max") {
-        let mut config = chemcost::serve::BatcherConfig::default();
-        if args.options.contains_key("batch-window-us") {
-            // Zero is legal: "never wait", flushing every submission as
-            // its own (or an already-coalesced) batch.
-            config.window =
-                std::time::Duration::from_micros(args.get_parse::<u64>("batch-window-us")?);
-        }
-        if args.options.contains_key("batch-max") {
-            let max_rows = args.get_parse::<usize>("batch-max")?;
-            if max_rows == 0 {
-                return Err("--batch-max must be at least 1".into());
-            }
-            config.max_rows = max_rows;
-        }
-        server = server.with_batch_config(config);
-    }
     if args.options.contains_key("scrape-interval-ms") || args.options.contains_key("slo-file") {
         let mut config = chemcost::serve::HealthConfig {
             slos: chemcost::serve::builtin_slos(),
@@ -654,17 +635,8 @@ fn cmd_quality(args: &Args) -> Result<(), String> {
 /// Column header shared by `top`'s one-shot sections and `--watch`.
 fn timeline_header() -> String {
     format!(
-        "{:>9} {:>4} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>12} {:<18} request",
-        "total_ms",
-        "st",
-        "read_us",
-        "queue_us",
-        "batch_us",
-        "hand_us",
-        "reord_us",
-        "write_us",
-        "batch",
-        "trace"
+        "{:>9} {:>4} {:>8} {:>8} {:>8} {:>8} {:>8} {:<18} request",
+        "total_ms", "st", "read_us", "queue_us", "hand_us", "reord_us", "write_us", "trace"
     )
 }
 
@@ -674,26 +646,15 @@ fn timeline_row(e: &chemcost::serve::json::Json) -> String {
     let stage = |name: &str| {
         e.get("stages").and_then(|s| s.get(name)).and_then(Json::as_f64).unwrap_or(0.0)
     };
-    let batch = e.get("batch");
-    let batch_col = match batch.and_then(|b| b.get("calls")).and_then(Json::as_usize) {
-        Some(0) | None => "-".to_string(),
-        Some(_) => format!(
-            "{}r@{}",
-            batch.and_then(|b| b.get("rows")).and_then(Json::as_usize).unwrap_or(0),
-            batch.and_then(|b| b.get("last_reason")).and_then(Json::as_str).unwrap_or("?"),
-        ),
-    };
     format!(
-        "{:>9.3} {:>4} {:>8.0} {:>8.0} {:>8.0} {:>8.0} {:>8.0} {:>8.0} {:>12} {:<18} {} {}",
+        "{:>9.3} {:>4} {:>8.0} {:>8.0} {:>8.0} {:>8.0} {:>8.0} {:<18} {} {}",
         e.get("total_us").and_then(Json::as_f64).unwrap_or(0.0) / 1000.0,
         e.get("status").and_then(Json::as_usize).unwrap_or(0),
         stage("read_us"),
         stage("queue_us"),
-        stage("batch_wait_us"),
         stage("handler_us"),
         stage("reorder_us"),
         stage("write_us"),
-        batch_col,
         e.get("trace").and_then(Json::as_str).unwrap_or(""),
         e.get("method").and_then(Json::as_str).unwrap_or("?"),
         e.get("path").and_then(Json::as_str).unwrap_or("?"),
@@ -1270,20 +1231,16 @@ mod tests {
 
     #[test]
     fn serve_data_plane_options_accepted() {
-        let a = parse_args(&argv(&[
-            "serve",
-            "--model=m.ccgb",
-            "--machine=aurora",
-            "--max-conns=2048",
-            "--batch-window-us=150",
-            "--batch-max=512",
-        ]))
-        .unwrap();
+        let a =
+            parse_args(&argv(&["serve", "--model=m.ccgb", "--machine=aurora", "--max-conns=2048"]))
+                .unwrap();
         assert_eq!(a.get_parse::<usize>("max-conns").unwrap(), 2048);
-        assert_eq!(a.get_parse::<u64>("batch-window-us").unwrap(), 150);
-        assert_eq!(a.get_parse::<usize>("batch-max").unwrap(), 512);
         // Typos are rejected like any other unknown option.
-        assert!(parse_args(&argv(&["serve", "--model=m.ccgb", "--batch-window=1"])).is_err());
         assert!(parse_args(&argv(&["serve", "--model=m.ccgb", "--maxconns=9"])).is_err());
+        // There is no batch tuning to set.
+        for gone in ["--batch-window-us=150", "--batch-max=512"] {
+            let err = parse_args(&argv(&["serve", "--model=m.ccgb", gone])).unwrap_err();
+            assert!(err.contains("unknown option") && err.contains("serve"), "{gone}: {err}");
+        }
     }
 }

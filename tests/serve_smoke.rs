@@ -2,9 +2,9 @@
 //! real `chemcost serve` binary with structured logging on, drive
 //! predict + advise over the wire, scrape `/metrics`, validate the
 //! exposition with the in-repo linter, and check that each request's
-//! JSONL records correlate under its trace id: the advise from accept
-//! through its inline sweep, the predict through the micro-batcher's
-//! `batch.flush`.
+//! JSONL records correlate under its own trace id: the advise from
+//! accept through its inline sweep, the predict from its access-log line
+//! to its `request.timeline`.
 
 use chemcost::serve::json::Json;
 use chemcost::serve::metrics::lint_exposition;
@@ -117,6 +117,9 @@ fn serve_smoke_predict_advise_metrics_and_logs() {
     ] {
         assert!(metrics.contains(series), "{series} missing:\n{metrics}");
     }
+    for gone in ["chemcost_batch_", "stage=\"batch_wait\""] {
+        assert!(!metrics.contains(gone), "{gone} in /metrics:\n{metrics}");
+    }
     if let Err(problems) = lint_exposition(&metrics) {
         panic!("exposition fails the linter: {problems:?}\n{metrics}");
     }
@@ -137,11 +140,10 @@ fn serve_smoke_predict_advise_metrics_and_logs() {
     for entry in recent {
         let total = entry.get("total_us").and_then(Json::as_f64).expect("total_us");
         let stages = entry.get("stages").expect("stages object");
-        let sum: f64 =
-            ["read_us", "queue_us", "batch_wait_us", "handler_us", "reorder_us", "write_us"]
-                .iter()
-                .map(|k| stages.get(k).and_then(Json::as_f64).expect("stage value"))
-                .sum();
+        let sum: f64 = ["read_us", "queue_us", "handler_us", "reorder_us", "write_us"]
+            .iter()
+            .map(|k| stages.get(k).and_then(Json::as_f64).expect("stage value"))
+            .sum();
         let tolerance = (total * 0.05).max(10.0);
         assert!(
             (sum - total).abs() <= tolerance,
@@ -154,33 +156,27 @@ fn serve_smoke_predict_advise_metrics_and_logs() {
     let code = child.wait().expect("wait for serve");
     assert!(code.success(), "serve exited with {code:?}");
 
-    // The advise request's records correlate in the JSONL log: the same
-    // trace id from accept through sweep to the access-log line. The
-    // sweep scores inline, so the batcher's flush names the predict.
+    // Each request's records correlate in the JSONL log under its own
+    // trace id: the advise from accept through sweep to the access-log
+    // line and its timeline, the predict from its access-log line to its
+    // timeline.
     let text = std::fs::read_to_string(&log).expect("read JSONL log");
-    let mut names = Vec::new();
-    let mut batch_flush_correlated = false;
-    for l in text.lines() {
-        let v = Json::parse(l).unwrap_or_else(|e| panic!("bad JSONL line {l:?}: {e}"));
-        if v.get("trace").and_then(Json::as_str) == Some(trace_id) {
-            names.push(v.get("name").and_then(Json::as_str).unwrap().to_string());
-        }
-        // `batch.flush` is emitted by the collector thread (no trace
-        // scope); it correlates through its `traces` field instead.
-        if v.get("name").and_then(Json::as_str) == Some("batch.flush")
-            && v.get("fields")
-                .and_then(|f| f.get("traces"))
-                .and_then(Json::as_str)
-                .is_some_and(|t| t.split(',').any(|t| t == predict_trace))
-        {
-            batch_flush_correlated = true;
-        }
-    }
+    let names_under = |trace: &str| -> Vec<String> {
+        text.lines()
+            .map(|l| Json::parse(l).unwrap_or_else(|e| panic!("bad JSONL line {l:?}: {e}")))
+            .filter(|v| v.get("trace").and_then(Json::as_str) == Some(trace))
+            .map(|v| v.get("name").and_then(Json::as_str).unwrap().to_string())
+            .collect()
+    };
+    let names = names_under(trace_id);
     for name in ["http.accept", "advise.cache", "advise.sweep", "http.request", "request.timeline"]
     {
         assert!(names.iter().any(|n| n == name), "{name} missing from trace: {names:?}");
     }
-    assert!(batch_flush_correlated, "no batch.flush event names the predict trace id");
+    let names = names_under(predict_trace);
+    for name in ["http.accept", "http.request", "request.timeline"] {
+        assert!(names.iter().any(|n| n == name), "{name} missing from predict trace: {names:?}");
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }
