@@ -22,24 +22,18 @@ impl AlertState {
     pub const ALL: [AlertState; 4] =
         [AlertState::Ok, AlertState::Pending, AlertState::Firing, AlertState::Resolved];
 
+    /// Stable lowercase labels for metrics and JSON, indexed by
+    /// [`AlertState::index`].
+    pub const LABELS: [&'static str; 4] = ["ok", "pending", "firing", "resolved"];
+
     /// Stable lowercase label for metrics and JSON.
     pub fn label(self) -> &'static str {
-        match self {
-            AlertState::Ok => "ok",
-            AlertState::Pending => "pending",
-            AlertState::Firing => "firing",
-            AlertState::Resolved => "resolved",
-        }
+        AlertState::LABELS[self.index()]
     }
 
     /// Dense index for per-state counters.
     pub fn index(self) -> usize {
-        match self {
-            AlertState::Ok => 0,
-            AlertState::Pending => 1,
-            AlertState::Firing => 2,
-            AlertState::Resolved => 3,
-        }
+        self as usize
     }
 }
 

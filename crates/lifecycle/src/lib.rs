@@ -141,14 +141,12 @@ impl PromotionOutcome {
         PromotionOutcome::RolledBack,
     ];
 
+    /// Metric labels, indexed by `outcome as usize`.
+    pub const LABELS: [&'static str; 4] = ["auto", "operator", "rejected", "rolled-back"];
+
     /// Metric label for this outcome.
     pub fn label(self) -> &'static str {
-        match self {
-            PromotionOutcome::Auto => "auto",
-            PromotionOutcome::Operator => "operator",
-            PromotionOutcome::Rejected => "rejected",
-            PromotionOutcome::RolledBack => "rolled-back",
-        }
+        PromotionOutcome::LABELS[self as usize]
     }
 }
 

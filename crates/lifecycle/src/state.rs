@@ -61,17 +61,13 @@ impl LifecycleState {
         }
     }
 
+    /// Metric/JSON labels, indexed by `state as usize`.
+    pub const LABELS: [&'static str; 7] =
+        ["idle", "queued", "training", "shadow", "promoted", "rejected", "rolled-back"];
+
     /// Metric/JSON label for this state.
-    pub fn label(self) -> &'static str {
-        match self {
-            LifecycleState::Idle => "idle",
-            LifecycleState::Queued => "queued",
-            LifecycleState::Training => "training",
-            LifecycleState::Shadow => "shadow",
-            LifecycleState::Promoted => "promoted",
-            LifecycleState::Rejected => "rejected",
-            LifecycleState::RolledBack => "rolled-back",
-        }
+    pub const fn label(self) -> &'static str {
+        LifecycleState::LABELS[self as usize]
     }
 }
 

@@ -51,7 +51,10 @@
 use crate::fault::{FaultKind, FaultPlane};
 use crate::http::{encode_response_into, parse_request, HttpError, Request, Response};
 use crate::json::Json;
-use crate::metrics::Metrics;
+use crate::metrics::{
+    Metrics, CONNECTIONS_OPEN, EVENTS_PER_WAKE, KEEPALIVE_REUSES, LOOP_ITERATION, POOL_QUEUE_DEPTH,
+    READ_PAUSED, REQUEST_STAGES, SHED, WRITE_STALLED,
+};
 use crate::pool::ThreadPool;
 use crate::routes::Router;
 use crate::timeline::TimelineBuilder;
@@ -311,7 +314,8 @@ pub(crate) fn run(
         lp.drain_completions();
         lp.maybe_start_drain();
         lp.sweep_idle();
-        lp.metrics.record_loop_iteration(iter_start.elapsed(), events.len());
+        lp.metrics.observe(LOOP_ITERATION, iter_start.elapsed());
+        lp.metrics.observe_count(EVENTS_PER_WAKE, events.len());
         if lp.draining && lp.conns.is_empty() {
             return Ok(());
         }
@@ -365,13 +369,13 @@ impl Loop<'_> {
                     "http.shed",
                     open_conns = self.conns.len(),
                     max_conns = self.config.max_conns,
-                    shed_total = self.metrics.shed_total(),
+                    shed_total = self.metrics.count(SHED),
                 );
                 let resp = Response::json(503, r#"{"error":"server overloaded"}"#);
                 conn.enqueue_response(&resp, false);
                 conn.closing = true;
             }
-            self.metrics.inc_connections_open();
+            self.metrics.gauge_add(CONNECTIONS_OPEN, 1);
             self.conns.insert(token, conn);
             self.drive(token);
         }
@@ -494,7 +498,7 @@ impl Loop<'_> {
                     }
                     conn.requests += 1;
                     if conn.requests > 1 {
-                        self.metrics.record_keepalive_reuse();
+                        self.metrics.inc(KEEPALIVE_REUSES);
                     }
                     let seq = conn.next_seq;
                     conn.next_seq += 1;
@@ -563,9 +567,9 @@ impl Loop<'_> {
         let metrics = Arc::clone(&self.metrics);
         let tx = self.done_tx.clone();
         let waker = Arc::clone(&self.waker);
-        self.metrics.pool_enqueued();
+        self.metrics.gauge_add(POOL_QUEUE_DEPTH, 1);
         let job: crate::pool::Job = Box::new(move || {
-            metrics.pool_dequeued();
+            metrics.gauge_add(POOL_QUEUE_DEPTH, -1);
             // Chaos slow-io: the stall a seizing disk or GC pause would
             // cause, now on the worker so the loop thread never blocks.
             // It lands in the queue stage: the worker not getting to the
@@ -581,13 +585,13 @@ impl Loop<'_> {
             let _ = waker.wake();
         });
         if self.pool.execute(job).is_err() {
-            self.metrics.pool_dequeued();
+            self.metrics.gauge_add(POOL_QUEUE_DEPTH, -1);
             self.metrics.record_shed();
             chemcost_obs::event!(
                 chemcost_obs::Level::Warn,
                 "http.shed",
                 queue_cap = self.pool.queue_cap(),
-                shed_total = self.metrics.shed_total(),
+                shed_total = self.metrics.count(SHED),
             );
             let resp = Response::json(503, r#"{"error":"server overloaded"}"#);
             self.apply_done(Done { token, seq, response: resp, keep_alive, timeline: None });
@@ -672,18 +676,12 @@ impl Loop<'_> {
             && (conn.in_flight >= MAX_PIPELINE || conn.write_buf.len() >= WRITE_HIGH_WATER);
         if read_gated != conn.read_paused {
             conn.read_paused = read_gated;
-            match read_gated {
-                true => metrics.inc_read_paused(),
-                false => metrics.dec_read_paused(),
-            }
+            metrics.gauge_add(READ_PAUSED, if read_gated { 1 } else { -1 });
         }
         let stalled = !conn.write_buf.is_empty();
         if stalled != conn.write_stalled {
             conn.write_stalled = stalled;
-            match stalled {
-                true => metrics.inc_write_stalled(),
-                false => metrics.dec_write_stalled(),
-            }
+            metrics.gauge_add(WRITE_STALLED, if stalled { 1 } else { -1 });
         }
         let desired = conn.desired_interest();
         let fd = conn.stream.as_raw_fd();
@@ -718,7 +716,7 @@ impl Loop<'_> {
     fn finalize_timeline(&self, timeline: TimelineBuilder) {
         let done = timeline.complete(Instant::now());
         for (stage, duration) in done.stage_durations() {
-            self.metrics.record_request_stage(stage, duration);
+            self.metrics.observe(REQUEST_STAGES[stage as usize], duration);
         }
         done.emit_event();
         self.router.flight().record(done);
@@ -757,12 +755,12 @@ impl Loop<'_> {
                 let _ = self.poller.deregister(conn.stream.as_raw_fd());
             }
             if conn.read_paused {
-                self.metrics.dec_read_paused();
+                self.metrics.gauge_add(READ_PAUSED, -1);
             }
             if conn.write_stalled {
-                self.metrics.dec_write_stalled();
+                self.metrics.gauge_add(WRITE_STALLED, -1);
             }
-            self.metrics.dec_connections_open();
+            self.metrics.gauge_add(CONNECTIONS_OPEN, -1);
         }
     }
 

@@ -28,7 +28,7 @@
 //! the default request path pays a single null check and all injection
 //! logic stays in this module, out of the hot loop.
 
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, FAULTS_INJECTED};
 use parking_lot::RwLock;
 use std::io::Read;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,25 +66,13 @@ impl FaultKind {
         FaultKind::PoisonReload,
     ];
 
-    pub(crate) fn index(self) -> usize {
-        match self {
-            FaultKind::SlowIo => 0,
-            FaultKind::DropConn => 1,
-            FaultKind::TruncateBody => 2,
-            FaultKind::Saturate => 3,
-            FaultKind::PoisonReload => 4,
-        }
-    }
+    /// The Prometheus `kind` label values, indexed by `kind as usize`.
+    pub const LABELS: [&'static str; 5] =
+        ["slow-io", "drop-conn", "truncate-body", "saturate", "poison-reload"];
 
     /// The Prometheus `kind` label value.
     pub fn label(self) -> &'static str {
-        match self {
-            FaultKind::SlowIo => "slow-io",
-            FaultKind::DropConn => "drop-conn",
-            FaultKind::TruncateBody => "truncate-body",
-            FaultKind::Saturate => "saturate",
-            FaultKind::PoisonReload => "poison-reload",
-        }
+        FaultKind::LABELS[self as usize]
     }
 }
 
@@ -170,7 +158,7 @@ impl FaultPlaneBuilder {
 
     /// Inject `kind` on this fraction of rolls (clamped to `[0, 1]`).
     pub fn rate(mut self, kind: FaultKind, rate: f64) -> Self {
-        self.rates[kind.index()] = rate.clamp(0.0, 1.0);
+        self.rates[kind as usize] = rate.clamp(0.0, 1.0);
         self
     }
 
@@ -281,17 +269,17 @@ impl FaultPlane {
     /// tally (and bound metrics counter) is bumped and a `fault.inject`
     /// record is emitted.
     pub fn roll(&self, kind: FaultKind) -> bool {
-        let threshold = self.thresholds[kind.index()];
+        let threshold = self.thresholds[kind as usize];
         if threshold == 0 {
             return false;
         }
-        let n = self.counters[kind.index()].fetch_add(1, Ordering::Relaxed);
-        let h = splitmix(self.seed ^ splitmix(kind.index() as u64 + 1).wrapping_add(n));
+        let n = self.counters[kind as usize].fetch_add(1, Ordering::Relaxed);
+        let h = splitmix(self.seed ^ splitmix(kind as u64 + 1).wrapping_add(n));
         let inject = h < threshold;
         if inject {
-            self.injected[kind.index()].fetch_add(1, Ordering::Relaxed);
+            self.injected[kind as usize].fetch_add(1, Ordering::Relaxed);
             if let Some(metrics) = &*self.metrics.read() {
-                metrics.record_fault(kind);
+                metrics.inc(FAULTS_INJECTED[kind as usize]);
             }
             chemcost_obs::event!(
                 chemcost_obs::Level::Warn,
@@ -305,7 +293,7 @@ impl FaultPlane {
 
     /// How many times `kind` has been injected.
     pub fn injected(&self, kind: FaultKind) -> u64 {
-        self.injected[kind.index()].load(Ordering::Relaxed)
+        self.injected[kind as usize].load(Ordering::Relaxed)
     }
 
     /// Total injections across every kind.

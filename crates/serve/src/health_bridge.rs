@@ -2,7 +2,7 @@
 //!
 //! `chemcost-health` is deliberately ignorant of this crate: it stores
 //! and judges abstract named series. This module owns the mapping —
-//! which [`Metrics`] readers feed which schema series, what the
+//! the schema derived from the health aliases in [`FAMILIES`], what the
 //! built-in SLOs are, and the background sampler thread that
 //! self-scrapes the registry every `--scrape-interval-ms` into the
 //! hub's delta-compressed ring.
@@ -24,8 +24,10 @@ use chemcost_health::{
 };
 use chemcost_obs::{self as obs, Level};
 
-use crate::fault::FaultKind;
-use crate::metrics::{AdviseStage, DeadlineStage, Metrics, RequestStage, Route};
+use crate::metrics::{
+    Counter, Gauge, Hist, Metrics, QualityEntry, QualityRead, Slot, Source, ALERTS_FIRING,
+    ALERTS_PENDING, ALERT_TRANSITIONS, FAMILIES, SLO_BREACHING, SLO_EVALUATIONS, SLO_SCRAPES,
+};
 use crate::routes::Router;
 
 /// The built-in objectives, evaluated out of the box (and joined by
@@ -65,75 +67,107 @@ pub fn builtin_slos() -> Vec<SloSpec> {
     ]
 }
 
+/// Where `sample` reads one counter or float series of the schema.
+enum Read {
+    /// A slot-backed counter.
+    Counter(Counter),
+    /// The model staleness clock.
+    Staleness,
+    /// A quality family over every version of one `(model, machine)`
+    /// group: a counter sums the versions, a gauge takes their maximum
+    /// (NaN until any version has data).
+    Group { read: QualityRead, sum: bool, model: String, machine: String },
+}
+
+impl Read {
+    fn value(&self, metrics: &Metrics, quality: &[QualityEntry]) -> f64 {
+        match self {
+            Read::Counter(counter) => metrics.count(*counter) as f64,
+            Read::Staleness => metrics.model_staleness_seconds(),
+            Read::Group { read, sum, model, machine } => {
+                let versions = quality
+                    .iter()
+                    .filter(|e| &e.model == model && &e.machine == machine)
+                    .map(|e| read(&e.stats, 0));
+                match sum {
+                    true => versions.sum(),
+                    false => versions.filter(|v| !v.is_nan()).fold(f64::NAN, f64::max),
+                }
+            }
+        }
+    }
+}
+
 /// Samples one [`Metrics`] registry into [`Sample`]s with a fixed
-/// schema. Construction captures the quality groups registered at that
-/// moment; `sample()` then reads every series in schema order.
+/// schema: every series of every [`FAMILIES`] row that has a health
+/// alias, in table order. Construction captures the quality groups
+/// registered at that moment.
 pub struct MetricsSampler {
     schema: Arc<Schema>,
-    /// `(model, machine)` pairs feeding the per-group series, in
-    /// schema order.
-    groups: Vec<(String, String)>,
+    counters: Vec<Read>,
+    gauges: Vec<Gauge>,
+    values: Vec<Read>,
+    histograms: Vec<Hist>,
 }
 
 impl MetricsSampler {
-    /// Build the sampler and its schema from the currently registered
-    /// quality groups.
+    /// Build the sampler and its schema from [`FAMILIES`] and the
+    /// currently registered quality groups.
     pub fn new(metrics: &Metrics) -> MetricsSampler {
         let mut groups: Vec<(String, String)> = Vec::new();
         for entry in metrics.quality_entries() {
-            let key = (entry.model.clone(), entry.machine.clone());
+            let key = (entry.model, entry.machine);
             if !groups.contains(&key) {
                 groups.push(key);
             }
         }
-        let mut counters = Vec::new();
-        for route in Route::ALL {
-            counters.push(format!("requests.{}", route.label()));
+        let mut schema = Schema::default();
+        let (mut counters, mut gauges, mut values, mut histograms) =
+            (vec![], vec![], vec![], vec![]);
+        for (row, family) in FAMILIES.iter().enumerate() {
+            let Some(alias) = family.alias else { continue };
+            let name = |i: usize| match family.series_values(i) {
+                [] => alias.to_string(),
+                labels => format!("{alias}.{}", labels.join(".")),
+            };
+            for i in 0..family.width() {
+                match family.source {
+                    Source::Counters => {
+                        schema.counters.push(name(i));
+                        counters.push(Read::Counter(Slot::nth(row, i)));
+                    }
+                    Source::Gauges => {
+                        schema.gauges.push(name(i));
+                        gauges.push(Slot::nth(row, i));
+                    }
+                    Source::Histograms(buckets) => {
+                        schema
+                            .histograms
+                            .push(HistSchema { name: name(i), bounds: buckets.bounds.to_vec() });
+                        histograms.push(Slot::nth(row, i));
+                    }
+                    Source::Staleness => {
+                        schema.values.push(name(i));
+                        values.push(Read::Staleness);
+                    }
+                    Source::QualityCounter(read) | Source::QualityGauge(read) => {
+                        let sum = matches!(family.source, Source::QualityCounter(_));
+                        let (names, reads) = match sum {
+                            true => (&mut schema.counters, &mut counters),
+                            false => (&mut schema.values, &mut values),
+                        };
+                        for (model, machine) in &groups {
+                            names.push(format!("{alias}.{model}@{machine}"));
+                            let (model, machine) = (model.clone(), machine.clone());
+                            reads.push(Read::Group { read, sum, model, machine });
+                        }
+                    }
+                    Source::One | Source::LifecycleState => {}
+                }
+            }
         }
-        for route in Route::ALL {
-            counters.push(format!("errors.{}", route.label()));
-        }
-        counters.push("shed".into());
-        counters.push("deadline_exceeded".into());
-        counters.push("reload_failures".into());
-        counters.push("stale_served".into());
-        counters.push("keepalive_reuses".into());
-        counters.push("cache.hits".into());
-        counters.push("cache.misses".into());
-        counters.push("quality.accepted".into());
-        counters.push("quality.rejected".into());
-        counters.push("loop.iterations".into());
-        for (model, machine) in &groups {
-            counters.push(format!("quality.drift_trips.{model}@{machine}"));
-        }
-        let gauges = vec![
-            "inflight".to_string(),
-            "queue.depth".to_string(),
-            "connections.open".to_string(),
-            "connections.read_paused".to_string(),
-            "connections.write_stalled".to_string(),
-            "cache.entries".to_string(),
-        ];
-        let mut values = vec!["staleness_seconds".to_string()];
-        for (model, machine) in &groups {
-            values.push(format!("quality.mape.{model}@{machine}"));
-        }
-        let bounds: Vec<f64> = Metrics::histogram_bounds().to_vec();
-        let mut histograms = vec![HistSchema { name: "latency".into(), bounds: bounds.clone() }];
-        for stage in AdviseStage::ALL {
-            histograms.push(HistSchema {
-                name: format!("advise.{}", stage.label()),
-                bounds: bounds.clone(),
-            });
-        }
-        for stage in RequestStage::ALL {
-            histograms.push(HistSchema {
-                name: format!("stage.{}", stage.label()),
-                bounds: bounds.clone(),
-            });
-        }
-        let schema = Arc::new(Schema { counters, gauges, values, histograms });
-        MetricsSampler { schema, groups }
+        let schema = Arc::new(schema);
+        MetricsSampler { schema, counters, gauges, values, histograms }
     }
 
     /// The schema `sample()` produces.
@@ -142,76 +176,23 @@ impl MetricsSampler {
     }
 
     /// Read every schema series out of `metrics`, stamped `unix_us`.
-    /// Series order must mirror the constructor exactly; the width
-    /// assert catches any drift between the two.
     pub fn sample(&self, metrics: &Metrics, unix_us: u64) -> Sample {
-        let mut counters = Vec::with_capacity(self.schema.counters.len());
-        for route in Route::ALL {
-            counters.push(metrics.requests(route));
-        }
-        for route in Route::ALL {
-            counters.push(metrics.errors(route));
-        }
-        counters.push(metrics.shed_total());
-        counters.push(DeadlineStage::ALL.iter().map(|&s| metrics.deadline_exceeded(s)).sum());
-        counters.push(metrics.reload_failures());
-        counters.push(metrics.stale_served());
-        counters.push(metrics.keepalive_reuses());
-        counters.push(metrics.cache_hits());
-        counters.push(metrics.cache_misses());
-        counters.push(metrics.quality_accepted());
-        counters.push(metrics.quality_rejected());
-        counters.push(metrics.loop_iterations());
         let quality = metrics.quality_entries();
-        for (model, machine) in &self.groups {
-            let trips: u64 = quality
-                .iter()
-                .filter(|e| &e.model == model && &e.machine == machine)
-                .map(|e| e.stats.drift_trips)
-                .sum();
-            counters.push(trips);
-        }
-        let gauges = vec![
-            metrics.in_flight() as i64,
-            metrics.pool_queue_depth() as i64,
-            metrics.connections_open() as i64,
-            metrics.read_paused() as i64,
-            metrics.write_stalled() as i64,
-            metrics.cache_entries() as i64,
-        ];
-        let mut values = vec![metrics.model_staleness_seconds()];
-        for (model, machine) in &self.groups {
-            // Worst (max) MAPE across the group's versions; NaN until
-            // any version has data.
-            let mape = quality
-                .iter()
-                .filter(|e| &e.model == model && &e.machine == machine)
-                .map(|e| e.stats.mape)
-                .filter(|m| !m.is_nan())
-                .fold(f64::NAN, f64::max);
-            values.push(mape);
-        }
-        let mut hists = Vec::with_capacity(self.schema.histograms.len());
-        let push = |hists: &mut Vec<HistSample>,
-                    (buckets, sum_micros, count): ([u64; 11], u64, u64)| {
-            hists.push(HistSample { buckets: buckets.to_vec(), sum_micros, count });
-        };
-        push(&mut hists, metrics.latency_snapshot());
-        for stage in AdviseStage::ALL {
-            push(&mut hists, metrics.advise_stage_snapshot(stage));
-        }
-        for stage in RequestStage::ALL {
-            push(&mut hists, metrics.request_stage_snapshot(stage));
-        }
-        let sample = Sample { unix_us, counters, gauges, values, hists };
-        debug_assert_eq!(self.schema.flatten(&sample).len(), self.schema.width());
-        sample
-    }
-
-    /// Faults injected so far, summed over kinds (not part of the
-    /// schema; used by the chaos soak assertions).
-    pub fn faults_total(metrics: &Metrics) -> u64 {
-        FaultKind::ALL.iter().map(|&k| metrics.faults_injected(k)).sum()
+        let counters = (self.counters.iter())
+            .map(|read| match read {
+                Read::Counter(counter) => metrics.count(*counter),
+                read => read.value(metrics, &quality) as u64,
+            })
+            .collect();
+        let gauges = self.gauges.iter().map(|&gauge| metrics.gauge(gauge) as i64).collect();
+        let values = self.values.iter().map(|read| read.value(metrics, &quality)).collect();
+        let hists = (self.histograms.iter())
+            .map(|&hist| {
+                let (buckets, sum_micros, count) = metrics.snapshot(hist);
+                HistSample { buckets: buckets.to_vec(), sum_micros, count }
+            })
+            .collect();
+        Sample { unix_us, counters, gauges, values, hists }
     }
 }
 
@@ -253,7 +234,7 @@ pub fn start(router: &Router, config: HealthConfig) -> HealthHandle {
     router.install_health(Arc::clone(&hub));
     let obs_metrics = Arc::clone(&metrics);
     hub.on_transition(Box::new(move |t| {
-        obs_metrics.record_alert_transition(t.to.label());
+        obs_metrics.inc(ALERT_TRANSITIONS[t.to as usize]);
         obs::event!(
             Level::Warn,
             "health.alert",
@@ -286,9 +267,11 @@ pub fn start(router: &Router, config: HealthConfig) -> HealthHandle {
                     let sample = sampler.sample(&metrics, unix_us_now());
                     hub.ingest(&sample);
                     let verdict = hub.verdict();
-                    metrics.set_alert_gauges(verdict.firing, verdict.pending);
-                    metrics
-                        .record_slo_scrape(hub.slo_count() as u64, hub.breaching_count() as usize);
+                    metrics.gauge_set(ALERTS_FIRING, verdict.firing);
+                    metrics.gauge_set(ALERTS_PENDING, verdict.pending);
+                    metrics.inc(SLO_SCRAPES);
+                    metrics.add(SLO_EVALUATIONS, hub.slo_count() as u64);
+                    metrics.gauge_set(SLO_BREACHING, hub.breaching_count() as usize);
                 }
             })
             .expect("spawn health sampler")
@@ -323,5 +306,32 @@ mod tests {
         let stages: Vec<&str> = schema.histograms.iter().map(|h| h.name.as_str()).collect();
         assert!(!stages.contains(&"stage.batch_wait"), "{stages:?}");
         assert_eq!(stages.iter().filter(|h| h.starts_with("stage.")).count(), 5);
+    }
+
+    /// Absence of evidence never breaches, so an SLO whose series was
+    /// renamed away would be silently disabled: every built-in signal
+    /// must read at least one schema series of the kind it measures.
+    #[test]
+    fn every_builtin_slo_reads_a_live_schema_series() {
+        let metrics = Metrics::new();
+        metrics.set_model_quality("gb", 1, "aurora", crate::metrics::QualityStats::default());
+        let sampler = MetricsSampler::new(&metrics);
+        let schema = sampler.schema();
+        let any = |names: &[String], prefix: &str| names.iter().any(|n| n.starts_with(prefix));
+        for slo in builtin_slos() {
+            let live = match &slo.signal {
+                Signal::Quantile { hist, .. } => schema.histogram_index(hist).is_some(),
+                Signal::Ratio { num, den } => {
+                    num.iter().chain(den).all(|p| any(&schema.counters, p))
+                }
+                Signal::Rate { counters } => counters.iter().all(|p| any(&schema.counters, p)),
+                Signal::DeltaPrefix { prefix } => any(&schema.counters, prefix),
+                Signal::ValueMax { prefix } => any(&schema.values, prefix),
+                Signal::GaugeMax { prefix } => any(&schema.gauges, prefix),
+            };
+            assert!(live, "{} reads no schema series: {:?}", slo.name, slo.signal);
+        }
+        let sample = sampler.sample(&metrics, 1);
+        assert_eq!(schema.flatten(&sample).len(), schema.width());
     }
 }

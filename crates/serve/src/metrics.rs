@@ -1,28 +1,27 @@
 //! Request metrics with Prometheus text exposition.
 //!
-//! Everything is lock-free atomics: fixed route labels, per-route request
-//! and error counters, a shared latency histogram with log-spaced
-//! buckets, saturation gauges (queue depth, in-flight), shed-load and
-//! advise-cache counters, a per-stage latency histogram for the
-//! `/v1/advise` pipeline (`cache` → `sweep` → `encode`), and the
-//! robustness series: deadline overruns per stage, model staleness,
-//! reload failures, stale cache serves, and injected faults. `render`
-//! produces the standard `text/plain; version=0.0.4` exposition format;
-//! [`lint_exposition`] validates that format and doubles as the CI smoke
-//! and chaos jobs' correctness check.
+//! Every metric family is declared once, as a row of [`FAMILIES`]: its
+//! name, where its samples come from (which fixes its type), its label
+//! keys and values, its health-schema alias and its help text. Storage,
+//! [`Metrics::render`], [`REQUIRED_SERIES`], the health sampler's schema
+//! (`crate::health_bridge::MetricsSampler`) and the docs catalog check
+//! all walk that table. A handle ([`Counter`], [`Gauge`], [`Hist`]) is a
+//! slot index computed from the table at compile time, so recording is
+//! one relaxed atomic operation on a slot, never a lookup by name.
+//! `render` produces the standard `text/plain; version=0.0.4` exposition
+//! format; [`lint_exposition`] validates that format and doubles as the
+//! CI smoke and chaos jobs' correctness check.
 //!
 //! # Hot-path layout
 //!
-//! The per-request counters (route requests/errors, advise-cache
-//! hits/misses, keep-alive reuses) are `ShardedCounter`s: each is a
-//! small array of cache-line-padded atomics and every thread increments
-//! its own stripe, so concurrent request threads never bounce one
-//! counter's cache line between cores. Reads sum the stripes — counters
-//! are read on scrape, written per request, so the trade goes the right
-//! way. Histogram bucket lines render through preformatted name slabs
-//! (`name_bucket{…le="x"} ` prefixes built once per process), keeping
-//! the scrape path to integer formatting instead of per-line `format!`
-//! allocations.
+//! Counters are `ShardedCounter`s: each is a small array of
+//! cache-line-padded atomics and every thread increments its own stripe,
+//! so concurrent request threads never bounce one counter's cache line
+//! between cores. Reads sum the stripes — counters are read on scrape,
+//! written per request, so the trade goes the right way. Sample lines
+//! render through preformatted prefixes (`name{labels} `, built once per
+//! process), keeping the scrape path to number formatting instead of
+//! per-line `format!` allocations.
 //!
 //! Every series is **pre-registered**: the label sets are fixed arrays,
 //! so each family appears in the very first scrape at zero rather than
@@ -32,8 +31,9 @@
 //! [`lint_exposition_with_required`].
 
 use crate::fault::FaultKind;
+use chemcost_health::AlertState;
 use chemcost_lifecycle::{LifecycleObserver, LifecycleState, PromotionOutcome, TRANSITIONS};
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -88,41 +88,26 @@ impl Route {
         Route::Other,
     ];
 
-    fn index(self) -> usize {
-        match self {
-            Route::Healthz => 0,
-            Route::Metrics => 1,
-            Route::Models => 2,
-            Route::Reload => 3,
-            Route::Predict => 4,
-            Route::Advise => 5,
-            Route::Observe => 6,
-            Route::Quality => 7,
-            Route::Lifecycle => 8,
-            Route::Shutdown => 9,
-            Route::Debug => 10,
-            Route::Health => 11,
-            Route::Other => 12,
-        }
-    }
+    /// The Prometheus `route` label values, indexed by `route as usize`.
+    pub const LABELS: [&'static str; 13] = [
+        "healthz",
+        "metrics",
+        "models",
+        "reload",
+        "predict",
+        "advise",
+        "observe",
+        "quality",
+        "lifecycle",
+        "shutdown",
+        "debug",
+        "health",
+        "other",
+    ];
 
     /// The Prometheus label value.
     pub fn label(self) -> &'static str {
-        match self {
-            Route::Healthz => "healthz",
-            Route::Metrics => "metrics",
-            Route::Models => "models",
-            Route::Reload => "reload",
-            Route::Predict => "predict",
-            Route::Advise => "advise",
-            Route::Observe => "observe",
-            Route::Quality => "quality",
-            Route::Lifecycle => "lifecycle",
-            Route::Shutdown => "shutdown",
-            Route::Debug => "debug",
-            Route::Health => "health",
-            Route::Other => "other",
-        }
+        Route::LABELS[self as usize]
     }
 }
 
@@ -146,24 +131,8 @@ impl AdviseStage {
     pub const ALL: [AdviseStage; 4] =
         [AdviseStage::Cache, AdviseStage::Sweep, AdviseStage::Encode, AdviseStage::Shadow];
 
-    fn index(self) -> usize {
-        match self {
-            AdviseStage::Cache => 0,
-            AdviseStage::Sweep => 1,
-            AdviseStage::Encode => 2,
-            AdviseStage::Shadow => 3,
-        }
-    }
-
-    /// The Prometheus `stage` label value.
-    pub fn label(self) -> &'static str {
-        match self {
-            AdviseStage::Cache => "cache",
-            AdviseStage::Sweep => "sweep",
-            AdviseStage::Encode => "encode",
-            AdviseStage::Shadow => "shadow",
-        }
-    }
+    /// The Prometheus `stage` label values, indexed by `stage as usize`.
+    pub const LABELS: [&'static str; 4] = ["cache", "sweep", "encode", "shadow"];
 }
 
 /// One deadline checkpoint in the request path; the label on
@@ -183,21 +152,12 @@ impl DeadlineStage {
     pub const ALL: [DeadlineStage; 3] =
         [DeadlineStage::Queue, DeadlineStage::Cache, DeadlineStage::Sweep];
 
-    fn index(self) -> usize {
-        match self {
-            DeadlineStage::Queue => 0,
-            DeadlineStage::Cache => 1,
-            DeadlineStage::Sweep => 2,
-        }
-    }
+    /// The Prometheus `stage` label values, indexed by `stage as usize`.
+    pub const LABELS: [&'static str; 3] = ["queue", "cache", "sweep"];
 
     /// The Prometheus `stage` label value.
     pub fn label(self) -> &'static str {
-        match self {
-            DeadlineStage::Queue => "queue",
-            DeadlineStage::Cache => "cache",
-            DeadlineStage::Sweep => "sweep",
-        }
+        DeadlineStage::LABELS[self as usize]
     }
 }
 
@@ -230,94 +190,180 @@ impl RequestStage {
         RequestStage::Write,
     ];
 
-    /// Position in [`RequestStage::ALL`] (metric array index).
-    pub fn index(self) -> usize {
-        match self {
-            RequestStage::Read => 0,
-            RequestStage::Queue => 1,
-            RequestStage::Handler => 2,
-            RequestStage::Reorder => 3,
-            RequestStage::Write => 4,
-        }
-    }
+    /// The Prometheus `stage` label values, indexed by `stage as usize`.
+    pub const LABELS: [&'static str; 5] = ["read", "queue", "handler", "reorder", "write"];
 
     /// The Prometheus `stage` label value.
     pub fn label(self) -> &'static str {
-        match self {
-            RequestStage::Read => "read",
-            RequestStage::Queue => "queue",
-            RequestStage::Handler => "handler",
-            RequestStage::Reorder => "reorder",
-            RequestStage::Write => "write",
-        }
+        RequestStage::LABELS[self as usize]
     }
 
     /// The field key in `request.timeline` obs events and in the
     /// `/debug/requests` `stages` object (label + `_us`, values are
     /// microseconds).
     pub fn field_key(self) -> &'static str {
+        ["read_us", "queue_us", "handler_us", "reorder_us", "write_us"][self as usize]
+    }
+}
+
+/// What `/v1/observe` did with a ground-truth report; the `outcome`
+/// label on `chemcost_quality_observations_total`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Intake {
+    /// Accepted into the rolling statistics.
+    Accepted,
+    /// Rejected with a structured 4xx; the statistics are untouched.
+    Rejected,
+}
+
+impl Intake {
+    /// The Prometheus `outcome` label values, indexed by `intake as usize`.
+    pub const LABELS: [&'static str; 2] = ["accepted", "rejected"];
+}
+
+/// `(from, to)` label values of `chemcost_lifecycle_transitions_total`,
+/// one pair per entry of [`TRANSITIONS`].
+const TRANSITION_LABELS: [&str; 2 * TRANSITIONS.len()] = {
+    let mut labels = [""; 2 * TRANSITIONS.len()];
+    let mut i = 0;
+    while i < TRANSITIONS.len() {
+        labels[2 * i] = TRANSITIONS[i].0.label();
+        labels[2 * i + 1] = TRANSITIONS[i].1.label();
+        i += 1;
+    }
+    labels
+};
+
+/// Finite bucket upper bounds per histogram (`+Inf` is implied).
+const BOUNDS: usize = 10;
+
+/// A histogram family's bucket upper bounds, and the unit its sum is kept
+/// in.
+pub struct Buckets {
+    /// Finite upper bounds, ascending.
+    pub bounds: [f64; BOUNDS],
+    /// Stored sum units per exposed unit: durations are summed in
+    /// microseconds and exposed in seconds.
+    sum_scale: f64,
+}
+
+/// Log-spaced latency buckets, 100 µs – 5 s.
+const SECONDS: Buckets =
+    Buckets { bounds: [1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 5e-1, 1.0, 5.0], sum_scale: 1e6 };
+
+/// Powers of two, for sizes.
+const POWERS_OF_TWO: Buckets =
+    Buckets { bounds: [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0], sum_scale: 1.0 };
+
+/// Reads one value of a quality family from a group's stats; the index
+/// picks the family's extra label value (`quantile`), 0 when it has none.
+pub type QualityRead = fn(&QualityStats, usize) -> f64;
+
+/// Where a family's samples come from; this also fixes its `# TYPE`.
+#[derive(Clone, Copy)]
+pub enum Source {
+    /// Counters in the registry's counter slab, one slot per series.
+    Counters,
+    /// Integer gauges in the registry's gauge slab, read clamped at 0.
+    Gauges,
+    /// Histograms over these buckets in the registry's histogram slab.
+    Histograms(&'static Buckets),
+    /// A gauge fixed at 1; the information is in its labels.
+    One,
+    /// Seconds the serving model has been known-stale.
+    Staleness,
+    /// A counter per registered quality group (`model`, `version`,
+    /// `machine`), read from its stats.
+    QualityCounter(QualityRead),
+    /// A gauge per registered quality group, read from its stats.
+    QualityGauge(QualityRead),
+    /// The state code of each registered lifecycle group (`model`,
+    /// `machine`).
+    LifecycleState,
+}
+
+impl Source {
+    /// The storage slab holding this source's series.
+    const fn slab(&self) -> Option<usize> {
         match self {
-            RequestStage::Read => "read_us",
-            RequestStage::Queue => "queue_us",
-            RequestStage::Handler => "handler_us",
-            RequestStage::Reorder => "reorder_us",
-            RequestStage::Write => "write_us",
+            Source::Counters => Some(COUNTERS),
+            Source::Gauges => Some(GAUGES),
+            Source::Histograms(_) => Some(HISTOGRAMS),
+            _ => None,
+        }
+    }
+
+    /// Label keys the source supplies itself, from its registered groups.
+    const fn group_keys(&self) -> usize {
+        match self {
+            Source::QualityCounter(_) | Source::QualityGauge(_) => 3,
+            Source::LifecycleState => 2,
+            _ => 0,
         }
     }
 }
 
-/// Histogram bucket upper bounds, in seconds.
-const BUCKETS: [f64; 10] = [1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 5e-1, 1.0, 5.0];
+/// One metric family: everything `/metrics`, pre-registration, the
+/// health schema and the docs catalog need to know about it.
+pub struct Family {
+    /// Prometheus family name.
+    pub name: &'static str,
+    /// Where the samples come from.
+    pub source: Source,
+    /// Label keys in exposition order (`le` excluded), group keys first.
+    pub keys: &'static [&'static str],
+    /// Fixed label values, flattened: one value per key the source does
+    /// not supply, per series.
+    pub values: &'static [&'static str],
+    /// Health-schema name: `alias` for an unlabelled family, `alias.<value>`
+    /// per series otherwise, `alias.<model>@<machine>` per quality group;
+    /// `None` keeps the family out of the schema.
+    pub alias: Option<&'static str>,
+    /// `# HELP` text.
+    pub help: &'static str,
+}
 
-/// Every metric family the service exposes, by family name. The smoke
-/// and chaos CI jobs pass this to [`lint_exposition_with_required`] so
-/// a series silently dropped from [`Metrics::render`] (or one that only
-/// materializes after its first increment) fails the scrape check.
-pub const REQUIRED_SERIES: &[&str] = &[
-    "chemcost_build_info",
-    "chemcost_requests_total",
-    "chemcost_request_errors_total",
-    "chemcost_requests_in_flight",
-    "chemcost_pool_queue_depth",
-    "chemcost_requests_shed_total",
-    "chemcost_request_duration_seconds",
-    "chemcost_advise_stage_duration_seconds",
-    "chemcost_advise_cache_hits_total",
-    "chemcost_advise_cache_misses_total",
-    "chemcost_advise_cache_entries",
-    "chemcost_deadline_exceeded_total",
-    "chemcost_model_staleness_seconds",
-    "chemcost_model_reload_failures_total",
-    "chemcost_advise_stale_served_total",
-    "chemcost_faults_injected_total",
-    "chemcost_quality_observations_total",
-    "chemcost_model_mape",
-    "chemcost_model_bias_seconds",
-    "chemcost_residual_seconds",
-    "chemcost_calibration_ratio",
-    "chemcost_model_degraded",
-    "chemcost_drift_trips_total",
-    "chemcost_quality_pool_size",
-    "chemcost_quality_pool_evictions_total",
-    "chemcost_lifecycle_state",
-    "chemcost_lifecycle_transitions_total",
-    "chemcost_lifecycle_queue_depth",
-    "chemcost_lifecycle_fit_duration_seconds",
-    "chemcost_lifecycle_promotions_total",
-    "chemcost_connections_open",
-    "chemcost_keepalive_reuses_total",
-    "chemcost_request_stage_duration_seconds",
-    "chemcost_event_loop_iteration_duration_seconds",
-    "chemcost_event_loop_events_per_wake",
-    "chemcost_connections_read_paused",
-    "chemcost_connections_write_stalled",
-    "chemcost_alerts_transitions_total",
-    "chemcost_alerts_firing",
-    "chemcost_alerts_pending",
-    "chemcost_slo_evaluations_total",
-    "chemcost_slo_breaching",
-    "chemcost_slo_scrapes_total",
-];
+impl Family {
+    /// The `# TYPE` keyword.
+    pub fn kind(&self) -> &'static str {
+        match self.source {
+            Source::Counters | Source::QualityCounter(_) => "counter",
+            Source::Histograms(_) => "histogram",
+            _ => "gauge",
+        }
+    }
+
+    /// Series per fixed label set (per registered group for a group
+    /// source).
+    pub const fn width(&self) -> usize {
+        match self.keys.len() - self.source.group_keys() {
+            0 => 1,
+            fixed => self.values.len() / fixed,
+        }
+    }
+
+    /// The fixed label values of series `i`.
+    pub(crate) fn series_values(&self, i: usize) -> &'static [&'static str] {
+        let fixed = self.keys.len() - self.source.group_keys();
+        &self.values[i * fixed..(i + 1) * fixed]
+    }
+
+    /// `key="value",…` for the fixed labels of series `i`.
+    fn series_labels(&self, i: usize) -> String {
+        let keys = &self.keys[self.source.group_keys()..];
+        let pairs: Vec<String> =
+            keys.iter().zip(self.series_values(i)).map(|(k, v)| format!("{k}=\"{v}\"")).collect();
+        pairs.join(",")
+    }
+}
+
+/// The defaults of a table row: an unlabelled counter outside the health
+/// schema.
+const PLAIN: Family =
+    Family { name: "", source: Source::Counters, keys: &[], values: &[], alias: None, help: "" };
+
+/// Label keys of the per-quality-group families.
+const QUALITY: &[&str] = &["model", "version", "machine"];
 
 /// Version baked into `chemcost_build_info`.
 const BUILD_VERSION: &str = env!("CARGO_PKG_VERSION");
@@ -342,6 +388,218 @@ const BUILD_DIRTY: &str = match option_env!("CHEMCOST_GIT_DIRTY") {
 pub fn build_info() -> (&'static str, &'static str, &'static str) {
     (BUILD_VERSION, BUILD_GIT_SHA, BUILD_DIRTY)
 }
+
+use Source::{Gauges, Histograms, QualityCounter, QualityGauge};
+
+/// Every metric family the service exposes, in exposition order. The
+/// handles below name their rows by position.
+#[rustfmt::skip]
+pub static FAMILIES: [Family; 43] = [
+    Family { name: "chemcost_build_info", source: Source::One, keys: &["version", "git_sha", "dirty"], values: &[BUILD_VERSION, BUILD_GIT_SHA, BUILD_DIRTY],
+        help: "Build metadata; constant 1.", ..PLAIN },
+    Family { name: "chemcost_requests_total", keys: &["route"], values: &Route::LABELS, alias: Some("requests"),
+        help: "Requests handled, by route.", ..PLAIN },
+    Family { name: "chemcost_request_errors_total", keys: &["route"], values: &Route::LABELS, alias: Some("errors"),
+        help: "Error responses (status >= 400), by route.", ..PLAIN },
+    Family { name: "chemcost_requests_in_flight", source: Gauges, alias: Some("inflight"),
+        help: "Requests currently being handled.", ..PLAIN },
+    Family { name: "chemcost_pool_queue_depth", source: Gauges, alias: Some("queue.depth"),
+        help: "Connections queued for the worker pool.", ..PLAIN },
+    Family { name: "chemcost_requests_shed_total", alias: Some("shed"),
+        help: "Connections answered 503 because the pool queue was full.", ..PLAIN },
+    Family { name: "chemcost_request_duration_seconds", source: Histograms(&SECONDS), alias: Some("latency"),
+        help: "Request handling latency.", ..PLAIN },
+    Family { name: "chemcost_advise_stage_duration_seconds", source: Histograms(&SECONDS), keys: &["stage"], values: &AdviseStage::LABELS, alias: Some("advise"),
+        help: "Advise pipeline latency, by stage (cache probe, model sweep, JSON encode)." },
+    Family { name: "chemcost_advise_cache_hits_total", alias: Some("cache.hits"),
+        help: "Advise answers served from cache.", ..PLAIN },
+    Family { name: "chemcost_advise_cache_misses_total", alias: Some("cache.misses"),
+        help: "Advise answers that ran the sweep.", ..PLAIN },
+    Family { name: "chemcost_advise_cache_entries", source: Gauges, alias: Some("cache.entries"),
+        help: "Cached advise answers.", ..PLAIN },
+    Family { name: "chemcost_deadline_exceeded_total", keys: &["stage"], values: &DeadlineStage::LABELS, alias: Some("deadline_exceeded"),
+        help: "Requests answered 504, by the stage where the budget ran out.", ..PLAIN },
+    Family { name: "chemcost_model_staleness_seconds", source: Source::Staleness, alias: Some("staleness_seconds"),
+        help: "Seconds since the serving model went stale (a reload failed); 0 when fresh.", ..PLAIN },
+    Family { name: "chemcost_model_reload_failures_total", alias: Some("reload_failures"),
+        help: "Failed model reloads (the last-good model kept serving).", ..PLAIN },
+    Family { name: "chemcost_advise_stale_served_total", alias: Some("stale_served"),
+        help: "Advise answers replayed from an older model version under overload.", ..PLAIN },
+    Family { name: "chemcost_faults_injected_total", keys: &["kind"], values: &FaultKind::LABELS,
+        help: "Faults injected by the chaos plane, by kind.", ..PLAIN },
+    Family { name: "chemcost_quality_observations_total", keys: &["outcome"], values: &Intake::LABELS, alias: Some("quality"),
+        help: "Ground-truth runtime reports on /v1/observe, by outcome (accepted into the rolling stats, or rejected 4xx).", ..PLAIN },
+    Family { name: "chemcost_model_mape", source: QualityGauge(|s, _| s.mape), keys: QUALITY, alias: Some("quality.mape"),
+        help: "Windowed mean absolute percentage error of served predictions against observed runtimes; NaN until the first observation.", ..PLAIN },
+    Family { name: "chemcost_model_bias_seconds", source: QualityGauge(|s, _| s.bias_seconds), keys: QUALITY,
+        help: "Windowed signed bias mean(predicted - measured) in seconds; positive means the model over-promises runtime.", ..PLAIN },
+    Family { name: "chemcost_residual_seconds", source: QualityGauge(|s, q| [s.residual_p50, s.residual_p90, s.residual_p99][q]),
+        keys: &["model", "version", "machine", "quantile"], values: &["0.5", "0.9", "0.99"],
+        help: "Windowed absolute prediction residual quantiles, in seconds.", ..PLAIN },
+    Family { name: "chemcost_calibration_ratio", source: QualityGauge(|s, _| s.calibration_ratio), keys: QUALITY,
+        help: "Fraction of sigma-carrying residuals inside the predicted +/-sigma band (well-calibrated Gaussian: ~0.68).", ..PLAIN },
+    Family { name: "chemcost_model_degraded", source: QualityGauge(|s, _| u8::from(s.degraded).into()), keys: QUALITY,
+        help: "1 when the drift detector has tripped for the group and the model has not been refreshed since, else 0.", ..PLAIN },
+    Family { name: "chemcost_drift_trips_total", source: QualityCounter(|s, _| s.drift_trips as f64), keys: QUALITY, alias: Some("quality.drift_trips"),
+        help: "Page-Hinkley drift-detector trips over the residual stream, per serving group.", ..PLAIN },
+    Family { name: "chemcost_quality_pool_size", source: QualityGauge(|s, _| s.pool_size as f64), keys: QUALITY,
+        help: "Observations currently retained in the group's training pool.", ..PLAIN },
+    Family { name: "chemcost_quality_pool_evictions_total", source: QualityCounter(|s, _| s.pool_evictions as f64), keys: QUALITY,
+        help: "Observations silently evicted from the full training pool, per serving group.", ..PLAIN },
+    Family { name: "chemcost_lifecycle_state", source: Source::LifecycleState, keys: &["model", "machine"],
+        help: "Retrain/shadow/promote state per (model, machine) group: 0=idle 1=queued 2=training 3=shadow 4=promoted 5=rejected 6=rolled-back.", ..PLAIN },
+    Family { name: "chemcost_lifecycle_transitions_total", keys: &["from", "to"], values: &TRANSITION_LABELS,
+        help: "Lifecycle state-machine transitions taken, by (from, to) pair.", ..PLAIN },
+    Family { name: "chemcost_lifecycle_queue_depth", source: Gauges,
+        help: "Retrain jobs waiting in the background trainer's bounded queue.", ..PLAIN },
+    Family { name: "chemcost_lifecycle_fit_duration_seconds", source: Histograms(&SECONDS),
+        help: "Wall time of one background candidate fit (success or failure).", ..PLAIN },
+    Family { name: "chemcost_lifecycle_promotions_total", keys: &["outcome"], values: &PromotionOutcome::LABELS,
+        help: "Promotion decisions, by outcome (auto, operator, rejected, rolled-back).", ..PLAIN },
+    Family { name: "chemcost_connections_open", source: Gauges, alias: Some("connections.open"),
+        help: "Client connections currently open in the event loop.", ..PLAIN },
+    Family { name: "chemcost_keepalive_reuses_total", alias: Some("keepalive_reuses"),
+        help: "Requests served on a reused keep-alive exchange (any request after a connection's first).", ..PLAIN },
+    Family { name: "chemcost_request_stage_duration_seconds", source: Histograms(&SECONDS), keys: &["stage"], values: &RequestStage::LABELS, alias: Some("stage"),
+        help: "Per-stage request-timeline latency through the event loop (read, queue, handler, reorder, write); the stages of one request sum to its first-byte to last-byte wall time." },
+    Family { name: "chemcost_event_loop_iteration_duration_seconds", source: Histograms(&SECONDS),
+        help: "Processing time of one event-loop pass (one epoll wake).", ..PLAIN },
+    Family { name: "chemcost_event_loop_events_per_wake", source: Histograms(&POWERS_OF_TWO),
+        help: "Readiness events delivered per epoll wake.", ..PLAIN },
+    Family { name: "chemcost_connections_read_paused", source: Gauges, alias: Some("connections.read_paused"),
+        help: "Connections whose reads are paused by backpressure (pipeline cap or write high-water mark).", ..PLAIN },
+    Family { name: "chemcost_connections_write_stalled", source: Gauges, alias: Some("connections.write_stalled"),
+        help: "Connections holding unsent response bytes after a flush (slow consumers).", ..PLAIN },
+    Family { name: "chemcost_alerts_transitions_total", keys: &["to"], values: &AlertState::LABELS,
+        help: "SLO alert state transitions, by destination state.", ..PLAIN },
+    Family { name: "chemcost_alerts_firing", source: Gauges,
+        help: "SLO alerts currently firing.", ..PLAIN },
+    Family { name: "chemcost_alerts_pending", source: Gauges,
+        help: "SLO alerts currently pending.", ..PLAIN },
+    Family { name: "chemcost_slo_evaluations_total",
+        help: "SLO evaluations run by the health sampler.", ..PLAIN },
+    Family { name: "chemcost_slo_breaching", source: Gauges,
+        help: "SLOs breaching both burn windows on the latest evaluation.", ..PLAIN },
+    Family { name: "chemcost_slo_scrapes_total",
+        help: "Self-scrape samples taken by the health sampler.", ..PLAIN },
+];
+
+/// Every family name, in exposition order. The smoke and chaos CI jobs
+/// pass this to [`lint_exposition_with_required`] so a series silently
+/// dropped from [`Metrics::render`] (or one that only materializes after
+/// its first increment) fails the scrape check.
+pub const REQUIRED_SERIES: &[&str] = &{
+    let mut names = [""; FAMILIES.len()];
+    let mut row = 0;
+    while row < FAMILIES.len() {
+        names[row] = FAMILIES[row].name;
+        row += 1;
+    }
+    names
+};
+
+/// Each family's first slot in its storage slab, and each slab's length.
+const LAYOUT: ([usize; FAMILIES.len()], [usize; 3]) = {
+    let (mut first, mut lens) = ([0; FAMILIES.len()], [0; 3]);
+    let mut row = 0;
+    while row < FAMILIES.len() {
+        let family = &FAMILIES[row];
+        let fixed = family.keys.len() - family.source.group_keys();
+        assert!(fixed == 0 || family.values.len().is_multiple_of(fixed), "ragged label values");
+        assert!(fixed > 0 || family.values.is_empty(), "label values without keys");
+        assert!(
+            family.alias.is_none() || family.source.group_keys() == 0 || family.width() == 1,
+            "a group family's health series is one per group"
+        );
+        if let Some(slab) = family.source.slab() {
+            first[row] = lens[slab];
+            lens[slab] += family.width();
+        }
+        row += 1;
+    }
+    (first, lens)
+};
+
+/// Storage slabs, by position in the registry's layout.
+const COUNTERS: usize = 0;
+const GAUGES: usize = 1;
+const HISTOGRAMS: usize = 2;
+
+/// A handle on one series: its slot in the registry's `SLAB` slab.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot<const SLAB: usize>(usize);
+
+/// One counter series.
+pub type Counter = Slot<COUNTERS>;
+/// One integer gauge series.
+pub type Gauge = Slot<GAUGES>;
+/// One histogram series.
+pub type Hist = Slot<HISTOGRAMS>;
+
+impl<const SLAB: usize> Slot<SLAB> {
+    /// The `N` series of the family at `row`, in label-value order;
+    /// compilation fails unless the row lives in `SLAB` and has `N`
+    /// series.
+    const fn all<const N: usize>(row: usize) -> [Slot<SLAB>; N] {
+        let family = &FAMILIES[row];
+        assert!(matches!(family.source.slab(), Some(s) if s == SLAB), "wrong handle kind");
+        assert!(family.width() == N, "wrong series count");
+        let mut slots = [Slot(0); N];
+        let mut i = 0;
+        while i < N {
+            slots[i] = Slot(LAYOUT.0[row] + i);
+            i += 1;
+        }
+        slots
+    }
+
+    /// The one series of the unlabelled family at `row`.
+    const fn one(row: usize) -> Slot<SLAB> {
+        Slot::all::<1>(row)[0]
+    }
+
+    /// Series `i` of the family at `row`, which lives in `SLAB`.
+    pub(crate) fn nth(row: usize, i: usize) -> Slot<SLAB> {
+        debug_assert!(FAMILIES[row].source.slab() == Some(SLAB) && i < FAMILIES[row].width());
+        Slot(LAYOUT.0[row] + i)
+    }
+}
+
+// Handles of the slot-backed families, named after them. A labelled
+// family's array is indexed by `label as usize`, the lifecycle
+// transitions' by position in `TRANSITIONS`.
+pub const REQUESTS: [Counter; 13] = Slot::all(1);
+pub const ERRORS: [Counter; 13] = Slot::all(2);
+pub const IN_FLIGHT: Gauge = Slot::one(3);
+pub const POOL_QUEUE_DEPTH: Gauge = Slot::one(4);
+pub const SHED: Counter = Slot::one(5);
+pub const LATENCY: Hist = Slot::one(6);
+pub const ADVISE_STAGES: [Hist; 4] = Slot::all(7);
+pub const CACHE_HITS: Counter = Slot::one(8);
+pub const CACHE_MISSES: Counter = Slot::one(9);
+pub const CACHE_ENTRIES: Gauge = Slot::one(10);
+pub const DEADLINE_EXCEEDED: [Counter; 3] = Slot::all(11);
+pub const RELOAD_FAILURES: Counter = Slot::one(13);
+pub const STALE_SERVED: Counter = Slot::one(14);
+pub const FAULTS_INJECTED: [Counter; 5] = Slot::all(15);
+pub const OBSERVATIONS: [Counter; 2] = Slot::all(16);
+pub const LIFECYCLE_TRANSITIONS: [Counter; TRANSITIONS.len()] = Slot::all(26);
+pub const LIFECYCLE_QUEUE_DEPTH: Gauge = Slot::one(27);
+pub const LIFECYCLE_FIT_DURATION: Hist = Slot::one(28);
+pub const LIFECYCLE_PROMOTIONS: [Counter; 4] = Slot::all(29);
+pub const CONNECTIONS_OPEN: Gauge = Slot::one(30);
+pub const KEEPALIVE_REUSES: Counter = Slot::one(31);
+pub const REQUEST_STAGES: [Hist; 5] = Slot::all(32);
+pub const LOOP_ITERATION: Hist = Slot::one(33);
+pub const EVENTS_PER_WAKE: Hist = Slot::one(34);
+pub const READ_PAUSED: Gauge = Slot::one(35);
+pub const WRITE_STALLED: Gauge = Slot::one(36);
+pub const ALERT_TRANSITIONS: [Counter; 4] = Slot::all(37);
+pub const ALERTS_FIRING: Gauge = Slot::one(38);
+pub const ALERTS_PENDING: Gauge = Slot::one(39);
+pub const SLO_EVALUATIONS: Counter = Slot::one(40);
+pub const SLO_BREACHING: Gauge = Slot::one(41);
+pub const SLO_SCRAPES: Counter = Slot::one(42);
 
 /// Stripes per [`ShardedCounter`]. Power of two so the per-thread pick
 /// is a mask.
@@ -381,8 +639,8 @@ struct ShardedCounter {
 
 impl ShardedCounter {
     #[inline]
-    fn inc(&self) {
-        self.stripes[counter_stripe()].0.fetch_add(1, Ordering::Relaxed);
+    fn add(&self, n: u64) {
+        self.stripes[counter_stripe()].0.fetch_add(n, Ordering::Relaxed);
     }
 
     fn load(&self) -> u64 {
@@ -390,37 +648,46 @@ impl ShardedCounter {
     }
 }
 
-#[derive(Default)]
-struct RouteStats {
-    requests: ShardedCounter,
-    errors: ShardedCounter,
-}
+/// Preformatted sample-line prefixes of one family's fixed series —
+/// everything up to the value, built once per process so a scrape only
+/// formats the numbers. A histogram series takes [`HIST_LINES`] of them:
+/// its buckets (`+Inf` last), `_sum`, `_count`.
+struct RenderSlab(Vec<String>);
 
-/// Preformatted line prefixes for one histogram's fixed series names —
-/// everything up to the sample value, built once per process so a scrape
-/// only formats the integers.
-struct RenderSlab {
-    /// `name_bucket{extra,le="…"} ` for each bucket, `+Inf` last.
-    bucket_prefixes: Vec<String>,
-    /// `name_sum ` / `name_sum{labels} `.
-    sum_prefix: String,
-    /// `name_count ` / `name_count{labels} `.
-    count_prefix: String,
-}
+/// Sample lines per histogram series.
+const HIST_LINES: usize = BOUNDS + 3;
 
 impl RenderSlab {
-    fn build<B: std::fmt::Display>(name: &str, extra: &str, bounds: &[B]) -> RenderSlab {
-        let mut bucket_prefixes: Vec<String> =
-            bounds.iter().map(|le| format!("{name}_bucket{{{extra}le=\"{le}\"}} ")).collect();
-        bucket_prefixes.push(format!("{name}_bucket{{{extra}le=\"+Inf\"}} "));
-        let (sum_prefix, count_prefix) = if extra.is_empty() {
-            (format!("{name}_sum "), format!("{name}_count "))
-        } else {
-            let labels = extra.trim_end_matches(',');
-            (format!("{name}_sum{{{labels}}} "), format!("{name}_count{{{labels}}} "))
+    fn build(family: &Family) -> RenderSlab {
+        let mut lines = Vec::new();
+        if family.source.group_keys() > 0 {
+            return RenderSlab(lines); // group series are labelled at render time
+        }
+        let name = family.name;
+        let prefix = |suffix: &str, labels: &str| match labels {
+            "" => format!("{name}{suffix} "),
+            labels => format!("{name}{suffix}{{{labels}}} "),
         };
-        RenderSlab { bucket_prefixes, sum_prefix, count_prefix }
+        for i in 0..family.width() {
+            let labels = family.series_labels(i);
+            let Source::Histograms(buckets) = family.source else {
+                lines.push(prefix("", &labels));
+                continue;
+            };
+            let extra = if labels.is_empty() { String::new() } else { format!("{labels},") };
+            let les = buckets.bounds.iter().map(f64::to_string).chain(["+Inf".to_string()]);
+            lines.extend(les.map(|le| format!("{name}_bucket{{{extra}le=\"{le}\"}} ")));
+            lines.push(prefix("_sum", &labels));
+            lines.push(prefix("_count", &labels));
+        }
+        RenderSlab(lines)
     }
+}
+
+/// Push one sample line: its preformatted prefix, then the value.
+fn push_sample(out: &mut String, prefix: &str, value: impl Display) {
+    out.push_str(prefix);
+    let _ = writeln!(out, "{value}");
 }
 
 /// Render the cumulative bucket lines and return their total, which the
@@ -428,82 +695,48 @@ impl RenderSlab {
 /// sum → count, so a separately loaded `count` can run ahead of the
 /// buckets read a moment earlier and print a `+Inf` bucket below
 /// `_count`; the total read in this one pass always equals `+Inf`.
-fn render_buckets(out: &mut String, buckets: &[AtomicU64; 11], slab: &RenderSlab) -> u64 {
+fn render_buckets(out: &mut String, buckets: &[AtomicU64; BOUNDS + 1], prefixes: &[String]) -> u64 {
     let mut cumulative = 0u64;
-    for (bucket, prefix) in buckets.iter().zip(&slab.bucket_prefixes) {
+    for (bucket, prefix) in buckets.iter().zip(prefixes) {
         cumulative += bucket.load(Ordering::Relaxed);
-        out.push_str(prefix);
-        let _ = writeln!(out, "{cumulative}");
+        push_sample(out, prefix, cumulative);
     }
     cumulative
 }
 
-/// Cumulative bucket counts (+ overflow) with sum and count — one
-/// Prometheus histogram series set.
-#[derive(Default)]
+/// One histogram series: per-bucket counts (overflow last), the sum in
+/// its family's stored unit, and the observation count.
 struct Histogram {
-    buckets: [AtomicU64; 11],
-    sum_micros: AtomicU64,
+    scale: &'static Buckets,
+    buckets: [AtomicU64; BOUNDS + 1],
+    sum: AtomicU64,
     count: AtomicU64,
-    /// Built on first render; each histogram instance renders under one
-    /// fixed `(name, extra)` pair.
-    slab: OnceLock<RenderSlab>,
 }
 
 impl Histogram {
-    fn observe(&self, elapsed: Duration) {
-        let secs = elapsed.as_secs_f64();
-        let bucket = BUCKETS.iter().position(|&b| secs <= b).unwrap_or(BUCKETS.len());
+    fn new(scale: &'static Buckets) -> Histogram {
+        Histogram {
+            scale,
+            buckets: Default::default(),
+            sum: AtomicU64::new(0),
+            count: AtomicU64::new(0),
+        }
+    }
+
+    /// Count `x` (in bucket units) and add `sum` (in stored units).
+    fn observe(&self, x: f64, sum: u64) {
+        let bucket = self.scale.bounds.iter().position(|&b| x <= b).unwrap_or(BOUNDS);
         self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.sum_micros.fetch_add(elapsed.as_micros() as u64, Ordering::Relaxed);
+        self.sum.fetch_add(sum, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Render `name{extra_labels,le="…"} …` bucket lines plus sum and
-    /// count. `extra` is either empty or `label="value",` (trailing
-    /// comma included).
-    fn render(&self, out: &mut String, name: &str, extra: &str) {
-        let slab = self.slab.get_or_init(|| RenderSlab::build(name, extra, &BUCKETS));
-        let count = render_buckets(out, &self.buckets, slab);
-        let sum = self.sum_micros.load(Ordering::Relaxed) as f64 / 1e6;
-        out.push_str(&slab.sum_prefix);
-        let _ = writeln!(out, "{sum}");
-        out.push_str(&slab.count_prefix);
-        let _ = writeln!(out, "{count}");
-    }
-}
-
-/// Bucket upper bounds for `chemcost_event_loop_events_per_wake`:
-/// powers of two.
-const SIZE_BUCKETS: [u64; 10] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512];
-
-/// A histogram over discrete sizes (row counts), same Prometheus shape
-/// as [`Histogram`] but with integer bucket bounds and a plain sum.
-#[derive(Default)]
-struct SizeHistogram {
-    buckets: [AtomicU64; 11],
-    sum: AtomicU64,
-    count: AtomicU64,
-    /// Built on first render; see [`Histogram::slab`].
-    slab: OnceLock<RenderSlab>,
-}
-
-impl SizeHistogram {
-    fn observe(&self, n: usize) {
-        let n = n as u64;
-        let bucket = SIZE_BUCKETS.iter().position(|&b| n <= b).unwrap_or(SIZE_BUCKETS.len());
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn render(&self, out: &mut String, name: &str) {
-        let slab = self.slab.get_or_init(|| RenderSlab::build(name, "", &SIZE_BUCKETS));
-        let count = render_buckets(out, &self.buckets, slab);
-        out.push_str(&slab.sum_prefix);
-        let _ = writeln!(out, "{}", self.sum.load(Ordering::Relaxed));
-        out.push_str(&slab.count_prefix);
-        let _ = writeln!(out, "{count}");
+    /// Bucket lines, then `_sum` and `_count`, from `HIST_LINES` prefixes.
+    fn render(&self, out: &mut String, prefixes: &[String]) {
+        let count = render_buckets(out, &self.buckets, prefixes);
+        let sum = self.sum.load(Ordering::Relaxed) as f64 / self.scale.sum_scale;
+        push_sample(out, &prefixes[BOUNDS + 1], sum);
+        push_sample(out, &prefixes[BOUNDS + 2], count);
     }
 }
 
@@ -587,47 +820,12 @@ pub struct LifecycleEntry {
     pub state: LifecycleState,
 }
 
-/// Shared, thread-safe service metrics.
+/// Shared, thread-safe service metrics: one storage slab per slot-backed
+/// source, laid out by [`FAMILIES`].
 pub struct Metrics {
-    routes: [RouteStats; 13],
-    /// Whole-request handling latency.
-    latency: Histogram,
-    /// Per-stage request-timeline latency, indexed by [`RequestStage`].
-    request_stages: [Histogram; 5],
-    /// Event-loop iteration duration (one epoll wake's processing).
-    loop_iteration: Histogram,
-    /// Readiness events delivered per epoll wake.
-    loop_events_per_wake: SizeHistogram,
-    /// Connections whose reads are paused by backpressure (gauge).
-    read_paused: AtomicI64,
-    /// Connections with unsent response bytes after a flush (gauge).
-    write_stalled: AtomicI64,
-    /// Per-stage `/v1/advise` latency, indexed by [`AdviseStage`].
-    advise_stages: [Histogram; 4],
-    /// `/v1/advise` answers served from the recommendation cache.
-    cache_hits: ShardedCounter,
-    /// `/v1/advise` answers that had to run the sweep.
-    cache_misses: ShardedCounter,
-    /// Current number of cached advise answers (gauge).
-    cache_entries: AtomicU64,
-    /// Requests currently being handled (gauge).
-    in_flight: AtomicI64,
-    /// Connections queued in the worker pool, not yet picked up (gauge).
-    pool_queue_depth: AtomicI64,
-    /// Connections shed with 503 because the pool queue was full.
-    shed: AtomicU64,
-    /// Requests answered 504, per [`DeadlineStage`].
-    deadline_exceeded: [AtomicU64; 3],
-    /// Failed model reloads (the last-good model kept serving).
-    reload_failures: AtomicU64,
-    /// Advise answers served from an older model version under overload.
-    stale_served: AtomicU64,
-    /// Injected faults, per [`FaultKind`].
-    faults_injected: [AtomicU64; 5],
-    /// `/v1/observe` reports accepted into the quality stats.
-    quality_accepted: AtomicU64,
-    /// `/v1/observe` reports rejected (4xx) without touching the stats.
-    quality_rejected: AtomicU64,
+    counters: [ShardedCounter; LAYOUT.1[COUNTERS]],
+    gauges: [AtomicI64; LAYOUT.1[GAUGES]],
+    histograms: [Histogram; LAYOUT.1[HISTOGRAMS]],
     /// Per-`(model, version, machine)` quality gauges, upserted by the
     /// quality hub. A `Vec` behind a lock, not atomics: the label set is
     /// dynamic (it follows the model registry) but tiny and updated only
@@ -636,19 +834,6 @@ pub struct Metrics {
     /// Per-`(model, machine)` lifecycle state gauge, upserted by the
     /// lifecycle hub through the [`LifecycleObserver`] bridge.
     lifecycle: parking_lot::RwLock<Vec<LifecycleEntry>>,
-    /// Valid lifecycle transitions taken, indexed by position in
-    /// [`chemcost_lifecycle::TRANSITIONS`].
-    lifecycle_transitions: [AtomicU64; 13],
-    /// Retrain jobs waiting in the trainer queue (gauge).
-    lifecycle_queue_depth: AtomicI64,
-    /// Candidate fit wall time (success or failure).
-    lifecycle_fit_duration: Histogram,
-    /// Promotion decisions, indexed by [`PromotionOutcome::ALL`] position.
-    lifecycle_promotions: [AtomicU64; 4],
-    /// Open client connections in the event loop (gauge).
-    connections_open: AtomicI64,
-    /// Requests served on a reused (non-first) keep-alive exchange.
-    keepalive_reuses: ShardedCounter,
     /// Monotonic clock anchor for the two timestamps below.
     start: Instant,
     /// Micros-since-`start` + 1 of the moment the serving model went
@@ -656,61 +841,28 @@ pub struct Metrics {
     stale_since: AtomicU64,
     /// Micros-since-`start` + 1 of the most recent shed; 0 = never.
     last_shed: AtomicU64,
-    /// Alert transitions by destination state, indexed ok/pending/
-    /// firing/resolved (health plane).
-    alert_transitions: [AtomicU64; 4],
-    /// SLOs whose alert is currently firing (gauge).
-    alerts_firing: AtomicI64,
-    /// SLOs whose alert is currently pending (gauge).
-    alerts_pending: AtomicI64,
-    /// SLO evaluations run by the health sampler.
-    slo_evaluations: AtomicU64,
-    /// SLOs breaching on their latest evaluation (gauge).
-    slo_breaching: AtomicI64,
-    /// Self-scrape samples taken by the health sampler.
-    slo_scrapes: AtomicU64,
+    /// Sample-line prefixes per family, built on first render.
+    slabs: OnceLock<Vec<RenderSlab>>,
 }
 
 impl Default for Metrics {
     fn default() -> Metrics {
+        let mut scales = FAMILIES.iter().flat_map(|f| match f.source {
+            Source::Histograms(buckets) => vec![buckets; f.width()],
+            _ => Vec::new(),
+        });
         Metrics {
-            routes: Default::default(),
-            latency: Histogram::default(),
-            request_stages: Default::default(),
-            loop_iteration: Histogram::default(),
-            loop_events_per_wake: SizeHistogram::default(),
-            read_paused: AtomicI64::new(0),
-            write_stalled: AtomicI64::new(0),
-            advise_stages: Default::default(),
-            cache_hits: ShardedCounter::default(),
-            cache_misses: ShardedCounter::default(),
-            cache_entries: AtomicU64::new(0),
-            in_flight: AtomicI64::new(0),
-            pool_queue_depth: AtomicI64::new(0),
-            shed: AtomicU64::new(0),
-            deadline_exceeded: Default::default(),
-            reload_failures: AtomicU64::new(0),
-            stale_served: AtomicU64::new(0),
-            faults_injected: Default::default(),
-            quality_accepted: AtomicU64::new(0),
-            quality_rejected: AtomicU64::new(0),
+            counters: std::array::from_fn(|_| ShardedCounter::default()),
+            gauges: std::array::from_fn(|_| AtomicI64::new(0)),
+            histograms: std::array::from_fn(|_| {
+                Histogram::new(scales.next().expect("one scale per histogram slot"))
+            }),
             quality: parking_lot::RwLock::new(Vec::new()),
             lifecycle: parking_lot::RwLock::new(Vec::new()),
-            lifecycle_transitions: Default::default(),
-            lifecycle_queue_depth: AtomicI64::new(0),
-            lifecycle_fit_duration: Histogram::default(),
-            lifecycle_promotions: Default::default(),
-            connections_open: AtomicI64::new(0),
-            keepalive_reuses: ShardedCounter::default(),
             start: Instant::now(),
             stale_since: AtomicU64::new(0),
             last_shed: AtomicU64::new(0),
-            alert_transitions: Default::default(),
-            alerts_firing: AtomicI64::new(0),
-            alerts_pending: AtomicI64::new(0),
-            slo_evaluations: AtomicU64::new(0),
-            slo_breaching: AtomicI64::new(0),
-            slo_scrapes: AtomicU64::new(0),
+            slabs: OnceLock::new(),
         }
     }
 }
@@ -730,12 +882,11 @@ impl Metrics {
     /// Record one request: its route, whether the response was an error
     /// (HTTP status >= 400), and how long handling took.
     pub fn record(&self, route: Route, is_error: bool, elapsed: Duration) {
-        let stats = &self.routes[route.index()];
-        stats.requests.inc();
+        self.inc(REQUESTS[route as usize]);
         if is_error {
-            stats.errors.inc();
+            self.inc(ERRORS[route as usize]);
         }
-        self.latency.observe(elapsed);
+        self.observe(LATENCY, elapsed);
     }
 
     /// Account one connection shed with 503 before it reached the
@@ -743,16 +894,10 @@ impl Metrics {
     /// the dedicated shed counter. Shed connections never produce a
     /// latency observation — they were refused, not handled.
     pub fn record_shed(&self) {
-        let stats = &self.routes[Route::Other.index()];
-        stats.requests.inc();
-        stats.errors.inc();
-        self.shed.fetch_add(1, Ordering::Relaxed);
+        self.inc(REQUESTS[Route::Other as usize]);
+        self.inc(ERRORS[Route::Other as usize]);
+        self.inc(SHED);
         self.last_shed.store(self.now_stamp(), Ordering::Relaxed);
-    }
-
-    /// Connections shed so far.
-    pub fn shed_total(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
     }
 
     /// Did a shed happen within the last `window`? This is the overload
@@ -766,42 +911,16 @@ impl Metrics {
         }
     }
 
-    /// Record one 504: the request's budget ran out at `stage`.
-    pub fn record_deadline_exceeded(&self, stage: DeadlineStage) {
-        self.deadline_exceeded[stage.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Deadline overruns recorded at one stage.
-    pub fn deadline_exceeded(&self, stage: DeadlineStage) -> u64 {
-        self.deadline_exceeded[stage.index()].load(Ordering::Relaxed)
-    }
-
-    /// Record one fault injection (mirrored here by the bound
-    /// [`crate::fault::FaultPlane`]).
-    pub fn record_fault(&self, kind: FaultKind) {
-        self.faults_injected[kind.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Injections recorded for one fault kind.
-    pub fn faults_injected(&self, kind: FaultKind) -> u64 {
-        self.faults_injected[kind.index()].load(Ordering::Relaxed)
-    }
-
     /// Record a failed model reload and start the staleness clock (if
     /// it is not already running).
     pub fn record_reload_failure(&self) {
-        self.reload_failures.fetch_add(1, Ordering::Relaxed);
+        self.inc(RELOAD_FAILURES);
         let _ = self.stale_since.compare_exchange(
             0,
             self.now_stamp(),
             Ordering::Relaxed,
             Ordering::Relaxed,
         );
-    }
-
-    /// Failed reloads so far.
-    pub fn reload_failures(&self) -> u64 {
-        self.reload_failures.load(Ordering::Relaxed)
     }
 
     /// A reload succeeded: the serving model is fresh again.
@@ -818,24 +937,63 @@ impl Metrics {
         }
     }
 
-    /// Record the outcome of one `/v1/observe` report: accepted into
-    /// the rolling stats, or rejected with a structured 4xx.
-    pub fn record_quality_observation(&self, accepted: bool) {
-        if accepted {
-            self.quality_accepted.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.quality_rejected.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Add one to a counter.
+    #[inline]
+    pub fn inc(&self, counter: Counter) {
+        self.add(counter, 1);
     }
 
-    /// `/v1/observe` reports accepted so far.
-    pub fn quality_accepted(&self) -> u64 {
-        self.quality_accepted.load(Ordering::Relaxed)
+    /// Add `n` to a counter.
+    #[inline]
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter.0].add(n);
     }
 
-    /// `/v1/observe` reports rejected so far.
-    pub fn quality_rejected(&self) -> u64 {
-        self.quality_rejected.load(Ordering::Relaxed)
+    /// A counter's current total.
+    pub fn count(&self, counter: Counter) -> u64 {
+        self.counters[counter.0].load()
+    }
+
+    /// Move a gauge by `delta` (+1 on enter, −1 on leave).
+    #[inline]
+    pub fn gauge_add(&self, gauge: Gauge, delta: i64) {
+        self.gauges[gauge.0].fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// Set a gauge.
+    pub fn gauge_set(&self, gauge: Gauge, value: usize) {
+        self.gauges[gauge.0].store(value as i64, Ordering::Relaxed);
+    }
+
+    /// A gauge's current value, clamped at 0 (concurrent adds can
+    /// transiently observe a negative value).
+    pub fn gauge(&self, gauge: Gauge) -> u64 {
+        self.gauges[gauge.0].load(Ordering::Relaxed).max(0) as u64
+    }
+
+    /// Record one duration into a seconds histogram.
+    #[inline]
+    pub fn observe(&self, hist: Hist, elapsed: Duration) {
+        self.histograms[hist.0].observe(elapsed.as_secs_f64(), elapsed.as_micros() as u64);
+    }
+
+    /// Record one size into a count histogram.
+    pub fn observe_count(&self, hist: Hist, n: usize) {
+        self.histograms[hist.0].observe(n as f64, n as u64);
+    }
+
+    /// Snapshot one histogram as `(buckets, sum, count)`, the sum in
+    /// stored units (microseconds for durations). The count is read
+    /// *first*: `observe` bumps bucket → sum → count, so reading in the
+    /// opposite order guarantees `sum(buckets) >= count` — a snapshot can
+    /// under-report the very newest observation but never tear a
+    /// bucket/count pair.
+    pub fn snapshot(&self, hist: Hist) -> ([u64; BOUNDS + 1], u64, u64) {
+        let h = &self.histograms[hist.0];
+        let count = h.count.load(Ordering::Acquire);
+        let sum = h.sum.load(Ordering::Acquire);
+        let buckets = std::array::from_fn(|i| h.buckets[i].load(Ordering::Acquire));
+        (buckets, sum, count)
     }
 
     /// Upsert the quality gauges for one `(model, version, machine)`
@@ -864,8 +1022,8 @@ impl Metrics {
     }
 
     /// Upsert the lifecycle state gauge for one `(model, machine)` group.
-    /// Registering every group as `Idle` at startup is what makes
-    /// `chemcost_lifecycle_state` appear on the very first scrape.
+    /// Registering every group as `Idle` at startup is what makes the
+    /// lifecycle state family appear on the very first scrape.
     pub fn set_lifecycle_state(&self, model: &str, machine: &str, state: LifecycleState) {
         let mut groups = self.lifecycle.write();
         match groups.iter_mut().find(|e| e.model == model && e.machine == machine) {
@@ -883,670 +1041,70 @@ impl Metrics {
         self.lifecycle.read().clone()
     }
 
-    /// Count one valid lifecycle transition. Pairs outside the enumerated
-    /// [`TRANSITIONS`] table are ignored (the hub never emits them).
-    pub fn record_lifecycle_transition(&self, from: LifecycleState, to: LifecycleState) {
-        if let Some(i) = TRANSITIONS.iter().position(|&(f, t)| f == from && t == to) {
-            self.lifecycle_transitions[i].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Transitions counted for one `(from, to)` pair.
-    pub fn lifecycle_transitions(&self, from: LifecycleState, to: LifecycleState) -> u64 {
-        TRANSITIONS
-            .iter()
-            .position(|&(f, t)| f == from && t == to)
-            .map_or(0, |i| self.lifecycle_transitions[i].load(Ordering::Relaxed))
-    }
-
-    /// Update the trainer-queue depth gauge.
-    pub fn set_lifecycle_queue_depth(&self, depth: usize) {
-        self.lifecycle_queue_depth.store(depth as i64, Ordering::Relaxed);
-    }
-
-    /// Retrain jobs waiting in the trainer queue right now.
-    pub fn lifecycle_queue_depth(&self) -> u64 {
-        self.lifecycle_queue_depth.load(Ordering::Relaxed).max(0) as u64
-    }
-
-    /// Record one candidate fit's wall time (success or failure).
-    pub fn record_lifecycle_fit_duration(&self, elapsed: Duration) {
-        self.lifecycle_fit_duration.observe(elapsed);
-    }
-
-    /// Candidate fits recorded so far.
-    pub fn lifecycle_fits(&self) -> u64 {
-        self.lifecycle_fit_duration.count.load(Ordering::Relaxed)
-    }
-
-    /// Count one promotion decision.
-    pub fn record_lifecycle_promotion(&self, outcome: PromotionOutcome) {
-        let i = PromotionOutcome::ALL.iter().position(|&o| o == outcome).expect("outcome in ALL");
-        self.lifecycle_promotions[i].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Promotion decisions counted for one outcome.
-    pub fn lifecycle_promotions(&self, outcome: PromotionOutcome) -> u64 {
-        let i = PromotionOutcome::ALL.iter().position(|&o| o == outcome).expect("outcome in ALL");
-        self.lifecycle_promotions[i].load(Ordering::Relaxed)
-    }
-
-    /// Record an advise answer served from an older model version.
-    pub fn record_stale_served(&self) {
-        self.stale_served.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Stale advise answers served so far.
-    pub fn stale_served(&self) -> u64 {
-        self.stale_served.load(Ordering::Relaxed)
-    }
-
-    /// Record one `/v1/advise` stage duration.
-    pub fn record_advise_stage(&self, stage: AdviseStage, elapsed: Duration) {
-        self.advise_stages[stage.index()].observe(elapsed);
-    }
-
-    /// Observations recorded for one advise stage.
-    pub fn advise_stage_count(&self, stage: AdviseStage) -> u64 {
-        self.advise_stages[stage.index()].count.load(Ordering::Relaxed)
-    }
-
-    /// Mean recorded duration for one advise stage, in seconds (NaN when
-    /// the stage has no observations). Used by the promotion-safety tests
-    /// to bound the shadow stage's overhead against the full pipeline.
-    pub fn advise_stage_mean_seconds(&self, stage: AdviseStage) -> f64 {
-        let h = &self.advise_stages[stage.index()];
-        let n = h.count.load(Ordering::Relaxed);
-        if n == 0 {
-            return f64::NAN;
-        }
-        h.sum_micros.load(Ordering::Relaxed) as f64 / 1e6 / n as f64
-    }
-
-    /// A request entered the router.
-    pub fn inc_in_flight(&self) {
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A request left the router.
-    pub fn dec_in_flight(&self) {
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Requests currently in flight (clamped at 0 — concurrent inc/dec
-    /// can transiently observe a negative value).
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::Relaxed).max(0) as u64
-    }
-
-    /// A connection was queued for the worker pool.
-    pub fn pool_enqueued(&self) {
-        self.pool_queue_depth.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A queued connection was picked up by a worker (or bounced back
-    /// on a full queue).
-    pub fn pool_dequeued(&self) {
-        self.pool_queue_depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Connections waiting in the pool queue right now (clamped at 0).
-    pub fn pool_queue_depth(&self) -> u64 {
-        self.pool_queue_depth.load(Ordering::Relaxed).max(0) as u64
-    }
-
-    /// Total requests recorded for a route.
-    pub fn requests(&self, route: Route) -> u64 {
-        self.routes[route.index()].requests.load()
-    }
-
-    /// Total error responses recorded for a route.
-    pub fn errors(&self, route: Route) -> u64 {
-        self.routes[route.index()].errors.load()
-    }
-
-    /// A client connection was accepted by the event loop.
-    pub fn inc_connections_open(&self) {
-        self.connections_open.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A client connection was closed (either side).
-    pub fn dec_connections_open(&self) {
-        self.connections_open.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Client connections open right now (clamped at 0).
-    pub fn connections_open(&self) -> u64 {
-        self.connections_open.load(Ordering::Relaxed).max(0) as u64
-    }
-
-    /// Record a request served on a reused keep-alive exchange (any
-    /// request after the first on one connection).
-    pub fn record_keepalive_reuse(&self) {
-        self.keepalive_reuses.inc();
-    }
-
-    /// Keep-alive reuses so far.
-    pub fn keepalive_reuses(&self) -> u64 {
-        self.keepalive_reuses.load()
-    }
-
-    /// Record one stage of a completed request timeline.
-    pub fn record_request_stage(&self, stage: RequestStage, elapsed: Duration) {
-        self.request_stages[stage.index()].observe(elapsed);
-    }
-
-    /// Observations recorded for one request-timeline stage.
-    pub fn request_stage_count(&self, stage: RequestStage) -> u64 {
-        self.request_stages[stage.index()].count.load(Ordering::Relaxed)
-    }
-
-    /// Seconds recorded for one request-timeline stage, summed.
-    pub fn request_stage_sum_seconds(&self, stage: RequestStage) -> f64 {
-        self.request_stages[stage.index()].sum_micros.load(Ordering::Relaxed) as f64 / 1e6
-    }
-
-    /// Record one event-loop pass: how long processing one epoll wake
-    /// took and how many readiness events it delivered.
-    pub fn record_loop_iteration(&self, elapsed: Duration, events: usize) {
-        self.loop_iteration.observe(elapsed);
-        self.loop_events_per_wake.observe(events);
-    }
-
-    /// Event-loop iterations recorded so far.
-    pub fn loop_iterations(&self) -> u64 {
-        self.loop_iteration.count.load(Ordering::Relaxed)
-    }
-
-    /// A connection's reads were paused by backpressure (pipeline cap or
-    /// write high-water mark).
-    pub fn inc_read_paused(&self) {
-        self.read_paused.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A read-paused connection resumed (or closed).
-    pub fn dec_read_paused(&self) {
-        self.read_paused.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Connections currently read-paused (clamped at 0).
-    pub fn read_paused(&self) -> u64 {
-        self.read_paused.load(Ordering::Relaxed).max(0) as u64
-    }
-
-    /// A connection was left with unsent response bytes after a flush
-    /// (the socket would block — a slow or stalled consumer).
-    pub fn inc_write_stalled(&self) {
-        self.write_stalled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A write-stalled connection drained (or closed).
-    pub fn dec_write_stalled(&self) {
-        self.write_stalled.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Connections currently write-stalled (clamped at 0).
-    pub fn write_stalled(&self) -> u64 {
-        self.write_stalled.load(Ordering::Relaxed).max(0) as u64
-    }
-
-    /// Record an advise-cache hit.
-    pub fn record_cache_hit(&self) {
-        self.cache_hits.inc();
-    }
-
-    /// Record an advise-cache miss.
-    pub fn record_cache_miss(&self) {
-        self.cache_misses.inc();
-    }
-
-    /// Update the advise-cache size gauge.
-    pub fn set_cache_entries(&self, n: usize) {
-        self.cache_entries.store(n as u64, Ordering::Relaxed);
-    }
-
-    /// Advise-cache hits so far.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load()
-    }
-
-    /// Advise-cache misses so far.
-    pub fn cache_misses(&self) -> u64 {
-        self.cache_misses.load()
-    }
-
-    /// Cached advise answers right now.
-    pub fn cache_entries(&self) -> u64 {
-        self.cache_entries.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot one histogram as `(buckets, sum_micros, count)`. The
-    /// count is read *first*: `observe` bumps bucket → sum → count, so
-    /// reading in the opposite order guarantees
-    /// `sum(buckets) >= count` — a snapshot can under-report the very
-    /// newest observation but never tear a bucket/count pair.
-    fn snapshot_histogram(h: &Histogram) -> ([u64; 11], u64, u64) {
-        let count = h.count.load(Ordering::Acquire);
-        let sum_micros = h.sum_micros.load(Ordering::Acquire);
-        let mut buckets = [0u64; 11];
-        for (b, a) in buckets.iter_mut().zip(&h.buckets) {
-            *b = a.load(Ordering::Acquire);
-        }
-        (buckets, sum_micros, count)
-    }
-
-    /// Histogram bucket upper bounds shared by every latency histogram
-    /// (seconds; the 11th bucket is `+Inf`).
-    pub fn histogram_bounds() -> &'static [f64] {
-        &BUCKETS
-    }
-
-    /// Torn-pair-free snapshot of the whole-request latency histogram.
-    pub fn latency_snapshot(&self) -> ([u64; 11], u64, u64) {
-        Metrics::snapshot_histogram(&self.latency)
-    }
-
-    /// Torn-pair-free snapshot of one advise-stage histogram.
-    pub fn advise_stage_snapshot(&self, stage: AdviseStage) -> ([u64; 11], u64, u64) {
-        Metrics::snapshot_histogram(&self.advise_stages[stage.index()])
-    }
-
-    /// Torn-pair-free snapshot of one request-timeline stage histogram.
-    pub fn request_stage_snapshot(&self, stage: RequestStage) -> ([u64; 11], u64, u64) {
-        Metrics::snapshot_histogram(&self.request_stages[stage.index()])
-    }
-
-    /// Count one alert transition by destination-state label
-    /// ("ok"/"pending"/"firing"/"resolved"); anything else is ignored
-    /// so the label set stays pre-registered.
-    pub fn record_alert_transition(&self, to: &str) {
-        let i = match to {
-            "ok" => 0,
-            "pending" => 1,
-            "firing" => 2,
-            "resolved" => 3,
-            _ => return,
-        };
-        self.alert_transitions[i].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Alert transitions counted into one destination state.
-    pub fn alert_transitions(&self, to: &str) -> u64 {
-        match to {
-            "ok" => self.alert_transitions[0].load(Ordering::Relaxed),
-            "pending" => self.alert_transitions[1].load(Ordering::Relaxed),
-            "firing" => self.alert_transitions[2].load(Ordering::Relaxed),
-            "resolved" => self.alert_transitions[3].load(Ordering::Relaxed),
-            _ => 0,
-        }
-    }
-
-    /// Update the firing/pending alert gauges after an evaluation pass.
-    pub fn set_alert_gauges(&self, firing: usize, pending: usize) {
-        self.alerts_firing.store(firing as i64, Ordering::Relaxed);
-        self.alerts_pending.store(pending as i64, Ordering::Relaxed);
-    }
-
-    /// SLO alerts currently firing.
-    pub fn alerts_firing(&self) -> u64 {
-        self.alerts_firing.load(Ordering::Relaxed).max(0) as u64
-    }
-
-    /// SLO alerts currently pending.
-    pub fn alerts_pending(&self) -> u64 {
-        self.alerts_pending.load(Ordering::Relaxed).max(0) as u64
-    }
-
-    /// Account one health-sampler pass: `evaluations` SLO evaluations
-    /// ran, `breaching` of them found both burn windows over threshold.
-    pub fn record_slo_scrape(&self, evaluations: u64, breaching: usize) {
-        self.slo_scrapes.fetch_add(1, Ordering::Relaxed);
-        self.slo_evaluations.fetch_add(evaluations, Ordering::Relaxed);
-        self.slo_breaching.store(breaching as i64, Ordering::Relaxed);
-    }
-
-    /// Self-scrape samples taken so far.
-    pub fn slo_scrapes(&self) -> u64 {
-        self.slo_scrapes.load(Ordering::Relaxed)
-    }
-
-    /// SLO evaluations run so far.
-    pub fn slo_evaluations(&self) -> u64 {
-        self.slo_evaluations.load(Ordering::Relaxed)
-    }
-
-    /// SLOs breaching on the latest evaluation.
-    pub fn slo_breaching(&self) -> u64 {
-        self.slo_breaching.load(Ordering::Relaxed).max(0) as u64
-    }
-
-    /// Render the Prometheus text exposition.
+    /// Render the Prometheus text exposition: every row of [`FAMILIES`],
+    /// in order.
     pub fn render(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("# HELP chemcost_build_info Build metadata; constant 1.\n");
-        out.push_str("# TYPE chemcost_build_info gauge\n");
-        out.push_str(&format!(
-            "chemcost_build_info{{version=\"{BUILD_VERSION}\",git_sha=\"{BUILD_GIT_SHA}\",dirty=\"{BUILD_DIRTY}\"}} 1\n"
-        ));
-        out.push_str("# HELP chemcost_requests_total Requests handled, by route.\n");
-        out.push_str("# TYPE chemcost_requests_total counter\n");
-        for route in Route::ALL {
-            let n = self.requests(route);
-            out.push_str(&format!("chemcost_requests_total{{route=\"{}\"}} {n}\n", route.label()));
-        }
-        out.push_str(
-            "# HELP chemcost_request_errors_total Error responses (status >= 400), by route.\n",
-        );
-        out.push_str("# TYPE chemcost_request_errors_total counter\n");
-        for route in Route::ALL {
-            let n = self.errors(route);
-            out.push_str(&format!(
-                "chemcost_request_errors_total{{route=\"{}\"}} {n}\n",
-                route.label()
-            ));
-        }
-        out.push_str("# HELP chemcost_requests_in_flight Requests currently being handled.\n");
-        out.push_str("# TYPE chemcost_requests_in_flight gauge\n");
-        out.push_str(&format!("chemcost_requests_in_flight {}\n", self.in_flight()));
-        out.push_str("# HELP chemcost_pool_queue_depth Connections queued for the worker pool.\n");
-        out.push_str("# TYPE chemcost_pool_queue_depth gauge\n");
-        out.push_str(&format!("chemcost_pool_queue_depth {}\n", self.pool_queue_depth()));
-        out.push_str(
-            "# HELP chemcost_requests_shed_total Connections answered 503 because the pool queue was full.\n",
-        );
-        out.push_str("# TYPE chemcost_requests_shed_total counter\n");
-        out.push_str(&format!("chemcost_requests_shed_total {}\n", self.shed_total()));
-        out.push_str("# HELP chemcost_request_duration_seconds Request handling latency.\n");
-        out.push_str("# TYPE chemcost_request_duration_seconds histogram\n");
-        self.latency.render(&mut out, "chemcost_request_duration_seconds", "");
-        out.push_str(
-            "# HELP chemcost_advise_stage_duration_seconds Advise pipeline latency, by stage (cache probe, model sweep, JSON encode).\n",
-        );
-        out.push_str("# TYPE chemcost_advise_stage_duration_seconds histogram\n");
-        for stage in AdviseStage::ALL {
-            self.advise_stages[stage.index()].render(
-                &mut out,
-                "chemcost_advise_stage_duration_seconds",
-                &format!("stage=\"{}\",", stage.label()),
-            );
-        }
-        out.push_str("# HELP chemcost_advise_cache_hits_total Advise answers served from cache.\n");
-        out.push_str("# TYPE chemcost_advise_cache_hits_total counter\n");
-        out.push_str(&format!("chemcost_advise_cache_hits_total {}\n", self.cache_hits()));
-        out.push_str(
-            "# HELP chemcost_advise_cache_misses_total Advise answers that ran the sweep.\n",
-        );
-        out.push_str("# TYPE chemcost_advise_cache_misses_total counter\n");
-        out.push_str(&format!("chemcost_advise_cache_misses_total {}\n", self.cache_misses()));
-        out.push_str("# HELP chemcost_advise_cache_entries Cached advise answers.\n");
-        out.push_str("# TYPE chemcost_advise_cache_entries gauge\n");
-        out.push_str(&format!(
-            "chemcost_advise_cache_entries {}\n",
-            self.cache_entries.load(Ordering::Relaxed)
-        ));
-        out.push_str(
-            "# HELP chemcost_deadline_exceeded_total Requests answered 504, by the stage where the budget ran out.\n",
-        );
-        out.push_str("# TYPE chemcost_deadline_exceeded_total counter\n");
-        for stage in DeadlineStage::ALL {
-            out.push_str(&format!(
-                "chemcost_deadline_exceeded_total{{stage=\"{}\"}} {}\n",
-                stage.label(),
-                self.deadline_exceeded(stage)
-            ));
-        }
-        out.push_str(
-            "# HELP chemcost_model_staleness_seconds Seconds since the serving model went stale (a reload failed); 0 when fresh.\n",
-        );
-        out.push_str("# TYPE chemcost_model_staleness_seconds gauge\n");
-        out.push_str(&format!(
-            "chemcost_model_staleness_seconds {}\n",
-            self.model_staleness_seconds()
-        ));
-        out.push_str(
-            "# HELP chemcost_model_reload_failures_total Failed model reloads (the last-good model kept serving).\n",
-        );
-        out.push_str("# TYPE chemcost_model_reload_failures_total counter\n");
-        out.push_str(&format!("chemcost_model_reload_failures_total {}\n", self.reload_failures()));
-        out.push_str(
-            "# HELP chemcost_advise_stale_served_total Advise answers replayed from an older model version under overload.\n",
-        );
-        out.push_str("# TYPE chemcost_advise_stale_served_total counter\n");
-        out.push_str(&format!("chemcost_advise_stale_served_total {}\n", self.stale_served()));
-        out.push_str(
-            "# HELP chemcost_faults_injected_total Faults injected by the chaos plane, by kind.\n",
-        );
-        out.push_str("# TYPE chemcost_faults_injected_total counter\n");
-        for kind in FaultKind::ALL {
-            out.push_str(&format!(
-                "chemcost_faults_injected_total{{kind=\"{}\"}} {}\n",
-                kind.label(),
-                self.faults_injected(kind)
-            ));
-        }
-        out.push_str(
-            "# HELP chemcost_quality_observations_total Ground-truth runtime reports on /v1/observe, by outcome (accepted into the rolling stats, or rejected 4xx).\n",
-        );
-        out.push_str("# TYPE chemcost_quality_observations_total counter\n");
-        out.push_str(&format!(
-            "chemcost_quality_observations_total{{outcome=\"accepted\"}} {}\n",
-            self.quality_accepted()
-        ));
-        out.push_str(&format!(
-            "chemcost_quality_observations_total{{outcome=\"rejected\"}} {}\n",
-            self.quality_rejected()
-        ));
-        let groups = self.quality.read().clone();
-        let labels = |e: &QualityEntry| {
-            format!("model=\"{}\",version=\"{}\",machine=\"{}\"", e.model, e.version, e.machine)
-        };
-        out.push_str(
-            "# HELP chemcost_model_mape Windowed mean absolute percentage error of served predictions against observed runtimes; NaN until the first observation.\n",
-        );
-        out.push_str("# TYPE chemcost_model_mape gauge\n");
-        for e in &groups {
-            out.push_str(&format!("chemcost_model_mape{{{}}} {}\n", labels(e), e.stats.mape));
-        }
-        out.push_str(
-            "# HELP chemcost_model_bias_seconds Windowed signed bias mean(predicted - measured) in seconds; positive means the model over-promises runtime.\n",
-        );
-        out.push_str("# TYPE chemcost_model_bias_seconds gauge\n");
-        for e in &groups {
-            out.push_str(&format!(
-                "chemcost_model_bias_seconds{{{}}} {}\n",
-                labels(e),
-                e.stats.bias_seconds
-            ));
-        }
-        out.push_str(
-            "# HELP chemcost_residual_seconds Windowed absolute prediction residual quantiles, in seconds.\n",
-        );
-        out.push_str("# TYPE chemcost_residual_seconds gauge\n");
-        for e in &groups {
-            for (q, v) in [
-                ("0.5", e.stats.residual_p50),
-                ("0.9", e.stats.residual_p90),
-                ("0.99", e.stats.residual_p99),
-            ] {
-                out.push_str(&format!(
-                    "chemcost_residual_seconds{{{},quantile=\"{q}\"}} {v}\n",
-                    labels(e)
-                ));
+        let slabs = self.slabs.get_or_init(|| FAMILIES.iter().map(RenderSlab::build).collect());
+        let quality = self.quality_entries();
+        let lifecycle = self.lifecycle_entries();
+        let mut out = String::with_capacity(1 << 15);
+        for ((family, slab), &first) in FAMILIES.iter().zip(slabs).zip(&LAYOUT.0) {
+            let RenderSlab(lines) = slab;
+            let name = family.name;
+            for part in
+                ["# HELP ", name, " ", family.help, "\n# TYPE ", name, " ", family.kind(), "\n"]
+            {
+                out.push_str(part);
+            }
+            match family.source {
+                Source::Counters => {
+                    for (i, line) in lines.iter().enumerate() {
+                        push_sample(&mut out, line, self.counters[first + i].load());
+                    }
+                }
+                Source::Gauges => {
+                    for (i, line) in lines.iter().enumerate() {
+                        push_sample(&mut out, line, self.gauge(Slot(first + i)));
+                    }
+                }
+                Source::Histograms(_) => {
+                    for (i, lines) in lines.chunks(HIST_LINES).enumerate() {
+                        self.histograms[first + i].render(&mut out, lines);
+                    }
+                }
+                Source::One => push_sample(&mut out, &lines[0], 1),
+                Source::Staleness => {
+                    push_sample(&mut out, &lines[0], self.model_staleness_seconds())
+                }
+                Source::QualityCounter(read) | Source::QualityGauge(read) => {
+                    for e in &quality {
+                        for i in 0..family.width() {
+                            let extra = family.series_labels(i);
+                            let _ = writeln!(
+                                out,
+                                "{name}{{model=\"{}\",version=\"{}\",machine=\"{}\"{}{extra}}} {}",
+                                e.model,
+                                e.version,
+                                e.machine,
+                                if extra.is_empty() { "" } else { "," },
+                                read(&e.stats, i)
+                            );
+                        }
+                    }
+                }
+                Source::LifecycleState => {
+                    for e in &lifecycle {
+                        let _ = writeln!(
+                            out,
+                            "{name}{{model=\"{}\",machine=\"{}\"}} {}",
+                            e.model,
+                            e.machine,
+                            e.state.code()
+                        );
+                    }
+                }
             }
         }
-        out.push_str(
-            "# HELP chemcost_calibration_ratio Fraction of sigma-carrying residuals inside the predicted +/-sigma band (well-calibrated Gaussian: ~0.68).\n",
-        );
-        out.push_str("# TYPE chemcost_calibration_ratio gauge\n");
-        for e in &groups {
-            out.push_str(&format!(
-                "chemcost_calibration_ratio{{{}}} {}\n",
-                labels(e),
-                e.stats.calibration_ratio
-            ));
-        }
-        out.push_str(
-            "# HELP chemcost_model_degraded 1 when the drift detector has tripped for the group and the model has not been refreshed since, else 0.\n",
-        );
-        out.push_str("# TYPE chemcost_model_degraded gauge\n");
-        for e in &groups {
-            out.push_str(&format!(
-                "chemcost_model_degraded{{{}}} {}\n",
-                labels(e),
-                u64::from(e.stats.degraded)
-            ));
-        }
-        out.push_str(
-            "# HELP chemcost_drift_trips_total Page-Hinkley drift-detector trips over the residual stream, per serving group.\n",
-        );
-        out.push_str("# TYPE chemcost_drift_trips_total counter\n");
-        for e in &groups {
-            out.push_str(&format!(
-                "chemcost_drift_trips_total{{{}}} {}\n",
-                labels(e),
-                e.stats.drift_trips
-            ));
-        }
-        out.push_str(
-            "# HELP chemcost_quality_pool_size Observations currently retained in the group's training pool.\n",
-        );
-        out.push_str("# TYPE chemcost_quality_pool_size gauge\n");
-        for e in &groups {
-            out.push_str(&format!(
-                "chemcost_quality_pool_size{{{}}} {}\n",
-                labels(e),
-                e.stats.pool_size
-            ));
-        }
-        out.push_str(
-            "# HELP chemcost_quality_pool_evictions_total Observations silently evicted from the full training pool, per serving group.\n",
-        );
-        out.push_str("# TYPE chemcost_quality_pool_evictions_total counter\n");
-        for e in &groups {
-            out.push_str(&format!(
-                "chemcost_quality_pool_evictions_total{{{}}} {}\n",
-                labels(e),
-                e.stats.pool_evictions
-            ));
-        }
-        let lifecycle = self.lifecycle.read().clone();
-        out.push_str(
-            "# HELP chemcost_lifecycle_state Retrain/shadow/promote state per (model, machine) group: 0=idle 1=queued 2=training 3=shadow 4=promoted 5=rejected 6=rolled-back.\n",
-        );
-        out.push_str("# TYPE chemcost_lifecycle_state gauge\n");
-        for e in &lifecycle {
-            out.push_str(&format!(
-                "chemcost_lifecycle_state{{model=\"{}\",machine=\"{}\"}} {}\n",
-                e.model,
-                e.machine,
-                e.state.code()
-            ));
-        }
-        out.push_str(
-            "# HELP chemcost_lifecycle_transitions_total Lifecycle state-machine transitions taken, by (from, to) pair.\n",
-        );
-        out.push_str("# TYPE chemcost_lifecycle_transitions_total counter\n");
-        for (i, (from, to)) in TRANSITIONS.iter().enumerate() {
-            out.push_str(&format!(
-                "chemcost_lifecycle_transitions_total{{from=\"{}\",to=\"{}\"}} {}\n",
-                from.label(),
-                to.label(),
-                self.lifecycle_transitions[i].load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str(
-            "# HELP chemcost_lifecycle_queue_depth Retrain jobs waiting in the background trainer's bounded queue.\n",
-        );
-        out.push_str("# TYPE chemcost_lifecycle_queue_depth gauge\n");
-        out.push_str(&format!("chemcost_lifecycle_queue_depth {}\n", self.lifecycle_queue_depth()));
-        out.push_str(
-            "# HELP chemcost_lifecycle_fit_duration_seconds Wall time of one background candidate fit (success or failure).\n",
-        );
-        out.push_str("# TYPE chemcost_lifecycle_fit_duration_seconds histogram\n");
-        self.lifecycle_fit_duration.render(&mut out, "chemcost_lifecycle_fit_duration_seconds", "");
-        out.push_str(
-            "# HELP chemcost_lifecycle_promotions_total Promotion decisions, by outcome (auto, operator, rejected, rolled-back).\n",
-        );
-        out.push_str("# TYPE chemcost_lifecycle_promotions_total counter\n");
-        for outcome in PromotionOutcome::ALL {
-            out.push_str(&format!(
-                "chemcost_lifecycle_promotions_total{{outcome=\"{}\"}} {}\n",
-                outcome.label(),
-                self.lifecycle_promotions(outcome)
-            ));
-        }
-        out.push_str(
-            "# HELP chemcost_connections_open Client connections currently open in the event loop.\n",
-        );
-        out.push_str("# TYPE chemcost_connections_open gauge\n");
-        out.push_str(&format!("chemcost_connections_open {}\n", self.connections_open()));
-        out.push_str(
-            "# HELP chemcost_keepalive_reuses_total Requests served on a reused keep-alive exchange (any request after a connection's first).\n",
-        );
-        out.push_str("# TYPE chemcost_keepalive_reuses_total counter\n");
-        out.push_str(&format!("chemcost_keepalive_reuses_total {}\n", self.keepalive_reuses()));
-        out.push_str(
-            "# HELP chemcost_request_stage_duration_seconds Per-stage request-timeline latency through the event loop (read, queue, handler, reorder, write); the stages of one request sum to its first-byte to last-byte wall time.\n",
-        );
-        out.push_str("# TYPE chemcost_request_stage_duration_seconds histogram\n");
-        for stage in RequestStage::ALL {
-            self.request_stages[stage.index()].render(
-                &mut out,
-                "chemcost_request_stage_duration_seconds",
-                &format!("stage=\"{}\",", stage.label()),
-            );
-        }
-        out.push_str(
-            "# HELP chemcost_event_loop_iteration_duration_seconds Processing time of one event-loop pass (one epoll wake).\n",
-        );
-        out.push_str("# TYPE chemcost_event_loop_iteration_duration_seconds histogram\n");
-        self.loop_iteration.render(&mut out, "chemcost_event_loop_iteration_duration_seconds", "");
-        out.push_str(
-            "# HELP chemcost_event_loop_events_per_wake Readiness events delivered per epoll wake.\n",
-        );
-        out.push_str("# TYPE chemcost_event_loop_events_per_wake histogram\n");
-        self.loop_events_per_wake.render(&mut out, "chemcost_event_loop_events_per_wake");
-        out.push_str(
-            "# HELP chemcost_connections_read_paused Connections whose reads are paused by backpressure (pipeline cap or write high-water mark).\n",
-        );
-        out.push_str("# TYPE chemcost_connections_read_paused gauge\n");
-        out.push_str(&format!("chemcost_connections_read_paused {}\n", self.read_paused()));
-        out.push_str(
-            "# HELP chemcost_connections_write_stalled Connections holding unsent response bytes after a flush (slow consumers).\n",
-        );
-        out.push_str("# TYPE chemcost_connections_write_stalled gauge\n");
-        out.push_str(&format!("chemcost_connections_write_stalled {}\n", self.write_stalled()));
-        out.push_str(
-            "# HELP chemcost_alerts_transitions_total SLO alert state transitions, by destination state.\n",
-        );
-        out.push_str("# TYPE chemcost_alerts_transitions_total counter\n");
-        for to in ["ok", "pending", "firing", "resolved"] {
-            out.push_str(&format!(
-                "chemcost_alerts_transitions_total{{to=\"{to}\"}} {}\n",
-                self.alert_transitions(to)
-            ));
-        }
-        out.push_str("# HELP chemcost_alerts_firing SLO alerts currently firing.\n");
-        out.push_str("# TYPE chemcost_alerts_firing gauge\n");
-        out.push_str(&format!("chemcost_alerts_firing {}\n", self.alerts_firing()));
-        out.push_str("# HELP chemcost_alerts_pending SLO alerts currently pending.\n");
-        out.push_str("# TYPE chemcost_alerts_pending gauge\n");
-        out.push_str(&format!("chemcost_alerts_pending {}\n", self.alerts_pending()));
-        out.push_str(
-            "# HELP chemcost_slo_evaluations_total SLO evaluations run by the health sampler.\n",
-        );
-        out.push_str("# TYPE chemcost_slo_evaluations_total counter\n");
-        out.push_str(&format!("chemcost_slo_evaluations_total {}\n", self.slo_evaluations()));
-        out.push_str(
-            "# HELP chemcost_slo_breaching SLOs breaching both burn windows on the latest evaluation.\n",
-        );
-        out.push_str("# TYPE chemcost_slo_breaching gauge\n");
-        out.push_str(&format!("chemcost_slo_breaching {}\n", self.slo_breaching()));
-        out.push_str(
-            "# HELP chemcost_slo_scrapes_total Self-scrape samples taken by the health sampler.\n",
-        );
-        out.push_str("# TYPE chemcost_slo_scrapes_total counter\n");
-        out.push_str(&format!("chemcost_slo_scrapes_total {}\n", self.slo_scrapes()));
         out
     }
 }
@@ -1560,20 +1118,24 @@ impl LifecycleObserver for LifecycleMetricsBridge {
         self.0.set_lifecycle_state(model, machine, state);
     }
 
+    /// Pairs outside the enumerated [`TRANSITIONS`] table are not counted
+    /// (the hub never emits them).
     fn on_transition(&self, from: LifecycleState, to: LifecycleState) {
-        self.0.record_lifecycle_transition(from, to);
+        if let Some(i) = TRANSITIONS.iter().position(|&pair| pair == (from, to)) {
+            self.0.inc(LIFECYCLE_TRANSITIONS[i]);
+        }
     }
 
     fn on_queue_depth(&self, depth: usize) {
-        self.0.set_lifecycle_queue_depth(depth);
+        self.0.gauge_set(LIFECYCLE_QUEUE_DEPTH, depth);
     }
 
     fn on_fit_duration(&self, seconds: f64) {
-        self.0.record_lifecycle_fit_duration(Duration::from_secs_f64(seconds.max(0.0)));
+        self.0.observe(LIFECYCLE_FIT_DURATION, Duration::from_secs_f64(seconds.max(0.0)));
     }
 
     fn on_promotion(&self, outcome: PromotionOutcome) {
-        self.0.record_lifecycle_promotion(outcome);
+        self.0.inc(LIFECYCLE_PROMOTIONS[outcome as usize]);
     }
 }
 
@@ -1806,48 +1368,13 @@ pub fn lint_exposition_with_required(text: &str, required: &[&str]) -> Result<()
 mod tests {
     use super::*;
 
-    #[test]
-    fn counts_requests_and_errors_per_route() {
+    /// A registry as the router leaves it at startup: one quality group
+    /// and one lifecycle group registered.
+    fn registered() -> Metrics {
         let m = Metrics::new();
-        m.record(Route::Predict, false, Duration::from_millis(2));
-        m.record(Route::Predict, true, Duration::from_millis(2));
-        m.record(Route::Advise, false, Duration::from_millis(1));
-        assert_eq!(m.requests(Route::Predict), 2);
-        assert_eq!(m.errors(Route::Predict), 1);
-        assert_eq!(m.requests(Route::Advise), 1);
-        assert_eq!(m.errors(Route::Advise), 0);
-        assert_eq!(m.requests(Route::Healthz), 0);
-    }
-
-    #[test]
-    fn render_contains_all_series() {
-        let m = Metrics::new();
-        m.record(Route::Healthz, false, Duration::from_micros(50));
-        let text = m.render();
-        assert!(text.contains("chemcost_requests_total{route=\"healthz\"} 1"));
-        assert!(text.contains("chemcost_requests_total{route=\"predict\"} 0"));
-        assert!(text.contains("chemcost_request_errors_total{route=\"healthz\"} 0"));
-        assert!(text.contains("chemcost_request_duration_seconds_count 1"));
-        assert!(text.contains("le=\"+Inf\"} 1"));
-        assert!(text.contains("chemcost_requests_in_flight 0"));
-        assert!(text.contains("chemcost_pool_queue_depth 0"));
-        assert!(text.contains("chemcost_requests_shed_total 0"));
-        assert!(text.contains("chemcost_advise_stage_duration_seconds_bucket{stage=\"sweep\","));
-    }
-
-    #[test]
-    fn cache_counters_render() {
-        let m = Metrics::new();
-        m.record_cache_miss();
-        m.record_cache_hit();
-        m.record_cache_hit();
-        m.set_cache_entries(1);
-        assert_eq!(m.cache_hits(), 2);
-        assert_eq!(m.cache_misses(), 1);
-        let text = m.render();
-        assert!(text.contains("chemcost_advise_cache_hits_total 2"));
-        assert!(text.contains("chemcost_advise_cache_misses_total 1"));
-        assert!(text.contains("chemcost_advise_cache_entries 1"));
+        m.set_model_quality("gb", 1, "aurora", QualityStats::default());
+        m.set_lifecycle_state("gb", "aurora", LifecycleState::Idle);
+        m
     }
 
     #[test]
@@ -1868,9 +1395,9 @@ mod tests {
         let m = Metrics::new();
         m.record_shed();
         m.record_shed();
-        assert_eq!(m.shed_total(), 2);
-        assert_eq!(m.requests(Route::Other), 2);
-        assert_eq!(m.errors(Route::Other), 2);
+        assert_eq!(m.count(SHED), 2);
+        assert_eq!(m.count(REQUESTS[Route::Other as usize]), 2);
+        assert_eq!(m.count(ERRORS[Route::Other as usize]), 2);
         let text = m.render();
         assert!(text.contains("chemcost_requests_shed_total 2"));
         // Shed connections are refused, not timed.
@@ -1880,50 +1407,18 @@ mod tests {
     #[test]
     fn gauges_track_in_flight_and_queue_depth() {
         let m = Metrics::new();
-        m.inc_in_flight();
-        m.inc_in_flight();
-        m.dec_in_flight();
-        assert_eq!(m.in_flight(), 1);
-        m.pool_enqueued();
-        m.pool_enqueued();
-        m.pool_dequeued();
-        assert_eq!(m.pool_queue_depth(), 1);
+        m.gauge_add(IN_FLIGHT, 1);
+        m.gauge_add(IN_FLIGHT, 1);
+        m.gauge_add(IN_FLIGHT, -1);
+        assert_eq!(m.gauge(IN_FLIGHT), 1);
+        m.gauge_add(POOL_QUEUE_DEPTH, 1);
+        m.gauge_add(POOL_QUEUE_DEPTH, 1);
+        m.gauge_add(POOL_QUEUE_DEPTH, -1);
+        assert_eq!(m.gauge(POOL_QUEUE_DEPTH), 1);
         // Transient underflow clamps to zero in the exposition.
-        m.dec_in_flight();
-        m.dec_in_flight();
-        assert_eq!(m.in_flight(), 0);
-    }
-
-    #[test]
-    fn advise_stage_histograms_render_per_stage() {
-        let m = Metrics::new();
-        m.record_advise_stage(AdviseStage::Cache, Duration::from_micros(30));
-        m.record_advise_stage(AdviseStage::Sweep, Duration::from_millis(6));
-        m.record_advise_stage(AdviseStage::Sweep, Duration::from_millis(8));
-        m.record_advise_stage(AdviseStage::Encode, Duration::from_micros(200));
-        m.record_advise_stage(AdviseStage::Shadow, Duration::from_micros(100));
-        assert_eq!(m.advise_stage_count(AdviseStage::Sweep), 2);
-        assert!((m.advise_stage_mean_seconds(AdviseStage::Shadow) - 1e-4).abs() < 1e-9);
-        assert!(m.advise_stage_mean_seconds(AdviseStage::Sweep) > 0.005);
-        let text = m.render();
-        assert!(
-            text.contains("chemcost_advise_stage_duration_seconds_count{stage=\"cache\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("chemcost_advise_stage_duration_seconds_count{stage=\"sweep\"} 2"),
-            "{text}"
-        );
-        assert!(
-            text.contains(
-                "chemcost_advise_stage_duration_seconds_bucket{stage=\"sweep\",le=\"+Inf\"} 2"
-            ),
-            "{text}"
-        );
-        assert!(
-            text.contains("chemcost_advise_stage_duration_seconds_count{stage=\"shadow\"} 1"),
-            "{text}"
-        );
+        m.gauge_add(IN_FLIGHT, -1);
+        m.gauge_add(IN_FLIGHT, -1);
+        assert_eq!(m.gauge(IN_FLIGHT), 0);
     }
 
     #[test]
@@ -1939,16 +1434,6 @@ mod tests {
         assert_eq!(version, BUILD_VERSION);
         assert_eq!(sha, BUILD_GIT_SHA);
         assert_eq!(dirty, BUILD_DIRTY);
-    }
-
-    #[test]
-    fn exposition_passes_its_own_linter() {
-        let m = Metrics::new();
-        m.record(Route::Advise, false, Duration::from_millis(3));
-        m.record_advise_stage(AdviseStage::Sweep, Duration::from_millis(2));
-        m.record_shed();
-        m.record_cache_miss();
-        lint_exposition(&m.render()).expect("fresh exposition must lint clean");
     }
 
     #[test]
@@ -1985,111 +1470,50 @@ mod tests {
         assert!(errs.iter().any(|e| e.contains("malformed labels")), "{errs:?}");
     }
 
-    /// Satellite (PR 4 bugfix): every family in [`REQUIRED_SERIES`] must
-    /// have sample lines on a *fresh* registry — before any request,
-    /// fault, or deadline event has incremented it. A scrape of a
-    /// just-started server must already show the whole catalog at zero.
+    /// Every family in [`REQUIRED_SERIES`] must have sample lines on a
+    /// *fresh* registry — before any request, fault, or deadline event
+    /// has incremented it. A scrape of a just-started server must
+    /// already show the whole catalog (the zero values themselves are
+    /// pinned by the golden fixtures in `tests/metrics_golden.rs`).
     #[test]
     fn all_required_series_render_before_first_increment() {
-        let m = Metrics::new();
-        // The router registers one quality group and one lifecycle group
-        // per registry entry at startup; a just-started server always has
-        // at least one of each.
-        m.set_model_quality("gb", 1, "aurora", QualityStats::default());
-        m.set_lifecycle_state("gb", "aurora", LifecycleState::Idle);
-        let text = m.render();
-        lint_exposition_with_required(&text, REQUIRED_SERIES)
+        lint_exposition_with_required(&registered().render(), REQUIRED_SERIES)
             .expect("fresh exposition must pre-register every required series");
-        // Spot-check the PR 4 families explicitly at zero.
-        assert!(text.contains("chemcost_deadline_exceeded_total{stage=\"queue\"} 0"), "{text}");
-        assert!(text.contains("chemcost_deadline_exceeded_total{stage=\"cache\"} 0"), "{text}");
-        assert!(text.contains("chemcost_deadline_exceeded_total{stage=\"sweep\"} 0"), "{text}");
-        assert!(text.contains("chemcost_model_staleness_seconds 0"), "{text}");
-        assert!(text.contains("chemcost_model_reload_failures_total 0"), "{text}");
-        assert!(text.contains("chemcost_advise_stale_served_total 0"), "{text}");
-        assert!(
-            text.contains("chemcost_faults_injected_total{kind=\"poison-reload\"} 0"),
-            "{text}"
-        );
-        // The PR 5 quality families: counters at zero, windowed gauges
-        // at NaN (no data yet — never a misleading zero).
-        assert!(text.contains("chemcost_quality_observations_total{outcome=\"accepted\"} 0"));
-        assert!(text.contains("chemcost_quality_observations_total{outcome=\"rejected\"} 0"));
-        let quality_labels = "model=\"gb\",version=\"1\",machine=\"aurora\"";
-        assert!(text.contains(&format!("chemcost_model_mape{{{quality_labels}}} NaN")), "{text}");
-        assert!(
-            text.contains(&format!(
-                "chemcost_residual_seconds{{{quality_labels},quantile=\"0.99\"}} NaN"
-            )),
-            "{text}"
-        );
-        assert!(text.contains(&format!("chemcost_model_degraded{{{quality_labels}}} 0")));
-        assert!(text.contains(&format!("chemcost_drift_trips_total{{{quality_labels}}} 0")));
-        // The PR 6 lifecycle families, all at their zero points.
-        assert!(text.contains(&format!("chemcost_quality_pool_size{{{quality_labels}}} 0")));
-        assert!(
-            text.contains(&format!("chemcost_quality_pool_evictions_total{{{quality_labels}}} 0"))
-        );
-        assert!(
-            text.contains("chemcost_lifecycle_state{model=\"gb\",machine=\"aurora\"} 0"),
-            "{text}"
-        );
-        assert!(
-            text.contains("chemcost_lifecycle_transitions_total{from=\"idle\",to=\"queued\"} 0"),
-            "{text}"
-        );
-        assert!(
-            text.contains(
-                "chemcost_lifecycle_transitions_total{from=\"shadow\",to=\"promoted\"} 0"
-            ),
-            "{text}"
-        );
-        assert!(text.contains("chemcost_lifecycle_queue_depth 0"), "{text}");
-        assert!(text.contains("chemcost_lifecycle_fit_duration_seconds_count 0"), "{text}");
-        for outcome in ["auto", "operator", "rejected", "rolled-back"] {
-            assert!(
-                text.contains(&format!(
-                    "chemcost_lifecycle_promotions_total{{outcome=\"{outcome}\"}} 0"
-                )),
-                "{outcome} missing: {text}"
-            );
-        }
-        // The health-plane families, pre-registered at zero.
-        for state in ["ok", "pending", "firing", "resolved"] {
-            assert!(
-                text.contains(&format!("chemcost_alerts_transitions_total{{to=\"{state}\"}} 0")),
-                "{state} missing: {text}"
-            );
-        }
-        assert!(text.contains("chemcost_alerts_firing 0"), "{text}");
-        assert!(text.contains("chemcost_alerts_pending 0"), "{text}");
-        assert!(text.contains("chemcost_slo_evaluations_total 0"), "{text}");
-        assert!(text.contains("chemcost_slo_breaching 0"), "{text}");
-        assert!(text.contains("chemcost_slo_scrapes_total 0"), "{text}");
     }
 
+    /// Negative: stripping any one family's sample lines (metadata kept)
+    /// must trip the required-series linter — pre-registration is
+    /// load-bearing for every family in the table.
     #[test]
-    fn alert_recorders_update_their_families() {
-        let m = Metrics::new();
-        m.record_alert_transition("pending");
-        m.record_alert_transition("firing");
-        m.record_alert_transition("firing");
-        m.record_alert_transition("no-such-state"); // ignored, never panics
-        m.set_alert_gauges(1, 2);
-        m.record_slo_scrape(6, 1);
-        m.record_slo_scrape(6, 0);
-        assert_eq!(m.alert_transitions("firing"), 2);
-        assert_eq!(m.alert_transitions("pending"), 1);
-        assert_eq!(m.alert_transitions("resolved"), 0);
-        assert_eq!(m.alerts_firing(), 1);
-        assert_eq!(m.alerts_pending(), 2);
-        assert_eq!(m.slo_scrapes(), 2);
-        assert_eq!(m.slo_evaluations(), 12);
-        assert_eq!(m.slo_breaching(), 0, "gauge tracks the latest scrape");
-        let text = m.render();
-        assert!(text.contains("chemcost_alerts_transitions_total{to=\"firing\"} 2"), "{text}");
-        assert!(text.contains("chemcost_alerts_firing 1"), "{text}");
-        assert!(text.contains("chemcost_slo_scrapes_total 2"), "{text}");
+    fn required_linter_flags_every_family_missing_its_samples() {
+        let full = registered().render();
+        lint_exposition_with_required(&full, REQUIRED_SERIES).expect("full exposition is complete");
+        for family in REQUIRED_SERIES {
+            let own = |l: &str| {
+                let name = l.split(['{', ' ']).next().unwrap_or("");
+                name == *family
+                    || ["_bucket", "_sum", "_count"]
+                        .iter()
+                        .any(|s| name.strip_suffix(s) == Some(family))
+            };
+            let stripped: String = full
+                .lines()
+                .filter(|l| l.starts_with('#') || !own(l))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            assert!(stripped.len() < full.len(), "{family} has no sample lines to strip");
+            let errs = lint_exposition_with_required(&stripped, REQUIRED_SERIES).unwrap_err();
+            assert!(
+                errs.iter()
+                    .any(|e| e.contains(&format!("series {family} "))
+                        && e.contains("no sample line")),
+                "{family} should be flagged: {errs:?}"
+            );
+        }
+        // A family that never existed is reported too.
+        let errs =
+            lint_exposition_with_required(&full, &["chemcost_nonexistent_total"]).unwrap_err();
+        assert!(errs.iter().any(|e| e.contains("chemcost_nonexistent_total")), "{errs:?}");
     }
 
     #[test]
@@ -2098,14 +1522,11 @@ mod tests {
         for i in 0..50 {
             m.record(Route::Advise, false, Duration::from_micros(i * 997));
         }
-        let (buckets, sum, count) = {
-            let snap = m.latency_snapshot();
-            (snap.0, snap.1, snap.2)
-        };
+        let (buckets, sum, count) = m.snapshot(LATENCY);
         assert_eq!(count, 50);
         assert!(sum > 0);
         assert_eq!(buckets.iter().sum::<u64>(), 50, "every observation lands in one bucket");
-        assert_eq!(buckets.len(), Metrics::histogram_bounds().len() + 1, "+Inf bucket");
+        assert_eq!(buckets.len(), SECONDS.bounds.len() + 1, "+Inf bucket");
     }
 
     /// Negative: without a registered quality group the per-model
@@ -2116,9 +1537,12 @@ mod tests {
     fn required_linter_flags_unregistered_quality_groups() {
         let errs =
             lint_exposition_with_required(&Metrics::new().render(), REQUIRED_SERIES).unwrap_err();
-        for family in
-            ["chemcost_model_mape", "chemcost_residual_seconds", "chemcost_drift_trips_total"]
-        {
+        for family in [
+            "chemcost_model_mape",
+            "chemcost_residual_seconds",
+            "chemcost_drift_trips_total",
+            "chemcost_lifecycle_state",
+        ] {
             assert!(
                 errs.iter().any(|e| e.contains(family) && e.contains("no sample line")),
                 "{family} should be flagged: {errs:?}"
@@ -2149,11 +1573,11 @@ mod tests {
         // New version after a reload: its own labelled series.
         m.set_model_quality("gb", 2, "aurora", QualityStats::default());
         assert_eq!(m.quality_entries().len(), 2);
-        m.record_quality_observation(true);
-        m.record_quality_observation(false);
-        m.record_quality_observation(true);
-        assert_eq!(m.quality_accepted(), 2);
-        assert_eq!(m.quality_rejected(), 1);
+        m.inc(OBSERVATIONS[Intake::Accepted as usize]);
+        m.inc(OBSERVATIONS[Intake::Rejected as usize]);
+        m.inc(OBSERVATIONS[Intake::Accepted as usize]);
+        assert_eq!(m.count(OBSERVATIONS[Intake::Accepted as usize]), 2);
+        assert_eq!(m.count(OBSERVATIONS[Intake::Rejected as usize]), 1);
         m.set_lifecycle_state("gb", "aurora", LifecycleState::Idle);
         let text = m.render();
         let v1 = "model=\"gb\",version=\"1\",machine=\"aurora\"";
@@ -2174,58 +1598,28 @@ mod tests {
         lint_exposition_with_required(&text, REQUIRED_SERIES).expect("lint clean");
     }
 
-    /// Negative: the required-series linter must flag a family whose
-    /// sample lines are absent, even if its `# HELP`/`# TYPE` metadata
-    /// is present (the unregistered-until-first-increment failure mode).
-    #[test]
-    fn required_linter_flags_missing_sample_lines() {
-        let full = Metrics::new().render();
-        let stripped: String = full
-            .lines()
-            .filter(|l| !l.starts_with("chemcost_deadline_exceeded_total"))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let errs = lint_exposition_with_required(&stripped, REQUIRED_SERIES).unwrap_err();
-        assert!(
-            errs.iter()
-                .any(|e| e.contains("chemcost_deadline_exceeded_total")
-                    && e.contains("no sample line")),
-            "{errs:?}"
-        );
-        // Histogram families are satisfied through their suffixed series.
-        lint_exposition_with_required(&full, &["chemcost_request_duration_seconds"])
-            .expect("histogram counted via _bucket/_sum/_count");
-        // A family that never existed is reported too.
-        let errs =
-            lint_exposition_with_required(&full, &["chemcost_nonexistent_total"]).unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("chemcost_nonexistent_total")), "{errs:?}");
-    }
-
     #[test]
     fn lifecycle_series_render_and_upsert_by_group() {
-        let m = Metrics::new();
+        let m = Arc::new(Metrics::new());
+        let bridge = LifecycleMetricsBridge(Arc::clone(&m));
         m.set_lifecycle_state("gb", "aurora", LifecycleState::Idle);
         // Same (model, machine): upsert, not a second series.
         m.set_lifecycle_state("gb", "aurora", LifecycleState::Shadow);
         m.set_lifecycle_state("gb2", "frontier", LifecycleState::Idle);
         assert_eq!(m.lifecycle_entries().len(), 2);
-        m.record_lifecycle_transition(LifecycleState::Idle, LifecycleState::Queued);
-        m.record_lifecycle_transition(LifecycleState::Queued, LifecycleState::Training);
-        m.record_lifecycle_transition(LifecycleState::Queued, LifecycleState::Training);
+        bridge.on_transition(LifecycleState::Idle, LifecycleState::Queued);
+        bridge.on_transition(LifecycleState::Queued, LifecycleState::Training);
+        bridge.on_transition(LifecycleState::Queued, LifecycleState::Training);
         // Invalid pairs are ignored, never counted under a wrong label.
-        m.record_lifecycle_transition(LifecycleState::Idle, LifecycleState::Promoted);
-        assert_eq!(m.lifecycle_transitions(LifecycleState::Queued, LifecycleState::Training), 2);
-        assert_eq!(m.lifecycle_transitions(LifecycleState::Idle, LifecycleState::Promoted), 0);
-        m.set_lifecycle_queue_depth(3);
-        assert_eq!(m.lifecycle_queue_depth(), 3);
-        m.record_lifecycle_fit_duration(Duration::from_millis(40));
-        assert_eq!(m.lifecycle_fits(), 1);
-        m.record_lifecycle_promotion(PromotionOutcome::Auto);
-        m.record_lifecycle_promotion(PromotionOutcome::Rejected);
-        m.record_lifecycle_promotion(PromotionOutcome::Rejected);
-        assert_eq!(m.lifecycle_promotions(PromotionOutcome::Auto), 1);
-        assert_eq!(m.lifecycle_promotions(PromotionOutcome::Rejected), 2);
-        assert_eq!(m.lifecycle_promotions(PromotionOutcome::RolledBack), 0);
+        bridge.on_transition(LifecycleState::Idle, LifecycleState::Promoted);
+        let counted: Vec<u64> =
+            (0..TRANSITIONS.len()).map(|i| m.count(LIFECYCLE_TRANSITIONS[i])).collect();
+        assert_eq!(counted.iter().sum::<u64>(), 3, "{counted:?}");
+        let queued_training = TRANSITIONS
+            .iter()
+            .position(|&p| p == (LifecycleState::Queued, LifecycleState::Training))
+            .unwrap();
+        assert_eq!(counted[queued_training], 2);
         let text = m.render();
         assert!(
             text.contains("chemcost_lifecycle_state{model=\"gb\",machine=\"aurora\"} 3"),
@@ -2239,12 +1633,6 @@ mod tests {
             text.contains(
                 "chemcost_lifecycle_transitions_total{from=\"queued\",to=\"training\"} 2"
             ),
-            "{text}"
-        );
-        assert!(text.contains("chemcost_lifecycle_queue_depth 3"), "{text}");
-        assert!(text.contains("chemcost_lifecycle_fit_duration_seconds_count 1"), "{text}");
-        assert!(
-            text.contains("chemcost_lifecycle_promotions_total{outcome=\"rejected\"} 2"),
             "{text}"
         );
         lint_exposition(&text).expect("lifecycle exposition must lint clean");
@@ -2261,75 +1649,12 @@ mod tests {
         bridge.on_fit_duration(0.25);
         bridge.on_promotion(PromotionOutcome::Operator);
         assert_eq!(m.lifecycle_entries()[0].state, LifecycleState::Training);
-        assert_eq!(m.lifecycle_transitions(LifecycleState::Queued, LifecycleState::Training), 1);
-        assert_eq!(m.lifecycle_queue_depth(), 2);
-        assert_eq!(m.lifecycle_fits(), 1);
-        assert_eq!(m.lifecycle_promotions(PromotionOutcome::Operator), 1);
-    }
-
-    /// Negative (satellite): stripping any lifecycle family's sample lines
-    /// must trip the required-series linter, exactly like the quality
-    /// families — pre-registration is load-bearing for all of them.
-    #[test]
-    fn required_linter_flags_missing_lifecycle_series() {
-        let m = Metrics::new();
-        m.set_model_quality("gb", 1, "aurora", QualityStats::default());
-        m.set_lifecycle_state("gb", "aurora", LifecycleState::Idle);
-        let full = m.render();
-        lint_exposition_with_required(&full, REQUIRED_SERIES).expect("full exposition is complete");
-        for family in [
-            "chemcost_lifecycle_state",
-            "chemcost_lifecycle_transitions_total",
-            "chemcost_lifecycle_queue_depth",
-            "chemcost_lifecycle_fit_duration_seconds",
-            "chemcost_lifecycle_promotions_total",
-            "chemcost_quality_pool_size",
-            "chemcost_quality_pool_evictions_total",
-        ] {
-            let stripped: String = full
-                .lines()
-                .filter(|l| {
-                    l.starts_with('#')
-                        || !l.split(['{', ' ']).next().unwrap_or("").starts_with(family)
-                })
-                .map(|l| format!("{l}\n"))
-                .collect();
-            let errs = lint_exposition_with_required(&stripped, REQUIRED_SERIES).unwrap_err();
-            assert!(
-                errs.iter().any(|e| e.contains(family) && e.contains("no sample line")),
-                "{family} should be flagged: {errs:?}"
-            );
-        }
-        // A lifecycle group that never registers is caught the same way.
-        let errs =
-            lint_exposition_with_required(&Metrics::new().render(), REQUIRED_SERIES).unwrap_err();
-        assert!(
-            errs.iter()
-                .any(|e| e.contains("chemcost_lifecycle_state") && e.contains("no sample line")),
-            "{errs:?}"
-        );
-    }
-
-    #[test]
-    fn deadline_and_fault_counters_track_per_label() {
-        let m = Metrics::new();
-        m.record_deadline_exceeded(DeadlineStage::Queue);
-        m.record_deadline_exceeded(DeadlineStage::Sweep);
-        m.record_deadline_exceeded(DeadlineStage::Sweep);
-        assert_eq!(m.deadline_exceeded(DeadlineStage::Queue), 1);
-        assert_eq!(m.deadline_exceeded(DeadlineStage::Cache), 0);
-        assert_eq!(m.deadline_exceeded(DeadlineStage::Sweep), 2);
-        m.record_fault(FaultKind::SlowIo);
-        m.record_fault(FaultKind::PoisonReload);
-        m.record_fault(FaultKind::PoisonReload);
-        assert_eq!(m.faults_injected(FaultKind::SlowIo), 1);
-        assert_eq!(m.faults_injected(FaultKind::PoisonReload), 2);
-        m.set_model_quality("gb", 1, "aurora", QualityStats::default());
-        m.set_lifecycle_state("gb", "aurora", LifecycleState::Idle);
-        let text = m.render();
-        assert!(text.contains("chemcost_deadline_exceeded_total{stage=\"sweep\"} 2"), "{text}");
-        assert!(text.contains("chemcost_faults_injected_total{kind=\"slow-io\"} 1"), "{text}");
-        lint_exposition_with_required(&text, REQUIRED_SERIES).expect("lint clean");
+        let queued_training = (LifecycleState::Queued, LifecycleState::Training);
+        let i = TRANSITIONS.iter().position(|&p| p == queued_training).unwrap();
+        assert_eq!(m.count(LIFECYCLE_TRANSITIONS[i]), 1);
+        assert_eq!(m.gauge(LIFECYCLE_QUEUE_DEPTH), 2);
+        assert_eq!(m.snapshot(LIFECYCLE_FIT_DURATION).2, 1);
+        assert_eq!(m.count(LIFECYCLE_PROMOTIONS[PromotionOutcome::Operator as usize]), 1);
     }
 
     #[test]
@@ -2338,7 +1663,7 @@ mod tests {
         // Fresh registry: never failed, staleness pinned to zero.
         assert_eq!(m.model_staleness_seconds(), 0.0);
         m.record_reload_failure();
-        assert_eq!(m.reload_failures(), 1);
+        assert_eq!(m.count(RELOAD_FAILURES), 1);
         std::thread::sleep(Duration::from_millis(5));
         let stale = m.model_staleness_seconds();
         assert!(stale > 0.0, "staleness should accrue after a failed reload, got {stale}");
@@ -2359,156 +1684,11 @@ mod tests {
         assert!(!m.shed_within(Duration::ZERO), "zero window excludes the past");
     }
 
-    #[test]
-    fn stale_served_counter_renders() {
-        let m = Metrics::new();
-        m.record_stale_served();
-        assert_eq!(m.stale_served(), 1);
-        assert!(m.render().contains("chemcost_advise_stale_served_total 1"));
-    }
-
-    /// Satellite: the serving-data-plane families render with labels and
-    /// correct accounting.
-    #[test]
-    fn serving_series_render_and_count() {
-        let m = Metrics::new();
-        m.inc_connections_open();
-        m.inc_connections_open();
-        m.dec_connections_open();
-        assert_eq!(m.connections_open(), 1);
-        m.record_keepalive_reuse();
-        m.record_keepalive_reuse();
-        m.record_keepalive_reuse();
-        assert_eq!(m.keepalive_reuses(), 3);
-        let text = m.render();
-        assert!(text.contains("chemcost_connections_open 1"), "{text}");
-        assert!(text.contains("chemcost_keepalive_reuses_total 3"), "{text}");
-        lint_exposition(&text).expect("serving exposition must lint clean");
-    }
-
-    /// Negative (satellite): stripping any serving-data-plane family's
-    /// sample lines must trip the required-series linter — the event
-    /// loop series are pre-registered like every other.
-    #[test]
-    fn required_linter_flags_missing_serving_series() {
-        let m = Metrics::new();
-        m.set_model_quality("gb", 1, "aurora", QualityStats::default());
-        m.set_lifecycle_state("gb", "aurora", LifecycleState::Idle);
-        let full = m.render();
-        lint_exposition_with_required(&full, REQUIRED_SERIES).expect("full exposition is complete");
-        for family in ["chemcost_connections_open", "chemcost_keepalive_reuses_total"] {
-            let stripped: String = full
-                .lines()
-                .filter(|l| {
-                    l.starts_with('#')
-                        || !l.split(['{', ' ']).next().unwrap_or("").starts_with(family)
-                })
-                .map(|l| format!("{l}\n"))
-                .collect();
-            let errs = lint_exposition_with_required(&stripped, REQUIRED_SERIES).unwrap_err();
-            assert!(
-                errs.iter().any(|e| e.contains(family) && e.contains("no sample line")),
-                "{family} should be flagged: {errs:?}"
-            );
-        }
-    }
-
-    /// Tentpole (PR 8): the request-timeline stage histograms and the
-    /// event-loop health series render with labels, count correctly, and
-    /// lint clean.
-    #[test]
-    fn timeline_series_render_and_count() {
-        let m = Metrics::new();
-        m.record_request_stage(RequestStage::Read, Duration::from_micros(40));
-        m.record_request_stage(RequestStage::Queue, Duration::from_micros(90));
-        m.record_request_stage(RequestStage::Handler, Duration::from_micros(800));
-        m.record_request_stage(RequestStage::Handler, Duration::from_micros(700));
-        m.record_request_stage(RequestStage::Reorder, Duration::from_micros(5));
-        m.record_request_stage(RequestStage::Write, Duration::from_micros(60));
-        assert_eq!(m.request_stage_count(RequestStage::Handler), 2);
-        assert_eq!(m.request_stage_count(RequestStage::Write), 1);
-        assert!((m.request_stage_sum_seconds(RequestStage::Queue) - 90e-6).abs() < 1e-12);
-        m.record_loop_iteration(Duration::from_micros(120), 3);
-        m.record_loop_iteration(Duration::from_micros(80), 0);
-        assert_eq!(m.loop_iterations(), 2);
-        m.inc_read_paused();
-        m.inc_write_stalled();
-        m.inc_write_stalled();
-        m.dec_write_stalled();
-        assert_eq!(m.read_paused(), 1);
-        assert_eq!(m.write_stalled(), 1);
-        let text = m.render();
-        assert!(
-            text.contains("chemcost_request_stage_duration_seconds_count{stage=\"handler\"} 2"),
-            "{text}"
-        );
-        assert!(
-            text.contains(
-                "chemcost_request_stage_duration_seconds_bucket{stage=\"read\",le=\"+Inf\"} 1"
-            ),
-            "{text}"
-        );
-        assert!(text.contains("chemcost_event_loop_iteration_duration_seconds_count 2"), "{text}");
-        assert!(text.contains("chemcost_event_loop_events_per_wake_count 2"), "{text}");
-        assert!(text.contains("chemcost_event_loop_events_per_wake_sum 3"), "{text}");
-        assert!(text.contains("chemcost_connections_read_paused 1"), "{text}");
-        assert!(text.contains("chemcost_connections_write_stalled 1"), "{text}");
-        lint_exposition(&text).expect("timeline exposition must lint clean");
-        // Every stage label renders even before its first observation.
-        let fresh = Metrics::new().render();
-        for stage in RequestStage::ALL {
-            assert!(
-                fresh.contains(&format!(
-                    "chemcost_request_stage_duration_seconds_count{{stage=\"{}\"}} 0",
-                    stage.label()
-                )),
-                "stage {} not pre-registered: {fresh}",
-                stage.label()
-            );
-        }
-        // The /debug/requests route is accounted like any other.
-        m.record(Route::Debug, false, Duration::from_micros(30));
-        assert!(m.render().contains("chemcost_requests_total{route=\"debug\"} 1"));
-    }
-
-    /// Negative (satellite): stripping any PR 8 timeline/event-loop
-    /// family's sample lines must trip the required-series linter.
-    #[test]
-    fn required_linter_flags_missing_timeline_series() {
-        let m = Metrics::new();
-        m.set_model_quality("gb", 1, "aurora", QualityStats::default());
-        m.set_lifecycle_state("gb", "aurora", LifecycleState::Idle);
-        let full = m.render();
-        lint_exposition_with_required(&full, REQUIRED_SERIES).expect("full exposition is complete");
-        for family in [
-            "chemcost_request_stage_duration_seconds",
-            "chemcost_event_loop_iteration_duration_seconds",
-            "chemcost_event_loop_events_per_wake",
-            "chemcost_connections_read_paused",
-            "chemcost_connections_write_stalled",
-        ] {
-            let stripped: String = full
-                .lines()
-                .filter(|l| {
-                    l.starts_with('#')
-                        || !l.split(['{', ' ']).next().unwrap_or("").starts_with(family)
-                })
-                .map(|l| format!("{l}\n"))
-                .collect();
-            let errs = lint_exposition_with_required(&stripped, REQUIRED_SERIES).unwrap_err();
-            assert!(
-                errs.iter().any(|e| e.contains(family) && e.contains("no sample line")),
-                "{family} should be flagged: {errs:?}"
-            );
-        }
-    }
-
     /// Satellite: N writer threads hammer every counter family while the
     /// main thread renders mid-flight; every intermediate exposition must
     /// stay well-formed, and the final counts must add up.
     #[test]
     fn concurrent_writers_keep_render_well_formed() {
-        use std::sync::Arc;
         let m = Arc::new(Metrics::new());
         let writers = 8;
         let per_thread = 500;
@@ -2518,17 +1698,20 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..per_thread {
                         let route = Route::ALL[(t + i) % Route::ALL.len()];
-                        m.inc_in_flight();
-                        m.pool_enqueued();
+                        m.gauge_add(IN_FLIGHT, 1);
+                        m.gauge_add(POOL_QUEUE_DEPTH, 1);
                         m.record(route, i % 3 == 0, Duration::from_micros((i * 37) as u64));
                         let stage = AdviseStage::ALL[i % 3];
-                        m.record_advise_stage(stage, Duration::from_micros((i * 11) as u64));
+                        m.observe(
+                            ADVISE_STAGES[stage as usize],
+                            Duration::from_micros((i * 11) as u64),
+                        );
                         if i % 5 == 0 {
                             m.record_shed();
                         }
-                        m.record_cache_miss();
-                        m.pool_dequeued();
-                        m.dec_in_flight();
+                        m.inc(CACHE_MISSES);
+                        m.gauge_add(POOL_QUEUE_DEPTH, -1);
+                        m.gauge_add(IN_FLIGHT, -1);
                     }
                 })
             })
@@ -2544,15 +1727,16 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let total: u64 = Route::ALL.iter().map(|&r| m.requests(r)).sum();
+        let total: u64 = Route::ALL.iter().map(|&r| m.count(REQUESTS[r as usize])).sum();
         let expected = (writers * per_thread) as u64;
         // record() calls + record_shed() calls (every 5th iteration).
         assert_eq!(total, expected + expected / 5);
-        assert_eq!(m.cache_misses(), expected);
-        assert_eq!(m.shed_total(), expected / 5);
-        assert_eq!(m.in_flight(), 0);
-        assert_eq!(m.pool_queue_depth(), 0);
-        let stage_total: u64 = AdviseStage::ALL.iter().map(|&s| m.advise_stage_count(s)).sum();
+        assert_eq!(m.count(CACHE_MISSES), expected);
+        assert_eq!(m.count(SHED), expected / 5);
+        assert_eq!(m.gauge(IN_FLIGHT), 0);
+        assert_eq!(m.gauge(POOL_QUEUE_DEPTH), 0);
+        let stage_total: u64 =
+            AdviseStage::ALL.iter().map(|&s| m.snapshot(ADVISE_STAGES[s as usize]).2).sum();
         assert_eq!(stage_total, expected);
         lint_exposition(&m.render()).expect("final exposition must lint clean");
     }

@@ -23,7 +23,9 @@ use crate::cache::{AdviseCache, AdviseKeyRef, CachedRec};
 use crate::http::{Body, Request, Response};
 use crate::json::{self, Json, Scanner};
 use crate::metrics::{
-    build_info, AdviseStage, DeadlineStage, LifecycleMetricsBridge, Metrics, Route,
+    build_info, AdviseStage, DeadlineStage, Intake, LifecycleMetricsBridge, Metrics, Route,
+    ADVISE_STAGES, CACHE_ENTRIES, CACHE_HITS, CACHE_MISSES, DEADLINE_EXCEEDED, IN_FLIGHT,
+    OBSERVATIONS, POOL_QUEUE_DEPTH, STALE_SERVED,
 };
 use crate::quality::{ObserveError, ObserveOutcome, QualityHub};
 use crate::registry::{ModelRegistry, ResolvedModel};
@@ -278,9 +280,9 @@ impl Router {
                 remaining_ms = d.remaining_ms(),
             );
         }
-        self.metrics.inc_in_flight();
+        self.metrics.gauge_add(IN_FLIGHT, 1);
         let (route, mut response) = self.dispatch(req, deadline);
-        self.metrics.dec_in_flight();
+        self.metrics.gauge_add(IN_FLIGHT, -1);
         // Two clocks (satellite of PR 8): `handler` is pure handler
         // time (the per-route latency histograms keep their meaning),
         // while the access log and the slow-request warning measure
@@ -446,7 +448,7 @@ impl Router {
                 // demotion keeps the dead version's answers around as
                 // last-resort overload fallbacks instead of dropping them.
                 let demoted = self.cache.demote_model(name, version);
-                self.metrics.set_cache_entries(self.cache.len());
+                self.metrics.gauge_set(CACHE_ENTRIES, self.cache.len());
                 self.metrics.mark_model_fresh();
                 // Track the new generation's quality from its first answer,
                 // and flush buffered obs lines so the reload marker reaches
@@ -551,7 +553,7 @@ impl Router {
     /// after this request entered `in_flight`, so of two requests
     /// checking at once at most one sees itself alone.
     fn alone(&self) -> bool {
-        self.metrics.in_flight() <= 1 && self.metrics.pool_queue_depth() == 0
+        self.metrics.gauge(IN_FLIGHT) <= 1 && self.metrics.gauge(POOL_QUEUE_DEPTH) == 0
     }
 
     /// Inference + response encoding shared by the fast-scanned and
@@ -595,13 +597,13 @@ impl Router {
 
     /// 504 for `stage`, recording the counter and an obs event.
     fn deadline_504(&self, stage: DeadlineStage, d: Deadline) -> Response {
-        self.metrics.record_deadline_exceeded(stage);
+        self.metrics.inc(DEADLINE_EXCEEDED[stage as usize]);
         obs::event!(
             Level::Warn,
             "http.deadline_exceeded",
             stage = stage.label(),
             budget_ms = d.budget_ms(),
-            exceeded_total = self.metrics.deadline_exceeded(stage),
+            exceeded_total = self.metrics.count(DEADLINE_EXCEEDED[stage as usize]),
         );
         Response::json(
             504,
@@ -686,10 +688,10 @@ impl Router {
         };
         let cached = self.cache.get(&key);
         let hit = cached.is_some();
-        self.metrics.record_advise_stage(AdviseStage::Cache, cache_started.elapsed());
+        self.metrics.observe(ADVISE_STAGES[AdviseStage::Cache as usize], cache_started.elapsed());
         obs::event!(Level::Debug, "advise.cache", hit = hit, o = o, v = v, goal = goal);
         if let Some((cached, rec)) = cached {
-            self.metrics.record_cache_hit();
+            self.metrics.inc(CACHE_HITS);
             let mut resp = Response::json(200, cached);
             // A replayed answer is a fresh prediction as far as the quality
             // loop is concerned: each round trip gets its own id, so the
@@ -705,7 +707,7 @@ impl Router {
             );
             return resp;
         }
-        self.metrics.record_cache_miss();
+        self.metrics.inc(CACHE_MISSES);
 
         // Serve-stale-on-overload: while the pool is shedding, an answer
         // computed by a previous model version beats burning a sweep. The
@@ -713,7 +715,7 @@ impl Router {
         // `model_version` so the client can tell what it got.
         if self.metrics.shed_within(STALE_SERVE_WINDOW) {
             if let Some((stale_body, stale_version, stale_rec)) = self.cache.get_stale(&key) {
-                self.metrics.record_stale_served();
+                self.metrics.inc(STALE_SERVED);
                 obs::event!(
                     Level::Warn,
                     "advise.stale",
@@ -771,7 +773,7 @@ impl Router {
             );
             Advisor::new(resolved.flat.as_ref(), machine).sweep(o, v)
         };
-        self.metrics.record_advise_stage(AdviseStage::Sweep, sweep_started.elapsed());
+        self.metrics.observe(ADVISE_STAGES[AdviseStage::Sweep as usize], sweep_started.elapsed());
 
         let encode_started = Instant::now();
         let mut fields: Vec<(&'static str, Json)> = vec![
@@ -816,8 +818,8 @@ impl Router {
         let rendered: Arc<str> = Json::obj(fields).encode().into();
         let rec = primary.map(|r| (r.nodes, r.tile, r.predicted_seconds));
         self.cache.insert(key.to_owned_key(), Arc::clone(&rendered), rec);
-        self.metrics.set_cache_entries(self.cache.len());
-        self.metrics.record_advise_stage(AdviseStage::Encode, encode_started.elapsed());
+        self.metrics.gauge_set(CACHE_ENTRIES, self.cache.len());
+        self.metrics.observe(ADVISE_STAGES[AdviseStage::Encode as usize], encode_started.elapsed());
         let mut resp = Response::json(200, rendered);
         self.journal_prediction(
             &mut resp,
@@ -856,7 +858,8 @@ impl Router {
                 machine,
                 &[o as f64, v as f64, nodes as f64, tile as f64],
             );
-            self.metrics.record_advise_stage(AdviseStage::Shadow, shadow_started.elapsed());
+            self.metrics
+                .observe(ADVISE_STAGES[AdviseStage::Shadow as usize], shadow_started.elapsed());
             let id = self.quality.record_prediction_with_shadow(
                 model,
                 version,
@@ -877,13 +880,13 @@ impl Router {
     /// rolling statistics.
     fn observe(&self, body: &[u8]) -> Response {
         let reject = |metrics: &Metrics, status: u16, msg: &str| {
-            metrics.record_quality_observation(false);
+            metrics.inc(OBSERVATIONS[Intake::Rejected as usize]);
             error(status, msg)
         };
         let parsed = match parse_body(body) {
             Ok(v) => v,
             Err(resp) => {
-                self.metrics.record_quality_observation(false);
+                self.metrics.inc(OBSERVATIONS[Intake::Rejected as usize]);
                 return resp;
             }
         };
@@ -916,7 +919,7 @@ impl Router {
         };
         match self.quality.observe(id, measured) {
             Ok(out) => {
-                self.metrics.record_quality_observation(true);
+                self.metrics.inc(OBSERVATIONS[Intake::Accepted as usize]);
                 // Every accepted measurement drives the lifecycle loop:
                 // shadow windows fill, retrain triggers fire, and shadow
                 // candidates are judged — all before the response leaves.
@@ -999,8 +1002,18 @@ impl Router {
                 (
                     "observations",
                     Json::obj([
-                        ("accepted", Json::Num(self.metrics.quality_accepted() as f64)),
-                        ("rejected", Json::Num(self.metrics.quality_rejected() as f64)),
+                        (
+                            "accepted",
+                            Json::Num(
+                                self.metrics.count(OBSERVATIONS[Intake::Accepted as usize]) as f64
+                            ),
+                        ),
+                        (
+                            "rejected",
+                            Json::Num(
+                                self.metrics.count(OBSERVATIONS[Intake::Rejected as usize]) as f64
+                            ),
+                        ),
                     ]),
                 ),
                 ("groups", Json::Arr(groups)),
@@ -1140,7 +1153,7 @@ impl Router {
         } = ticket;
         let version = self.registry.promote(&model, candidate)?;
         let demoted = self.cache.demote_model(&model, version);
-        self.metrics.set_cache_entries(self.cache.len());
+        self.metrics.gauge_set(CACHE_ENTRIES, self.cache.len());
         self.metrics.mark_model_fresh();
         self.quality.register_group(&model, version, &machine);
         // Best-effort durability for file-backed models: write the promoted
@@ -1316,7 +1329,7 @@ impl Router {
             );
         }
         let demoted = self.cache.demote_model(&model, version);
-        self.metrics.set_cache_entries(self.cache.len());
+        self.metrics.gauge_set(CACHE_ENTRIES, self.cache.len());
         self.metrics.mark_model_fresh();
         self.quality.register_group(&model, version, &machine);
         obs::event!(
@@ -1710,16 +1723,16 @@ mod tests {
     fn a_predict_splits_only_while_it_is_the_sole_request() {
         let router = test_router();
         let m = &router.metrics;
-        m.inc_in_flight(); // the calling request, as `handle_from` counts it
+        m.gauge_add(IN_FLIGHT, 1); // the calling request, as `handle_from` counts it
         assert!(router.alone());
-        m.inc_in_flight(); // a second request in a handler
+        m.gauge_add(IN_FLIGHT, 1); // a second request in a handler
         assert!(!router.alone());
-        m.dec_in_flight();
-        m.pool_enqueued(); // a request waiting for a worker
+        m.gauge_add(IN_FLIGHT, -1);
+        m.gauge_add(POOL_QUEUE_DEPTH, 1); // a request waiting for a worker
         assert!(!router.alone());
-        m.pool_dequeued();
+        m.gauge_add(POOL_QUEUE_DEPTH, -1);
         assert!(router.alone());
-        m.dec_in_flight();
+        m.gauge_add(IN_FLIGHT, -1);
 
         // Past the split threshold, both ways answer the same bytes.
         let rows: Vec<String> = (0..96)
@@ -1730,9 +1743,9 @@ mod tests {
             .collect();
         let body = format!(r#"{{"rows":[{}]}}"#, rows.join(","));
         let split = post(&router, "/v1/predict", &body);
-        m.inc_in_flight();
+        m.gauge_add(IN_FLIGHT, 1);
         let serial = post(&router, "/v1/predict", &body);
-        m.dec_in_flight();
+        m.gauge_add(IN_FLIGHT, -1);
         assert_eq!(split.status, 200, "{:?}", String::from_utf8_lossy(&split.body));
         assert_eq!(split.body, serial.body);
     }

@@ -110,11 +110,11 @@ impl TimelineBuilder {
         let encoded = self.encoded.unwrap_or(handler_done).max(handler_done);
         let last_byte = last_byte.max(encoded);
         let mut stages = [Duration::ZERO; 5];
-        stages[RequestStage::Read.index()] = self.parsed - self.first_byte;
-        stages[RequestStage::Queue.index()] = dequeued - self.parsed;
-        stages[RequestStage::Handler.index()] = handler_done - dequeued;
-        stages[RequestStage::Reorder.index()] = encoded - handler_done;
-        stages[RequestStage::Write.index()] = last_byte - encoded;
+        stages[RequestStage::Read as usize] = self.parsed - self.first_byte;
+        stages[RequestStage::Queue as usize] = dequeued - self.parsed;
+        stages[RequestStage::Handler as usize] = handler_done - dequeued;
+        stages[RequestStage::Reorder as usize] = encoded - handler_done;
+        stages[RequestStage::Write as usize] = last_byte - encoded;
         CompletedTimeline {
             trace: self.trace,
             method: self.method,
@@ -146,7 +146,7 @@ pub struct CompletedTimeline {
     pub completed_unix_us: u64,
     /// First byte read → last byte flushed.
     pub total: Duration,
-    /// Per-stage durations, indexed by [`RequestStage::index`]. Sums
+    /// Per-stage durations, indexed by `stage as usize`. Sums
     /// exactly to `total` by construction.
     pub stages: [Duration; 5],
 }
@@ -154,7 +154,7 @@ pub struct CompletedTimeline {
 impl CompletedTimeline {
     /// The per-stage durations paired with their stages.
     pub fn stage_durations(&self) -> impl Iterator<Item = (RequestStage, Duration)> + '_ {
-        RequestStage::ALL.into_iter().map(|s| (s, self.stages[s.index()]))
+        RequestStage::ALL.into_iter().map(|s| (s, self.stages[s as usize]))
     }
 
     /// The JSON object served from `GET /debug/requests`.
@@ -162,7 +162,7 @@ impl CompletedTimeline {
         let us = |d: Duration| Json::Num(d.as_micros() as f64);
         let mut stage_fields: Vec<(String, Json)> = Vec::with_capacity(RequestStage::ALL.len());
         for stage in RequestStage::ALL {
-            stage_fields.push((format!("{}_us", stage.label()), us(self.stages[stage.index()])));
+            stage_fields.push((format!("{}_us", stage.label()), us(self.stages[stage as usize])));
         }
         Json::obj([
             ("trace", self.trace.clone().into()),
@@ -186,7 +186,7 @@ impl CompletedTimeline {
             .then(|| chemcost_obs::TraceScope::enter(Arc::from(self.trace.as_str())));
         let mut tl = chemcost_obs::Timeline::new();
         for stage in RequestStage::ALL {
-            tl = tl.stage(stage.field_key(), self.stages[stage.index()].as_micros() as u64);
+            tl = tl.stage(stage.field_key(), self.stages[stage as usize].as_micros() as u64);
         }
         tl.emit(
             Level::Debug,
@@ -334,11 +334,11 @@ mod tests {
         let sum: Duration = done.stages.iter().sum();
         assert_eq!(sum, done.total);
         assert_eq!(done.total, Duration::from_micros(1400));
-        assert_eq!(done.stages[RequestStage::Read.index()], Duration::from_micros(50));
-        assert_eq!(done.stages[RequestStage::Queue.index()], Duration::from_micros(200));
-        assert_eq!(done.stages[RequestStage::Handler.index()], Duration::from_micros(1000));
-        assert_eq!(done.stages[RequestStage::Reorder.index()], Duration::from_micros(50));
-        assert_eq!(done.stages[RequestStage::Write.index()], Duration::from_micros(100));
+        assert_eq!(done.stages[RequestStage::Read as usize], Duration::from_micros(50));
+        assert_eq!(done.stages[RequestStage::Queue as usize], Duration::from_micros(200));
+        assert_eq!(done.stages[RequestStage::Handler as usize], Duration::from_micros(1000));
+        assert_eq!(done.stages[RequestStage::Reorder as usize], Duration::from_micros(50));
+        assert_eq!(done.stages[RequestStage::Write as usize], Duration::from_micros(100));
         assert_eq!(done.trace, "t-1");
         assert_eq!(done.status, 200);
     }
@@ -350,9 +350,9 @@ mod tests {
         let done = tl.complete(t0 + Duration::from_micros(25));
         let sum: Duration = done.stages.iter().sum();
         assert_eq!(sum, done.total);
-        assert_eq!(done.stages[RequestStage::Queue.index()], Duration::ZERO);
-        assert_eq!(done.stages[RequestStage::Handler.index()], Duration::ZERO);
-        assert_eq!(done.stages[RequestStage::Write.index()], Duration::from_micros(20));
+        assert_eq!(done.stages[RequestStage::Queue as usize], Duration::ZERO);
+        assert_eq!(done.stages[RequestStage::Handler as usize], Duration::ZERO);
+        assert_eq!(done.stages[RequestStage::Write as usize], Duration::from_micros(20));
     }
 
     #[test]

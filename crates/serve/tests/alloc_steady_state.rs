@@ -27,6 +27,7 @@ use chemcost_ml::gradient_boosting::GradientBoosting;
 use chemcost_ml::Regressor;
 use chemcost_serve::cache::{AdviseCache, AdviseKeyRef};
 use chemcost_serve::http::{encode_response_into, Request, Response};
+use chemcost_serve::metrics::{CACHE_HITS, KEEPALIVE_REUSES};
 use chemcost_serve::{Metrics, ModelRegistry, Router};
 use chemcost_sim::datagen::generate_dataset_sized;
 use chemcost_sim::machine::by_name;
@@ -145,16 +146,16 @@ fn warm_hot_paths_do_not_allocate() {
 
     // --- component: sharded metrics counters -------------------------
     let metrics = Metrics::new();
-    metrics.record_cache_hit(); // warm this thread's stripe assignment
-    metrics.record_keepalive_reuse();
+    metrics.inc(CACHE_HITS); // warm this thread's stripe assignment
+    metrics.inc(KEEPALIVE_REUSES);
     let n = allocations_in(|| {
         for _ in 0..100 {
-            metrics.record_cache_hit();
-            metrics.record_keepalive_reuse();
+            metrics.inc(CACHE_HITS);
+            metrics.inc(KEEPALIVE_REUSES);
         }
     });
     assert_eq!(n, 0, "sharded counters allocated {n} times per 200 increments");
-    assert_eq!(metrics.cache_hits(), 101);
+    assert_eq!(metrics.count(CACHE_HITS), 101);
 
     // --- component: response encode into a reused buffer -------------
     let response = Response::text(200, "ok");

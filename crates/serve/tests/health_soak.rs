@@ -13,12 +13,15 @@
 //! * the paired connection-state gauges return to zero after a
 //!   keep-alive soak drains through forced close-on-shutdown.
 
-use chemcost_health::{HealthConfig, Ring, Signal, SloSpec};
+use chemcost_health::{AlertState, HealthConfig, Ring, Signal, SloSpec};
 use chemcost_linalg::Matrix;
 use chemcost_ml::gradient_boosting::GradientBoosting;
 use chemcost_ml::Regressor;
 use chemcost_obs::{self as obs, Level, RingSink, Value};
-use chemcost_serve::metrics::{Metrics, Route};
+use chemcost_serve::metrics::{
+    Metrics, Route, ALERT_TRANSITIONS, CACHE_HITS, CACHE_MISSES, CONNECTIONS_OPEN,
+    KEEPALIVE_REUSES, READ_PAUSED, SLO_SCRAPES, WRITE_STALLED,
+};
 use chemcost_serve::{FaultKind, FaultPlaneBuilder, MetricsSampler, ModelRegistry, Router, Server};
 use chemcost_sim::datagen::generate_dataset_sized;
 use chemcost_sim::machine::by_name;
@@ -157,10 +160,19 @@ fn chaos_soak_walks_the_full_alert_lifecycle_with_correlated_signals() {
 
     // -- the transitions are counted in the pre-registered metric family --
     let metrics = probe.metrics();
-    assert!(metrics.alert_transitions("pending") >= 1, "missing ok→pending count");
-    assert!(metrics.alert_transitions("firing") >= 1, "missing pending→firing count");
-    assert!(metrics.alert_transitions("resolved") >= 1, "missing firing→resolved count");
-    assert!(metrics.slo_scrapes() > 0);
+    assert!(
+        metrics.count(ALERT_TRANSITIONS[AlertState::Pending as usize]) >= 1,
+        "missing ok→pending count"
+    );
+    assert!(
+        metrics.count(ALERT_TRANSITIONS[AlertState::Firing as usize]) >= 1,
+        "missing pending→firing count"
+    );
+    assert!(
+        metrics.count(ALERT_TRANSITIONS[AlertState::Resolved as usize]) >= 1,
+        "missing firing→resolved count"
+    );
+    assert!(metrics.count(SLO_SCRAPES) > 0);
 
     // -- and the same run emitted correlated health.alert obs events --
     let field_str = |e: &obs::Event, key: &str| match e.field(key) {
@@ -210,9 +222,9 @@ fn scrapes_stay_consistent_and_ring_bounded_under_writer_stress() {
                         metrics.record_shed();
                     }
                     if n.is_multiple_of(5) {
-                        metrics.record_cache_hit();
+                        metrics.inc(CACHE_HITS);
                     } else {
-                        metrics.record_cache_miss();
+                        metrics.inc(CACHE_MISSES);
                     }
                     n = n.wrapping_add(1);
                 }
@@ -296,14 +308,14 @@ fn connection_gauges_return_to_zero_after_keepalive_soak_drains() {
         }
         conns.push(stream);
     }
-    assert!(metrics.keepalive_reuses() >= 16, "soak must exercise keep-alive reuse");
-    assert!(metrics.connections_open() >= 8, "all soak connections still open");
+    assert!(metrics.count(KEEPALIVE_REUSES) >= 16, "soak must exercise keep-alive reuse");
+    assert!(metrics.gauge(CONNECTIONS_OPEN) >= 8, "all soak connections still open");
 
     // Drain: the daemon force-closes every idle persistent connection.
     shutdown(addr);
     server_thread.join().unwrap().unwrap();
-    assert_eq!(metrics.connections_open(), 0, "open-connection gauge must drain to zero");
-    assert_eq!(metrics.read_paused(), 0, "read-paused gauge must drain to zero");
-    assert_eq!(metrics.write_stalled(), 0, "write-stalled gauge must drain to zero");
+    assert_eq!(metrics.gauge(CONNECTIONS_OPEN), 0, "open-connection gauge must drain to zero");
+    assert_eq!(metrics.gauge(READ_PAUSED), 0, "read-paused gauge must drain to zero");
+    assert_eq!(metrics.gauge(WRITE_STALLED), 0, "write-stalled gauge must drain to zero");
     drop(conns);
 }

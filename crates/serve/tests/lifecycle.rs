@@ -20,7 +20,9 @@ use chemcost_ml::persist::{encode_gb, Lineage};
 use chemcost_ml::Regressor;
 use chemcost_serve::http::{Request, Response};
 use chemcost_serve::json::Json;
-use chemcost_serve::metrics::{lint_exposition_with_required, AdviseStage, REQUIRED_SERIES};
+use chemcost_serve::metrics::{
+    lint_exposition_with_required, AdviseStage, ADVISE_STAGES, REQUIRED_SERIES,
+};
 use chemcost_serve::{ModelRegistry, Router};
 use chemcost_sim::datagen::generate_dataset_sized;
 use chemcost_sim::machine::by_name;
@@ -453,12 +455,16 @@ fn shadow_scoring_adds_under_five_percent_to_advise() {
         assert_eq!(resp.status, 200);
     }
     let m = router.metrics();
-    assert!(m.advise_stage_count(AdviseStage::Shadow) >= problems.len().min(24) as u64);
-    let shadow = m.advise_stage_mean_seconds(AdviseStage::Shadow);
-    let pipeline = m.advise_stage_mean_seconds(AdviseStage::Cache)
-        + m.advise_stage_mean_seconds(AdviseStage::Sweep)
-        + m.advise_stage_mean_seconds(AdviseStage::Encode)
-        + shadow;
+    let (_, _, shadows) = m.snapshot(ADVISE_STAGES[AdviseStage::Shadow as usize]);
+    assert!(shadows >= problems.len().min(24) as u64);
+    // Mean recorded duration of one advise stage, in seconds.
+    let mean = |stage| {
+        let (_, sum_micros, count) = m.snapshot(ADVISE_STAGES[stage as usize]);
+        sum_micros as f64 / 1e6 / count as f64
+    };
+    let shadow = mean(AdviseStage::Shadow);
+    let pipeline =
+        mean(AdviseStage::Cache) + mean(AdviseStage::Sweep) + mean(AdviseStage::Encode) + shadow;
     assert!(shadow.is_finite() && pipeline.is_finite());
     // One flat predict_row against a whole candidate sweep: give the 5%
     // bound 0.5 ms of absolute slack to absorb scheduler jitter on slow

@@ -13,12 +13,9 @@
 use std::time::Duration;
 
 use chemcost_health::AlertState;
-use chemcost_lifecycle::{LifecycleState, PromotionOutcome, TRANSITIONS};
+use chemcost_lifecycle::{LifecycleState, PromotionOutcome};
 use chemcost_serve::fault::FaultKind;
-use chemcost_serve::metrics::{
-    lint_exposition_with_required, AdviseStage, DeadlineStage, QualityStats, RequestStage, Route,
-    REQUIRED_SERIES,
-};
+use chemcost_serve::metrics::*;
 use chemcost_serve::Metrics;
 
 /// The render output with the build-info sample line normalised.
@@ -52,41 +49,41 @@ fn fill(m: &Metrics) {
     m.record_shed();
     m.record_shed();
     for _ in 0..3 {
-        m.inc_in_flight();
+        m.gauge_add(IN_FLIGHT, 1);
     }
     for _ in 0..4 {
-        m.pool_enqueued();
+        m.gauge_add(POOL_QUEUE_DEPTH, 1);
     }
     for (i, stage) in AdviseStage::ALL.into_iter().enumerate() {
         for k in 0..=i {
-            m.record_advise_stage(stage, us(90 + 3_000 * (i + k) as u64));
+            m.observe(ADVISE_STAGES[stage as usize], us(90 + 3_000 * (i + k) as u64));
         }
     }
     for _ in 0..5 {
-        m.record_cache_hit();
+        m.inc(CACHE_HITS);
     }
     for _ in 0..6 {
-        m.record_cache_miss();
+        m.inc(CACHE_MISSES);
     }
-    m.set_cache_entries(7);
+    m.gauge_set(CACHE_ENTRIES, 7);
     for (i, stage) in DeadlineStage::ALL.into_iter().enumerate() {
         for _ in 0..=i {
-            m.record_deadline_exceeded(stage);
+            m.inc(DEADLINE_EXCEEDED[stage as usize]);
         }
     }
     m.record_reload_failure();
     m.record_reload_failure();
     m.mark_model_fresh();
     for _ in 0..3 {
-        m.record_stale_served();
+        m.inc(STALE_SERVED);
     }
     for (i, kind) in FaultKind::ALL.into_iter().enumerate() {
         for _ in 0..=i {
-            m.record_fault(kind);
+            m.inc(FAULTS_INJECTED[kind as usize]);
         }
     }
-    for accepted in [true, false, false] {
-        m.record_quality_observation(accepted);
+    for intake in [Intake::Accepted, Intake::Rejected, Intake::Rejected] {
+        m.inc(OBSERVATIONS[intake as usize]);
     }
     let stats = QualityStats {
         observations: 40,
@@ -120,45 +117,50 @@ fn fill(m: &Metrics) {
     m.set_model_quality("gb", 2, "aurora", stats2);
     m.set_lifecycle_state("gb", "aurora", LifecycleState::Shadow);
     m.set_lifecycle_state("gb2", "frontier", LifecycleState::Training);
-    for (i, &(from, to)) in TRANSITIONS.iter().enumerate() {
+    for (i, &counter) in LIFECYCLE_TRANSITIONS.iter().enumerate() {
         for _ in 0..=i {
-            m.record_lifecycle_transition(from, to);
+            m.inc(counter);
         }
     }
-    m.set_lifecycle_queue_depth(2);
-    m.record_lifecycle_fit_duration(Duration::from_millis(1_250));
-    m.record_lifecycle_fit_duration(Duration::from_millis(40));
+    m.gauge_set(LIFECYCLE_QUEUE_DEPTH, 2);
+    m.observe(LIFECYCLE_FIT_DURATION, Duration::from_millis(1_250));
+    m.observe(LIFECYCLE_FIT_DURATION, Duration::from_millis(40));
     for (i, outcome) in PromotionOutcome::ALL.into_iter().enumerate() {
         for _ in 0..=i {
-            m.record_lifecycle_promotion(outcome);
+            m.inc(LIFECYCLE_PROMOTIONS[outcome as usize]);
         }
     }
     for _ in 0..9 {
-        m.inc_connections_open();
+        m.gauge_add(CONNECTIONS_OPEN, 1);
     }
     for _ in 0..11 {
-        m.record_keepalive_reuse();
+        m.inc(KEEPALIVE_REUSES);
     }
     for (i, stage) in RequestStage::ALL.into_iter().enumerate() {
         for k in 0..=i {
-            m.record_request_stage(stage, us(15 + 450 * (i * k) as u64));
+            m.observe(REQUEST_STAGES[stage as usize], us(15 + 450 * (i * k) as u64));
         }
     }
-    m.record_loop_iteration(us(120), 3);
-    m.record_loop_iteration(us(2_500), 700);
-    m.record_loop_iteration(us(60), 1);
-    m.inc_read_paused();
+    for (elapsed, events) in [(120, 3), (2_500, 700), (60, 1)] {
+        m.observe(LOOP_ITERATION, us(elapsed));
+        m.observe_count(EVENTS_PER_WAKE, events);
+    }
+    m.gauge_add(READ_PAUSED, 1);
     for _ in 0..2 {
-        m.inc_write_stalled();
+        m.gauge_add(WRITE_STALLED, 1);
     }
     for (i, state) in AlertState::ALL.into_iter().enumerate() {
         for _ in 0..=i {
-            m.record_alert_transition(state.label());
+            m.inc(ALERT_TRANSITIONS[state as usize]);
         }
     }
-    m.set_alert_gauges(1, 2);
-    m.record_slo_scrape(5, 1);
-    m.record_slo_scrape(5, 3);
+    m.gauge_set(ALERTS_FIRING, 1);
+    m.gauge_set(ALERTS_PENDING, 2);
+    for breaching in [1, 3] {
+        m.inc(SLO_SCRAPES);
+        m.add(SLO_EVALUATIONS, 5);
+        m.gauge_set(SLO_BREACHING, breaching);
+    }
 }
 
 #[test]

@@ -24,7 +24,9 @@ use chemcost_ml::Regressor;
 use chemcost_obs::{self as obs, Level, RingSink, Value};
 use chemcost_serve::http::{Request, Response};
 use chemcost_serve::json::Json;
-use chemcost_serve::metrics::{lint_exposition_with_required, REQUIRED_SERIES};
+use chemcost_serve::metrics::{
+    lint_exposition_with_required, Intake, OBSERVATIONS, REQUIRED_SERIES,
+};
 use chemcost_serve::{FaultKind, FaultPlaneBuilder, ModelRegistry, Router};
 use chemcost_sim::datagen::{generate_dataset_sized, node_candidates, tile_candidates};
 use chemcost_sim::machine::by_name;
@@ -333,8 +335,11 @@ fn observe_rejections_are_structured_and_stat_neutral() {
     let snap = router.quality().snapshot();
     let gb = snap.iter().find(|g| g.model == "gb" && g.stats.observations > 0).unwrap();
     assert_eq!(gb.stats.observations, 1);
-    assert_eq!(router.metrics().quality_accepted(), 1);
-    assert_eq!(router.metrics().quality_rejected(), 1 + cases.len() as u64);
+    assert_eq!(router.metrics().count(OBSERVATIONS[Intake::Accepted as usize]), 1);
+    assert_eq!(
+        router.metrics().count(OBSERVATIONS[Intake::Rejected as usize]),
+        1 + cases.len() as u64
+    );
 
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
@@ -354,7 +359,7 @@ mod prop {
             let router = Router::new(registry);
             let resp = router.handle(&Request::new("POST", "/v1/observe", &body));
             prop_assert!(resp.status >= 400 && resp.status < 500, "status {}", resp.status);
-            prop_assert_eq!(router.metrics().quality_accepted(), 0);
+            prop_assert_eq!(router.metrics().count(OBSERVATIONS[Intake::Accepted as usize]), 0);
             prop_assert!(router.quality().snapshot().iter().all(|g| g.stats.observations == 0));
         }
 
@@ -371,7 +376,7 @@ mod prop {
             let body = format!(r#"{{"{key}": {id}, "measured_seconds": {measured}}}"#);
             let resp = router.handle(&Request::new("POST", "/v1/observe", body.as_bytes()));
             prop_assert!(resp.status >= 400 && resp.status < 500, "status {} for {body}", resp.status);
-            prop_assert_eq!(router.metrics().quality_accepted(), 0);
+            prop_assert_eq!(router.metrics().count(OBSERVATIONS[Intake::Accepted as usize]), 0);
         }
     }
 }

@@ -137,40 +137,41 @@ impl Args {
 }
 
 fn usage() -> &'static str {
-    "chemcost <command> [options]\n\
-     commands:\n\
-       generate   --machine aurora|frontier --out FILE [--size N] [--seed S]\n\
-       train      --data FILE --out FILE [--fast] [--seed S]\n\
-       advise     --model FILE --machine NAME (--o O --v V |\n\
-                   --molecule NAME --basis cc-pvdz|cc-pvtz|cc-pvqz|aug-cc-pvdz|aug-cc-pvtz)\n\
-                  [--goal stq|bq|pareto] [--budget NH] [--deadline S]\n\
-       molecules  (list the built-in molecule catalog)\n\
-       evaluate   --model FILE --data FILE\n\
-       importance --model FILE --data FILE\n\
-       trace      --machine NAME --nodes N --tile T (--o O --v V | --molecule ... --basis ...)\n\
-                  [--noise SIGMA] [--seed S] [--out FILE]  (per-task JSONL + utilization)\n\
-       serve      --model FILE --machine NAME [--addr HOST:PORT] [--workers N] [--queue-cap N]\n\
-                  [--max-conns N] [--default-deadline-ms MS] [--scrape-interval-ms MS]\n\
-                  [--slo-file FILE]\n\
-                  [--chaos slow-io|drop-conn|truncate-body|saturate|poison-reload|all]\n\
-                   (chaos seeded by CHEMCOST_CHAOS_SEED; SLO rules in docs/HEALTH.md)\n\
-       call       --path /v1/… [--addr HOST:PORT] [--method GET|POST] [--body JSON]\n\
-                  [--deadline-ms MS] [--retries N]  (retrying client; GET and\n\
-                   /v1/advise retry, other POSTs get one attempt)\n\
-       quality    [--addr HOST:PORT] [--next]  (model-quality report from a running\n\
-                   daemon; --next asks for active-learning-ranked experiments)\n\
-       top        [--addr HOST:PORT] [--slowest | --recent] [--n ROWS] [--route SUBSTR]\n\
-                  [--watch [--interval-ms MS]]  (per-request stage timelines from a\n\
-                   daemon's flight recorder, /debug/requests; --watch tails new requests)\n\
-       health     [--addr HOST:PORT] [--window 5m] [--watch]  (SLO verdicts, alert\n\
-                   states, and sparklines from /v1/health + /debug/slo; docs/HEALTH.md)\n\
-       lifecycle  [--addr HOST:PORT] [--model NAME] [--machine NAME]\n\
-                  [--promote | --rollback | --freeze | --unfreeze]  (retrain/shadow/\n\
-                   promote state from a running daemon; see docs/LIFECYCLE.md)\n\
-       version    (build identity: version, git sha, dirty flag)\n\
-     observability: set CHEMCOST_LOG=error|warn|info|debug|trace for structured logs on\n\
-     stderr, CHEMCOST_LOG_JSON=FILE for a JSONL copy (see docs/OBSERVABILITY.md,\n\
-     docs/ROBUSTNESS.md)"
+    // One literal, so each line's leading spaces reach the output.
+    "chemcost <command> [options]
+commands:
+  generate   --machine aurora|frontier --out FILE [--size N] [--seed S]
+  train      --data FILE --out FILE [--fast] [--seed S]
+  advise     --model FILE --machine NAME (--o O --v V |
+              --molecule NAME --basis cc-pvdz|cc-pvtz|cc-pvqz|aug-cc-pvdz|aug-cc-pvtz)
+             [--goal stq|bq|pareto] [--budget NH] [--deadline S]
+  molecules  (list the built-in molecule catalog)
+  evaluate   --model FILE --data FILE
+  importance --model FILE --data FILE
+  trace      --machine NAME --nodes N --tile T (--o O --v V | --molecule ... --basis ...)
+             [--noise SIGMA] [--seed S] [--out FILE]  (per-task JSONL + utilization)
+  serve      --model FILE --machine NAME [--addr HOST:PORT] [--workers N] [--queue-cap N]
+             [--max-conns N] [--default-deadline-ms MS] [--scrape-interval-ms MS]
+             [--slo-file FILE]
+             [--chaos slow-io|drop-conn|truncate-body|saturate|poison-reload|all]
+              (chaos seeded by CHEMCOST_CHAOS_SEED; SLO rules in docs/HEALTH.md)
+  call       --path /v1/… [--addr HOST:PORT] [--method GET|POST] [--body JSON]
+             [--deadline-ms MS] [--retries N]  (retrying client; GET and
+              /v1/advise retry, other POSTs get one attempt)
+  quality    [--addr HOST:PORT] [--next]  (model-quality report from a running
+              daemon; --next asks for active-learning-ranked experiments)
+  top        [--addr HOST:PORT] [--slowest | --recent] [--n ROWS] [--route SUBSTR]
+             [--watch [--interval-ms MS]]  (per-request stage timelines from a
+              daemon's flight recorder, /debug/requests; --watch tails new requests)
+  health     [--addr HOST:PORT] [--window 5m] [--watch]  (SLO verdicts, alert
+              states, and sparklines from /v1/health + /debug/slo; docs/HEALTH.md)
+  lifecycle  [--addr HOST:PORT] [--model NAME] [--machine NAME]
+             [--promote | --rollback | --freeze | --unfreeze]  (retrain/shadow/
+              promote state from a running daemon; see docs/LIFECYCLE.md)
+  version    (build identity: version, git sha, dirty flag)
+observability: set CHEMCOST_LOG=error|warn|info|debug|trace for structured logs on
+stderr, CHEMCOST_LOG_JSON=FILE for a JSONL copy (see docs/OBSERVABILITY.md,
+docs/ROBUSTNESS.md)"
 }
 
 fn machine_of(args: &Args) -> Result<chemcost::sim::MachineModel, String> {

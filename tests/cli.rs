@@ -113,7 +113,13 @@ fn molecules_catalog_prints() {
 fn unknown_command_exits_nonzero_with_usage() {
     let out = bin().arg("frobnicate").output().expect("spawn");
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("commands:"));
+    let usage = String::from_utf8_lossy(&out.stderr);
+    assert!(usage.contains("commands:"));
+    // Continuation lines keep their indentation under their command.
+    assert!(
+        usage.lines().any(|l| l.starts_with(' ') && l.trim_start().starts_with("[--max-conns N]")),
+        "{usage}"
+    );
 }
 
 #[test]

@@ -148,3 +148,41 @@ inline `[also not](nope.md)` code\n\
     assert_eq!(relative_target("https://example.com"), None);
     assert_eq!(relative_target("#local"), None);
 }
+
+/// docs/OBSERVABILITY.md's metric catalog mirrors the family table in
+/// `chemcost_serve::metrics::FAMILIES`: exactly one row per family, whose
+/// first cell is the backticked name and whose type and label-key cells
+/// match the table, and no `chemcost_*` row for a family the table lacks.
+#[test]
+fn metric_catalog_matches_the_family_table() {
+    use chemcost::serve::metrics::FAMILIES;
+    let text = std::fs::read_to_string(repo_root().join("docs/OBSERVABILITY.md"))
+        .expect("docs/OBSERVABILITY.md");
+    // Cells 1–3 (name, type, label keys) never hold a `|`.
+    let rows: Vec<Vec<&str>> = text
+        .lines()
+        .filter(|l| l.starts_with("| `chemcost_"))
+        .map(|l| l.split('|').map(str::trim).collect())
+        .collect();
+    let mut problems = Vec::new();
+    for family in &FAMILIES {
+        let name = format!("`{}`", family.name);
+        let keys: Vec<String> = family.keys.iter().map(|k| format!("`{k}`")).collect();
+        match rows.iter().filter(|r| r[1] == name).collect::<Vec<_>>().as_slice() {
+            [row] if row[2] != family.kind() => {
+                problems.push(format!("{name}: type {:?}, table says {:?}", row[2], family.kind()))
+            }
+            [row] if row[3] != keys.join(", ") => {
+                problems.push(format!("{name}: labels {:?}, table says {:?}", row[3], keys))
+            }
+            [_] => {}
+            found => problems.push(format!("{name}: {} catalog rows, expected 1", found.len())),
+        }
+    }
+    for row in &rows {
+        if !FAMILIES.iter().any(|f| row[1] == format!("`{}`", f.name)) {
+            problems.push(format!("catalog row {} names no family in the table", row[1]));
+        }
+    }
+    assert!(problems.is_empty(), "docs/OBSERVABILITY.md catalog:\n{}", problems.join("\n"));
+}
