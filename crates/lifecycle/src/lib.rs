@@ -12,9 +12,10 @@
 //!    candidate [`GradientBoosting`] from the serving model's trees on the
 //!    retained observations, compiles it to [`FlatGbt`], and records
 //!    [`Lineage`] (parent version, row counts, fit duration, seed);
-//! 3. a **shadow deploy** — the candidate silently scores live requests for
-//!    its group into its own [`RollingQuality`] window while the serving
-//!    model keeps answering;
+//! 3. a **shadow deploy** — the candidate silently scores its group's
+//!    traffic into its own [`RollingQuality`] window while the serving
+//!    model keeps answering (a journaled answer carries a
+//!    [`ShadowHandle`] and is scored when its measurement arrives);
 //! 4. **guarded auto-promotion** — once the shadow window reaches
 //!    [`LifecycleConfig::min_shadow`] and shadow MAPE beats serving MAPE by
 //!    [`LifecycleConfig::guardband`], the hub issues a [`PromotionTicket`]
@@ -28,10 +29,9 @@
 //! hub hands out a ticket; the caller performs the registry swap and then
 //! journals the outcome), so the state machine stays testable in isolation.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread;
 use std::time::Instant;
 
@@ -221,6 +221,14 @@ pub struct PromotionTicket {
     pub outcome: PromotionOutcome,
 }
 
+/// The candidate a group had in shadow when an answer was journaled.
+/// [`LifecycleHub::score_shadow`] scores the answer with it once the
+/// measurement arrives, so the answer path itself runs no model. The
+/// handle is weak: it keeps no rejected or promoted candidate alive, and
+/// once the candidate is gone nothing is left to credit.
+#[derive(Debug, Clone)]
+pub struct ShadowHandle(Weak<FlatGbt>);
+
 /// Verdict from [`LifecycleHub::evaluate_shadow`].
 pub enum ShadowVerdict {
     /// Not enough evidence yet — keep shadow-scoring.
@@ -285,10 +293,39 @@ impl GroupEntry {
     }
 }
 
+/// Every (model, machine) group, looked up by borrowed names. A
+/// registry holds a handful of groups, so a scan allocates nothing where
+/// a map keyed by `(String, String)` needs two owned strings per probe —
+/// and `shadow_candidate` probes on every advise answer and predict.
+#[derive(Default)]
+struct Groups(Vec<(String, String, GroupEntry)>);
+
+impl Groups {
+    fn get(&self, model: &str, machine: &str) -> Option<&GroupEntry> {
+        self.0.iter().find(|(m, mc, _)| m == model && mc == machine).map(|(_, _, e)| e)
+    }
+
+    fn get_mut(&mut self, model: &str, machine: &str) -> Option<&mut GroupEntry> {
+        self.0.iter_mut().find(|(m, mc, _)| m == model && mc == machine).map(|(_, _, e)| e)
+    }
+
+    /// The group's entry, created `Idle` on first sight.
+    fn entry(&mut self, model: &str, machine: &str) -> &mut GroupEntry {
+        let i = match self.0.iter().position(|(m, mc, _)| m == model && mc == machine) {
+            Some(i) => i,
+            None => {
+                self.0.push((model.to_string(), machine.to_string(), GroupEntry::new()));
+                self.0.len() - 1
+            }
+        };
+        &mut self.0[i].2
+    }
+}
+
 struct Inner {
     config: LifecycleConfig,
     observer: Box<dyn LifecycleObserver>,
-    groups: Mutex<HashMap<(String, String), GroupEntry>>,
+    groups: Mutex<Groups>,
     queue_depth: AtomicUsize,
 }
 
@@ -320,9 +357,7 @@ impl Inner {
     fn train(&self, job: RetrainRequest) {
         {
             let mut groups = self.groups.lock();
-            let entry = groups
-                .entry((job.model.clone(), job.machine.clone()))
-                .or_insert_with(GroupEntry::new);
+            let entry = groups.entry(&job.model, &job.machine);
             self.set_state(&job.model, &job.machine, entry, LifecycleState::Training);
         }
         let n = job.rows.len();
@@ -374,7 +409,7 @@ impl Inner {
                 duration_us = duration.as_micros() as u64,
             );
             let mut groups = self.groups.lock();
-            if let Some(entry) = groups.get_mut(&(job.model.clone(), job.machine.clone())) {
+            if let Some(entry) = groups.get_mut(&job.model, &job.machine) {
                 entry.candidate = None;
                 entry.last_outcome = Some(why);
                 self.set_state(&job.model, &job.machine, entry, LifecycleState::Rejected);
@@ -400,7 +435,7 @@ impl Inner {
             duration_us = duration.as_micros() as u64,
         );
         let mut groups = self.groups.lock();
-        if let Some(entry) = groups.get_mut(&(job.model.clone(), job.machine.clone())) {
+        if let Some(entry) = groups.get_mut(&job.model, &job.machine) {
             entry.candidate = Some(Candidate {
                 gb: candidate,
                 flat,
@@ -442,7 +477,7 @@ impl LifecycleHub {
         let inner = Arc::new(Inner {
             config,
             observer,
-            groups: Mutex::new(HashMap::new()),
+            groups: Mutex::new(Groups::default()),
             queue_depth: AtomicUsize::new(0),
         });
         let worker_inner = Arc::clone(&inner);
@@ -468,8 +503,7 @@ impl LifecycleHub {
     /// Ensure a group exists (Idle) and its state gauge is exported.
     pub fn register_group(&self, model: &str, machine: &str) {
         let mut groups = self.inner.groups.lock();
-        let entry =
-            groups.entry((model.to_string(), machine.to_string())).or_insert_with(GroupEntry::new);
+        let entry = groups.entry(model, machine);
         self.inner.observer.on_state(model, machine, entry.state);
     }
 
@@ -479,9 +513,7 @@ impl LifecycleHub {
     pub fn request_retrain(&self, req: RetrainRequest) -> Result<(), String> {
         {
             let mut groups = self.inner.groups.lock();
-            let entry = groups
-                .entry((req.model.clone(), req.machine.clone()))
-                .or_insert_with(GroupEntry::new);
+            let entry = groups.entry(&req.model, &req.machine);
             if entry.frozen {
                 return Err("group is frozen; unfreeze before retraining".into());
             }
@@ -561,8 +593,7 @@ impl LifecycleHub {
     ) {
         let flat = Arc::new(FlatGbt::compile(&gb));
         let mut groups = self.inner.groups.lock();
-        let entry =
-            groups.entry((model.to_string(), machine.to_string())).or_insert_with(GroupEntry::new);
+        let entry = groups.entry(model, machine);
         entry.candidate = Some(Candidate {
             gb,
             flat,
@@ -573,28 +604,47 @@ impl LifecycleHub {
         self.inner.set_state(model, machine, entry, LifecycleState::Shadow);
     }
 
-    /// Score one request with the group's shadow candidate, if any.
-    ///
-    /// Returns `None` when the group has no candidate in Shadow. A
-    /// non-finite shadow prediction is poison: the candidate is rejected on
-    /// the spot and `None` is returned, so a poisoned candidate can never
-    /// accumulate a window, let alone promote.
+    /// Score one request with the group's shadow candidate, if any:
+    /// [`LifecycleHub::shadow_candidate`] then
+    /// [`LifecycleHub::score_shadow`].
     pub fn shadow_predict(&self, model: &str, machine: &str, features: &FeatureRow) -> Option<f64> {
-        let flat = {
-            let groups = self.inner.groups.lock();
-            let entry = groups.get(&(model.to_string(), machine.to_string()))?;
-            if entry.state != LifecycleState::Shadow {
-                return None;
-            }
-            Arc::clone(&entry.candidate.as_ref()?.flat)
-        };
+        let handle = self.shadow_candidate(model, machine)?;
+        self.score_shadow(model, machine, &handle, features)
+    }
+
+    /// A handle on the group's candidate, when one is in Shadow. Takes
+    /// the group lock for a lookup only; no model runs.
+    pub fn shadow_candidate(&self, model: &str, machine: &str) -> Option<ShadowHandle> {
+        let groups = self.inner.groups.lock();
+        let entry = groups.get(model, machine)?;
+        if entry.state != LifecycleState::Shadow {
+            return None;
+        }
+        Some(ShadowHandle(Arc::downgrade(&entry.candidate.as_ref()?.flat)))
+    }
+
+    /// Score `features` with the candidate `handle` names, outside the
+    /// group lock. Returns `None` once that candidate is gone. A
+    /// non-finite shadow prediction is poison: the candidate is rejected
+    /// on the spot (if it is still the group's) and `None` is returned,
+    /// so a poisoned candidate can never accumulate a window, let alone
+    /// promote.
+    pub fn score_shadow(
+        &self,
+        model: &str,
+        machine: &str,
+        handle: &ShadowHandle,
+        features: &FeatureRow,
+    ) -> Option<f64> {
+        let flat = handle.0.upgrade()?;
         let predicted = flat.predict_row(features);
         if predicted.is_finite() {
             return Some(predicted);
         }
         let mut groups = self.inner.groups.lock();
-        if let Some(entry) = groups.get_mut(&(model.to_string(), machine.to_string())) {
-            if entry.state == LifecycleState::Shadow {
+        if let Some(entry) = groups.get_mut(model, machine) {
+            let current = entry.candidate.as_ref().is_some_and(|c| Arc::ptr_eq(&c.flat, &flat));
+            if entry.state == LifecycleState::Shadow && current {
                 entry.candidate = None;
                 entry.last_outcome =
                     Some("shadow candidate produced a non-finite prediction".into());
@@ -614,7 +664,7 @@ impl LifecycleHub {
     /// Journal one redeemed observation into the shadow window.
     pub fn record_shadow(&self, model: &str, machine: &str, shadow_predicted: f64, measured: f64) {
         let mut groups = self.inner.groups.lock();
-        let Some(entry) = groups.get_mut(&(model.to_string(), machine.to_string())) else {
+        let Some(entry) = groups.get_mut(model, machine) else {
             return;
         };
         if entry.state != LifecycleState::Shadow {
@@ -634,7 +684,7 @@ impl LifecycleHub {
     /// winning is rejected. Frozen groups always keep shadowing.
     pub fn evaluate_shadow(&self, model: &str, machine: &str, serving_mape: f64) -> ShadowVerdict {
         let mut groups = self.inner.groups.lock();
-        let Some(entry) = groups.get_mut(&(model.to_string(), machine.to_string())) else {
+        let Some(entry) = groups.get_mut(model, machine) else {
             return ShadowVerdict::KeepShadowing;
         };
         if entry.state != LifecycleState::Shadow || entry.frozen {
@@ -697,7 +747,7 @@ impl LifecycleHub {
     pub fn force_promote(&self, model: &str, machine: &str) -> Result<PromotionTicket, String> {
         let mut groups = self.inner.groups.lock();
         let entry = groups
-            .get_mut(&(model.to_string(), machine.to_string()))
+            .get_mut(model, machine)
             .ok_or_else(|| format!("unknown lifecycle group {model}/{machine}"))?;
         if entry.state != LifecycleState::Shadow {
             return Err(format!("no shadow candidate to promote (state {})", entry.state.label()));
@@ -727,7 +777,7 @@ impl LifecycleHub {
     pub fn mark_rolled_back(&self, model: &str, machine: &str) -> Result<(), String> {
         let mut groups = self.inner.groups.lock();
         let entry = groups
-            .get_mut(&(model.to_string(), machine.to_string()))
+            .get_mut(model, machine)
             .ok_or_else(|| format!("unknown lifecycle group {model}/{machine}"))?;
         match entry.state {
             LifecycleState::Queued | LifecycleState::Training => Err(format!(
@@ -750,7 +800,7 @@ impl LifecycleHub {
     pub fn set_frozen(&self, model: &str, machine: &str, frozen: bool) -> Result<bool, String> {
         let mut groups = self.inner.groups.lock();
         let entry = groups
-            .get_mut(&(model.to_string(), machine.to_string()))
+            .get_mut(model, machine)
             .ok_or_else(|| format!("unknown lifecycle group {model}/{machine}"))?;
         let was = entry.frozen;
         entry.frozen = frozen;
@@ -767,15 +817,16 @@ impl LifecycleHub {
     /// Current state of one group.
     pub fn group_state(&self, model: &str, machine: &str) -> Option<LifecycleState> {
         let groups = self.inner.groups.lock();
-        groups.get(&(model.to_string(), machine.to_string())).map(|e| e.state)
+        groups.get(model, machine).map(|e| e.state)
     }
 
     /// Snapshot of every group, sorted by (model, machine).
     pub fn snapshot(&self) -> Vec<GroupLifecycle> {
         let groups = self.inner.groups.lock();
         let mut out: Vec<GroupLifecycle> = groups
+            .0
             .iter()
-            .map(|((model, machine), e)| GroupLifecycle {
+            .map(|(model, machine, e)| GroupLifecycle {
                 model: model.clone(),
                 machine: machine.clone(),
                 state: e.state,
@@ -982,6 +1033,28 @@ mod tests {
             _ => panic!("rejected candidate must not be evaluated"),
         }
         assert!(hub.force_promote("gb", "aurora").is_err());
+    }
+
+    /// A handle taken at journal time scores with the candidate it named,
+    /// and only while that candidate lives: a poisoned handle redeemed
+    /// after the group moved on rejects nothing.
+    #[test]
+    fn a_shadow_handle_scores_only_its_own_candidate() {
+        let hub = LifecycleHub::new(LifecycleConfig::default());
+        let features = [99.0, 718.0, 120.0, 90.0];
+        hub.install_candidate("gb", "aurora", nan_candidate(), lineage());
+        let poisoned = hub.shadow_candidate("gb", "aurora").expect("candidate in shadow");
+        hub.mark_rolled_back("gb", "aurora").unwrap();
+        assert!(hub.shadow_candidate("gb", "aurora").is_none());
+        let base = fitted_base(60);
+        hub.install_candidate("gb", "aurora", base.clone(), lineage());
+        let healthy = hub.shadow_candidate("gb", "aurora").expect("candidate in shadow");
+        assert!(hub.score_shadow("gb", "aurora", &poisoned, &features).is_none());
+        assert_eq!(hub.group_state("gb", "aurora"), Some(LifecycleState::Shadow));
+        let expected = FlatGbt::compile(&base).predict_row(&features);
+        assert_eq!(hub.score_shadow("gb", "aurora", &healthy, &features), Some(expected));
+        hub.mark_rolled_back("gb", "aurora").unwrap();
+        assert!(hub.score_shadow("gb", "aurora", &healthy, &features).is_none());
     }
 
     #[test]

@@ -286,19 +286,18 @@ impl AdviseCache {
     }
 
     /// Look up a rendered response (body plus its journaled
-    /// recommendation summary), refreshing its recency on hit.
+    /// recommendation summary), refreshing its recency on hit. A miss
+    /// changes nothing, so a lookup that misses can be repeated.
     ///
     /// Allocation-free: the probe is borrowed and the body is shared.
     pub fn get(&self, key: &AdviseKeyRef<'_>) -> Option<(Arc<str>, Option<CachedRec>)> {
         let (qh, fh) = key.hashes();
-        let mut shard = self.shard_for(qh).lock();
+        let mut guard = self.shard_for(qh).lock();
+        let shard = &mut *guard;
+        let entry = shard.map.get_mut(&fh)?.iter_mut().find(|e| key.matches(&e.key))?;
         shard.tick += 1;
-        let tick = shard.tick;
-        let bucket = shard.map.get_mut(&fh)?;
-        bucket.iter_mut().find(|e| key.matches(&e.key)).map(|e| {
-            e.last_used = tick;
-            (Arc::clone(&e.body), e.rec)
-        })
+        entry.last_used = shard.tick;
+        Some((Arc::clone(&entry.body), entry.rec))
     }
 
     /// Owned-key convenience wrapper around [`AdviseCache::get`].
@@ -442,6 +441,20 @@ mod tests {
         assert_eq!(body_of(cache.get_owned(&key("m", 1, 100))), Some("body".to_string()));
         // A different version is a different key.
         assert_eq!(cache.get_owned(&key("m", 2, 100)), None);
+    }
+
+    /// The event loop probes every canonical advise; a miss must leave
+    /// the cache exactly as it was for the worker that answers it.
+    #[test]
+    fn a_miss_leaves_the_shard_untouched() {
+        let cache = AdviseCache::with_shards(4, 1);
+        cache.insert(key("m", 1, 1), "a", None);
+        let tick = cache.shards[0].lock().tick;
+        assert!(cache.get_owned(&key("m", 1, 2)).is_none());
+        assert!(cache.get_owned(&key("m", 2, 1)).is_none());
+        assert_eq!(cache.shards[0].lock().tick, tick);
+        assert!(cache.get_owned(&key("m", 1, 1)).is_some());
+        assert_eq!(cache.shards[0].lock().tick, tick + 1, "a hit refreshes recency");
     }
 
     #[test]

@@ -4,13 +4,26 @@
 //! [`polling`] crate) that owns every socket: it accepts connections,
 //! reads request bytes into per-connection buffers, parses them
 //! incrementally ([`crate::http::parse_request`]), and writes encoded
-//! responses back out — all nonblocking. Compute never happens on this
-//! thread: each parsed request is dispatched to the bounded worker pool,
+//! responses back out — all nonblocking. The loop thread never runs a
+//! model: each parsed request is dispatched to the bounded worker pool,
 //! and the finished response comes back over a channel (plus an eventfd
-//! [`Waker`] nudge). HTTP/1.1 keep-alive and pipelining are native:
-//! a connection can have many requests in flight, and responses are
-//! reordered by sequence number so the wire order always matches the
-//! request order.
+//! [`Waker`] nudge) — except an advise cache hit, which needs none. For
+//! a `POST /v1/advise` with a canonical body the loop asks the router
+//! for a probe that records nothing on a miss (fast scan, registry
+//! resolve, key build, cache lookup); on a hit it answers through the
+//! same replay a worker runs and slots the response straight into the
+//! connection's reorder buffer — no pool hand-off, no channel, no wake.
+//! The replay's quality-journal entry leaves the GP σ and the shadow
+//! score to `/v1/observe`, which runs on a worker.
+//! Misses, predicts, non-canonical bodies, stale serves, every other
+//! route, and any request the chaos plane rolled `slow-io` for still
+//! ride a worker. An inline hit holds no pipeline slot, so the loop
+//! answers at most `INLINE_PER_PASS` of them per connection per pass;
+//! a connection with more waiting is parked on a ready list and picked
+//! up on the next pass, after every other connection's events.
+//! HTTP/1.1 keep-alive and pipelining are native: a connection can have
+//! many requests in flight, and responses are reordered by sequence
+//! number so the wire order always matches the request order.
 //!
 //! The backpressure ladder, from the outside in (see `docs/SERVING.md`):
 //!
@@ -22,8 +35,11 @@
 //! 3. **Parser limits** — oversized header lines (`431`) and bodies
 //!    (`413`) are rejected mid-stream, before buffering the rest.
 //! 4. **Write high-water mark** — a connection whose response backlog
-//!    passes 256 KiB (`WRITE_HIGH_WATER`) stops being read until it
-//!    drains, so a slow consumer cannot balloon server memory.
+//!    passes 256 KiB (`WRITE_HIGH_WATER`) stops being read and parsed
+//!    until it drains, so a slow consumer cannot balloon server memory:
+//!    the loop answers no further pipelined hit once the backlog
+//!    reaches the mark, and resumes on the pass after a flush takes it
+//!    back under.
 //!
 //! Graceful drain: when `POST /v1/shutdown` is handled, the loop stops
 //! accepting (the listener is closed), stops reading every connection,
@@ -33,14 +49,16 @@
 //!
 //! The PR-4 chaos plane maps onto the loop without new semantics:
 //! `saturate` sheds at accept, `slow-io` stalls the worker before
-//! compute, `drop-conn` tears the response mid-status-line, and
-//! `truncate-body` gives the connection a read budget after which the
-//! client appears to die mid-upload.
+//! compute (a rolled request never takes the inline path, so the loop
+//! itself never sleeps), `drop-conn` tears the response mid-status-line,
+//! and `truncate-body` gives the connection a read budget after which
+//! the client appears to die mid-upload.
 //!
 //! Every request additionally carries a [`TimelineBuilder`] (PR 8):
-//! the loop stamps it at first byte, parse completion, worker dequeue,
-//! handler return, reorder release, and last flushed byte, then folds
-//! the completed timeline into the
+//! the loop stamps it at first byte, parse completion, worker dequeue
+//! (parse completion again for an inline hit, whose queue stage is
+//! zero), handler return, reorder release, and last flushed byte, then
+//! folds the completed timeline into the
 //! `chemcost_request_stage_duration_seconds` histograms, the router's
 //! [`crate::timeline::FlightRecorder`] (`GET /debug/requests`), and a
 //! `request.timeline` obs event. The loop itself reports health series:
@@ -80,6 +98,13 @@ const WRITE_HIGH_WATER: usize = 256 * 1024;
 /// further pipelined bytes simply wait in the read buffer.
 const MAX_PIPELINE: usize = 64;
 
+/// Most advise cache hits the loop answers for one connection in one
+/// pass. An inline hit holds no pipeline slot, so without this one
+/// connection's deep pipeline of hits would hold the loop while every
+/// other connection waits; past it the connection yields until the
+/// next pass, as a full pipeline of worker requests does.
+const INLINE_PER_PASS: usize = MAX_PIPELINE;
+
 /// Bytes read from a socket per `read` call.
 const READ_CHUNK: usize = 16 * 1024;
 
@@ -106,7 +131,7 @@ impl Default for EventLoopConfig {
     }
 }
 
-/// A finished request riding back from a worker to the loop.
+/// A finished request: sent back by a worker, or answered on the loop.
 struct Done {
     token: usize,
     seq: u64,
@@ -115,6 +140,19 @@ struct Done {
     /// The request's timeline, stamped by the worker; `None` for
     /// loop-synthesized responses (parse errors, queue-full sheds).
     timeline: Option<Box<TimelineBuilder>>,
+}
+
+/// Why complete requests may sit in a connection's read buffer with no
+/// readable event coming to bring them back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Parked {
+    /// Nothing waits but, at most, the bytes of an incomplete request.
+    No,
+    /// Parsing stopped at the write high-water mark (rung 4); the flush
+    /// that takes the backlog back under it queues the connection.
+    Mark,
+    /// Queued on [`Loop::ready`]: parsing resumes on the next pass.
+    Next,
 }
 
 /// Per-connection state machine.
@@ -130,7 +168,8 @@ struct Conn {
     /// finishing out of order wait in `done` until their turn.
     next_flush: u64,
     done: BTreeMap<u64, (Response, bool, Option<Box<TimelineBuilder>>)>,
-    /// Requests dispatched to workers, response not yet applied.
+    /// Requests parsed whose response is not yet slotted (an inline
+    /// hit is slotted at once, so it never holds a pipeline slot).
     in_flight: usize,
     /// Requests parsed on this connection (for the keep-alive metric).
     requests: u64,
@@ -157,6 +196,9 @@ struct Conn {
     abort: bool,
     /// The peer half-closed its sending side (read returned 0).
     peer_closed: bool,
+    /// Whether parsing stopped with requests left in `read_buf` that
+    /// need the loop, not the peer, to move on. Reading waits meanwhile.
+    parked: Parked,
     /// Chaos `truncate-body`: remaining bytes we pretend the client
     /// still managed to send before dying.
     read_budget: Option<usize>,
@@ -186,6 +228,7 @@ impl Conn {
             closing: false,
             abort: false,
             peer_closed: false,
+            parked: Parked::No,
             read_budget,
             registered: None,
             idle_since: Instant::now(),
@@ -219,18 +262,27 @@ impl Conn {
             return self.write_buf.is_empty() && self.in_flight == 0 && self.done.is_empty();
         }
         // Peer gone, nothing left to answer: nothing to wait for.
-        self.peer_closed && self.write_buf.is_empty() && self.in_flight == 0 && self.done.is_empty()
+        self.peer_closed
+            && self.write_buf.is_empty()
+            && self.in_flight == 0
+            && self.done.is_empty()
+            && self.parked == Parked::No
+    }
+
+    /// Backpressure holds this connection's reads: the pipeline is
+    /// full, the write backlog is at the high-water mark, or parsed
+    /// requests are parked waiting for the loop.
+    fn read_gated(&self) -> bool {
+        self.in_flight >= MAX_PIPELINE
+            || self.write_buf.len() >= WRITE_HIGH_WATER
+            || self.parked != Parked::No
     }
 
     /// The poller interest this connection's state calls for. `None`
     /// means the socket needs no watching (e.g. only waiting on worker
     /// completions) and should be deregistered.
     fn desired_interest(&self) -> Option<Interest> {
-        let want_read = !self.closing
-            && !self.abort
-            && !self.peer_closed
-            && self.in_flight < MAX_PIPELINE
-            && self.write_buf.len() < WRITE_HIGH_WATER;
+        let want_read = !self.closing && !self.abort && !self.peer_closed && !self.read_gated();
         let want_write = !self.write_buf.is_empty();
         match (want_read, want_write) {
             (true, true) => Some(Interest::Both),
@@ -255,6 +307,8 @@ struct Loop<'a> {
     next_token: usize,
     done_tx: Sender<Done>,
     done_rx: Receiver<Done>,
+    /// Connections parked for the next pass (see [`Parked::Next`]).
+    ready: Vec<usize>,
     /// Shutdown observed: listener closed, all responses forced
     /// `Connection: close`, loop exits when the last conn drains.
     draining: bool,
@@ -274,36 +328,20 @@ pub(crate) fn run(
     faults: Option<Arc<FaultPlane>>,
     config: EventLoopConfig,
 ) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let poller = Poller::new()?;
-    poller.register(listener.as_raw_fd(), KEY_LISTENER, Interest::Read)?;
-    let waker = Arc::new(Waker::new(&poller, KEY_WAKER)?);
-    let metrics = Arc::clone(router.metrics());
-    let (done_tx, done_rx) = channel();
-    let mut lp = Loop {
-        poller,
-        waker,
-        listener: Some(listener),
-        router,
-        metrics,
-        pool,
-        faults,
-        config,
-        conns: HashMap::new(),
-        next_token: 0,
-        done_tx,
-        done_rx,
-        draining: false,
-        fd_reserve: File::open("/dev/null").ok(),
-    };
+    let mut lp = Loop::new(listener, router, pool, faults, config)?;
     let mut events: Vec<Event> = Vec::new();
+    let mut parked: Vec<usize> = Vec::new();
 
     loop {
         events.clear();
-        lp.poller.wait(&mut events, Some(SWEEP_INTERVAL))?;
+        // A connection parked last pass has requests waiting: poll
+        // without blocking, then pick it up after this pass's events.
+        let timeout = if lp.ready.is_empty() { SWEEP_INTERVAL } else { Duration::ZERO };
+        lp.poller.wait(&mut events, Some(timeout))?;
         // Measured from after the wait: the histogram is time the loop
         // spends *working* per wake, not time parked in epoll.
         let iter_start = Instant::now();
+        std::mem::swap(&mut parked, &mut lp.ready);
         for ev in &events {
             match ev.key {
                 KEY_WAKER => lp.waker.drain(),
@@ -312,6 +350,10 @@ pub(crate) fn run(
             }
         }
         lp.drain_completions();
+        for &token in &parked {
+            lp.resume(token);
+        }
+        parked.clear();
         lp.maybe_start_drain();
         lp.sweep_idle();
         lp.metrics.observe(LOOP_ITERATION, iter_start.elapsed());
@@ -322,7 +364,39 @@ pub(crate) fn run(
     }
 }
 
-impl Loop<'_> {
+impl<'a> Loop<'a> {
+    fn new(
+        listener: TcpListener,
+        router: Router,
+        pool: &'a ThreadPool,
+        faults: Option<Arc<FaultPlane>>,
+        config: EventLoopConfig,
+    ) -> io::Result<Loop<'a>> {
+        listener.set_nonblocking(true)?;
+        let poller = Poller::new()?;
+        poller.register(listener.as_raw_fd(), KEY_LISTENER, Interest::Read)?;
+        let waker = Arc::new(Waker::new(&poller, KEY_WAKER)?);
+        let metrics = Arc::clone(router.metrics());
+        let (done_tx, done_rx) = channel();
+        Ok(Loop {
+            poller,
+            waker,
+            listener: Some(listener),
+            router,
+            metrics,
+            pool,
+            faults,
+            config,
+            conns: HashMap::new(),
+            next_token: 0,
+            done_tx,
+            done_rx,
+            ready: Vec::new(),
+            draining: false,
+            fd_reserve: File::open("/dev/null").ok(),
+        })
+    }
+
     /// Accept until the listener would block, shedding over-budget and
     /// chaos-saturated connections with an immediate `503` + close.
     fn accept_ready(&mut self) {
@@ -464,7 +538,7 @@ impl Loop<'_> {
                     conn.idle_since = Instant::now();
                     // Backpressure: beyond the pipeline cap the rest of
                     // the bytes wait in the kernel buffer.
-                    if conn.in_flight >= MAX_PIPELINE || conn.write_buf.len() >= WRITE_HIGH_WATER {
+                    if conn.read_gated() {
                         return true;
                     }
                 }
@@ -476,17 +550,38 @@ impl Loop<'_> {
     }
 
     /// Parse every complete request sitting in the read buffer and
-    /// dispatch each to the worker pool (or answer parse errors
-    /// directly). Pipelining lives here: the loop keeps going until the
-    /// buffer holds no complete request.
+    /// dispatch each one (parse errors are answered directly). Pipelining
+    /// lives here: the loop keeps going until the buffer holds no
+    /// complete request or the pipeline is full, or parks the connection
+    /// when the answers fill the write buffer to its high-water mark
+    /// (rung 4, lifted by [`Loop::drive`]) or reach this pass's
+    /// `INLINE_PER_PASS` share.
     fn parse_available(&mut self, token: usize) {
+        let mut inline = 0;
         loop {
             let Some(conn) = self.conns.get_mut(&token) else { return };
-            if conn.closing || conn.abort || conn.in_flight >= MAX_PIPELINE {
+            if conn.closing
+                || conn.abort
+                || conn.in_flight >= MAX_PIPELINE
+                || conn.parked == Parked::Next
+            {
+                return;
+            }
+            if !conn.read_buf.is_empty() && conn.write_buf.len() >= WRITE_HIGH_WATER {
+                conn.parked = Parked::Mark;
+                return;
+            }
+            if !conn.read_buf.is_empty() && inline == INLINE_PER_PASS {
+                conn.parked = Parked::Next;
+                self.ready.push(token);
                 return;
             }
             match parse_request(&conn.read_buf) {
-                Ok(None) => return, // incomplete — wait for more bytes
+                Ok(None) => {
+                    // Incomplete: wait for more bytes.
+                    conn.parked = Parked::No;
+                    return;
+                }
                 Ok(Some((req, consumed))) => {
                     conn.read_buf.drain(..consumed);
                     // This request's read stage ran from its first byte
@@ -509,7 +604,9 @@ impl Loop<'_> {
                         // ignore anything pipelined behind it.
                         conn.closing = true;
                     }
-                    self.dispatch(token, seq, req, keep_alive, first_byte);
+                    if self.dispatch(token, seq, req, keep_alive, first_byte) {
+                        inline += 1;
+                    }
                 }
                 Err(err) => {
                     // Rungs 3 of the shed ladder: the bytes are not (or
@@ -529,7 +626,7 @@ impl Loop<'_> {
                     conn.in_flight += 1;
                     conn.closing = true;
                     let resp = Response::json(status, Json::obj([("error", msg.into())]).encode());
-                    self.apply_done(Done {
+                    self.slot(Done {
                         token,
                         seq,
                         response: resp,
@@ -542,9 +639,11 @@ impl Loop<'_> {
         }
     }
 
-    /// Hand one parsed request to the worker pool. A full compute queue
-    /// is rung 2 of the shed ladder: this request gets a `503`, but the
-    /// connection (and everything else pipelined on it) survives.
+    /// Answer one parsed request. A cache hit the router can replay is
+    /// answered right here and slotted into the reorder buffer (returns
+    /// `true`); anything else goes to the worker pool. A full compute
+    /// queue is rung 2 of the shed ladder: this request gets a `503`, but
+    /// the connection (and everything else pipelined on it) survives.
     fn dispatch(
         &mut self,
         token: usize,
@@ -552,7 +651,7 @@ impl Loop<'_> {
         req: Request,
         keep_alive: bool,
         first_byte: Instant,
-    ) {
+    ) -> bool {
         // Deadline anchor: the instant the request finished arriving.
         // Worker-queue wait happens after this, so it counts against the
         // request's budget exactly as the threadpool server's did.
@@ -563,6 +662,16 @@ impl Loop<'_> {
             .faults
             .as_ref()
             .and_then(|plane| plane.roll(FaultKind::SlowIo).then(|| plane.slow_io_delay()));
+        // A slow-io roll always rides a worker: the loop never sleeps.
+        if slow_io.is_none() {
+            if let Some(response) = self.router.answer_if_cached(&req, arrived) {
+                timeline.stamp_answered_inline();
+                timeline.stamp_handler_done();
+                timeline.absorb(&response);
+                self.slot(Done { token, seq, response, keep_alive, timeline: Some(timeline) });
+                return true;
+            }
+        }
         let router = self.router.clone();
         let metrics = Arc::clone(&self.metrics);
         let tx = self.done_tx.clone();
@@ -594,8 +703,9 @@ impl Loop<'_> {
                 shed_total = self.metrics.count(SHED),
             );
             let resp = Response::json(503, r#"{"error":"server overloaded"}"#);
-            self.apply_done(Done { token, seq, response: resp, keep_alive, timeline: None });
+            self.slot(Done { token, seq, response: resp, keep_alive, timeline: None });
         }
+        false
     }
 
     /// Apply every completion workers have sent since the last pass.
@@ -605,9 +715,32 @@ impl Loop<'_> {
         }
     }
 
-    /// Slot one finished response into its connection and encode every
-    /// response that is now next-in-order onto the wire buffer.
+    /// Pick up a connection parked for this pass: answer what waited in
+    /// its read buffer, and flush.
+    fn resume(&mut self, token: usize) {
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        if conn.parked != Parked::Next {
+            return;
+        }
+        conn.parked = Parked::No;
+        self.parse_available(token);
+        self.drive(token);
+    }
+
+    /// Apply one worker completion: slot it, parse what waited behind
+    /// its pipeline slot, and flush.
     fn apply_done(&mut self, done: Done) {
+        let token = done.token;
+        self.slot(done);
+        self.parse_available(token);
+        self.drive(token);
+    }
+
+    /// Slot one finished response into its connection's reorder buffer
+    /// and encode every response that is now next-in-order onto the
+    /// wire buffer. Writing is left to the caller's [`Loop::drive`], so
+    /// the hits answered from one read go out in one write.
+    fn slot(&mut self, done: Done) {
         let draining = self.draining || self.router.shutdown_requested();
         let Some(conn) = self.conns.get_mut(&done.token) else { return };
         conn.in_flight -= 1;
@@ -640,20 +773,23 @@ impl Loop<'_> {
             }
             conn.idle_since = Instant::now();
         }
-        let token = done.token;
-        // Responses may have freed pipeline slots: parse what waited.
-        self.parse_available(token);
-        self.drive(token);
     }
 
     /// Flush pending writes, finalize timelines whose last byte made it
     /// onto the wire, update the backpressure gauges, then reconcile
     /// poller registration with the connection's desired interest — or
-    /// close the connection if it is finished.
+    /// close the connection if it is finished. A flush that takes the
+    /// backlog back under the high-water mark queues a connection parked
+    /// there for the next pass: the requests left in its read buffer get
+    /// no readable event of their own.
     fn drive(&mut self, token: usize) {
         let (alive, completed) = {
             let Some(conn) = self.conns.get_mut(&token) else { return };
             let ok = Self::flush_writes(conn);
+            if conn.parked == Parked::Mark && conn.write_buf.len() < WRITE_HIGH_WATER {
+                conn.parked = Parked::Next;
+                self.ready.push(token);
+            }
             let completed = if ok { Self::take_flushed(conn) } else { Vec::new() };
             (ok && !conn.finished(), completed)
         };
@@ -667,13 +803,10 @@ impl Loop<'_> {
         let metrics = Arc::clone(&self.metrics);
         let Some(conn) = self.conns.get_mut(&token) else { return };
         // Gauge reconciliation: a connection is read-paused when it is
-        // still a live reader but backpressure (pipeline cap or write
-        // high-water) gates it; write-stalled when the socket would not
-        // take the whole backlog.
-        let read_gated = !conn.closing
-            && !conn.abort
-            && !conn.peer_closed
-            && (conn.in_flight >= MAX_PIPELINE || conn.write_buf.len() >= WRITE_HIGH_WATER);
+        // still a live reader but backpressure (pipeline cap, write
+        // high-water, parked requests) gates it; write-stalled when the
+        // socket would not take the whole backlog.
+        let read_gated = !conn.closing && !conn.abort && !conn.peer_closed && conn.read_gated();
         if read_gated != conn.read_paused {
             conn.read_paused = read_gated;
             metrics.gauge_add(READ_PAUSED, if read_gated { 1 } else { -1 });
@@ -806,5 +939,174 @@ impl Loop<'_> {
         for token in stale {
             self.close(token);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::metrics::CACHE_HITS;
+    use crate::registry::ModelRegistry;
+    use chemcost_linalg::Matrix;
+    use chemcost_ml::gradient_boosting::GradientBoosting;
+    use chemcost_ml::Regressor;
+
+    const BODY: &str = r#"{"o":116,"v":840,"goal":"stq"}"#;
+
+    /// A loop over a small model with `BODY`'s answer already cached,
+    /// and `n` accepted client connections.
+    fn warm_loop(pool: &ThreadPool, n: usize) -> (Loop<'_>, Vec<(usize, TcpStream)>) {
+        let x = Matrix::from_fn(40, 4, |i, j| [60.0 + i as f64, 600.0, 8.0, 20.0][j]);
+        let y: Vec<f64> = (0..40).map(|i| 100.0 + i as f64).collect();
+        let mut gb = GradientBoosting::new(5, 2, 0.3);
+        gb.fit(&x, &y).unwrap();
+        let registry = Arc::new(ModelRegistry::new());
+        registry.insert("gb", "aurora", gb);
+        let router = Router::new(registry);
+        let warm = router.handle(&Request::new("POST", "/v1/advise", BODY.as_bytes()));
+        assert_eq!(warm.status, 200);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut lp = Loop::new(listener, router, pool, None, EventLoopConfig::default()).unwrap();
+        let mut clients = Vec::new();
+        for _ in 0..n {
+            let client = TcpStream::connect(addr).unwrap();
+            let before = lp.conns.len();
+            while lp.conns.len() == before {
+                lp.accept_ready();
+            }
+            clients.push((lp.next_token - 1, client));
+        }
+        (lp, clients)
+    }
+
+    /// `n` pipelined cached advises tagged `{tag}-{i}`, as one readable
+    /// event that drained the socket would leave them in the read buffer.
+    fn burst(tag: &str, n: usize) -> Vec<u8> {
+        let request = |i: usize| {
+            format!(
+                "POST /v1/advise HTTP/1.1\r\nX-Request-Id: {tag}-{i}\r\nContent-Length: {}\r\n\r\n{BODY}",
+                BODY.len()
+            )
+        };
+        (0..n).map(request).collect::<String>().into_bytes()
+    }
+
+    /// One pass of the main loop's ready list: resume every connection
+    /// parked on the last pass.
+    fn next_pass(lp: &mut Loop<'_>) {
+        for token in std::mem::take(&mut lp.ready) {
+            lp.resume(token);
+        }
+    }
+
+    /// Rung 4 holds for hits the loop answers itself: 2,000 pipelined
+    /// cached advises stop being answered once their responses reach the
+    /// write high-water mark, so the backlog never passes the mark plus
+    /// one response, and each flush that takes it back under the mark
+    /// gets the requests that waited answered on the next pass — all
+    /// 2,000, in order, with no further readable event.
+    #[test]
+    fn inline_hits_stop_at_the_write_high_water_mark_and_resume_on_flush() {
+        const SENT: usize = 2000;
+        let pool = ThreadPool::new(1, 4);
+        let (mut lp, mut clients) = warm_loop(&pool, 1);
+        let (token, client) = &mut clients[0];
+        let token = *token;
+        lp.conns.get_mut(&token).unwrap().read_buf = burst("hw", SENT);
+        // An answer is under 1 KiB (status line, four headers, body).
+        let bound = WRITE_HIGH_WATER + 1024;
+        // Passes in which the socket takes nothing (a loopback socket
+        // would swallow megabytes first): the burst is answered
+        // `INLINE_PER_PASS` at a time until the backlog reaches the mark.
+        while lp.conns[&token].parked != Parked::Mark {
+            assert!(lp.conns[&token].write_buf.len() < WRITE_HIGH_WATER);
+            lp.ready.clear();
+            lp.conns.get_mut(&token).unwrap().parked = Parked::No;
+            lp.parse_available(token);
+        }
+        let conn = &lp.conns[&token];
+        assert!(conn.write_buf.len() >= WRITE_HIGH_WATER, "parked early");
+        assert!(conn.write_buf.len() < bound, "backlog {} passed the mark", conn.write_buf.len());
+        assert!(!conn.read_buf.is_empty(), "requests past the mark must wait");
+        assert_eq!(conn.in_flight, 0, "an inline hit holds no pipeline slot");
+        assert!(conn.read_gated(), "a parked connection reads nothing more");
+
+        client.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
+        let mut received = Vec::new();
+        let mut chunk = vec![0u8; 64 * 1024];
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while received.windows(4).filter(|w| w == b"\r\n\r\n").count() < SENT {
+            assert!(Instant::now() < deadline, "answers stalled in the read buffer");
+            lp.drive(token);
+            next_pass(&mut lp);
+            assert!(lp.conns[&token].write_buf.len() < bound);
+            match client.read(&mut chunk) {
+                Ok(n) => received.extend_from_slice(&chunk[..n]),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                Err(e) => panic!("client read failed: {e}"),
+            }
+        }
+        let text = String::from_utf8(received).unwrap();
+        let ids: Vec<&str> =
+            text.split("\r\n").filter_map(|line| line.strip_prefix("X-Request-Id: ")).collect();
+        let expected: Vec<String> = (0..SENT).map(|i| format!("hw-{i}")).collect();
+        assert_eq!(ids, expected, "answers out of request order");
+        assert_eq!(text.matches("HTTP/1.1 200 OK").count(), SENT);
+        assert!(lp.conns[&token].read_buf.is_empty());
+        assert_eq!(lp.conns[&token].parked, Parked::No);
+        assert_eq!(lp.metrics.count(CACHE_HITS), SENT as u64);
+    }
+
+    /// One connection's deep pipeline of hits takes `INLINE_PER_PASS`
+    /// answers per pass and then yields: another connection's request in
+    /// the same pass is answered before the rest of the pipeline.
+    #[test]
+    fn a_deep_pipeline_of_hits_yields_to_other_connections_every_pass() {
+        let pool = ThreadPool::new(1, 4);
+        let (mut lp, clients) = warm_loop(&pool, 2);
+        let (deep, other) = (clients[0].0, clients[1].0);
+        lp.conns.get_mut(&deep).unwrap().read_buf = burst("deep", 3 * INLINE_PER_PASS);
+        lp.conns.get_mut(&other).unwrap().read_buf = burst("other", 1);
+        let hits = |lp: &Loop<'_>| lp.metrics.count(CACHE_HITS) as usize;
+
+        lp.parse_available(deep);
+        assert_eq!(hits(&lp), INLINE_PER_PASS);
+        assert_eq!(lp.conns[&deep].parked, Parked::Next);
+        assert_eq!(lp.ready, vec![deep]);
+        assert!(lp.conns[&deep].read_gated(), "a parked connection reads nothing more");
+        // More parsing on the same pass (say, a worker completion) adds
+        // nothing to the parked connection's share.
+        lp.parse_available(deep);
+        assert_eq!(hits(&lp), INLINE_PER_PASS);
+        lp.parse_available(other);
+        assert_eq!(hits(&lp), INLINE_PER_PASS + 1, "the other connection is answered this pass");
+
+        next_pass(&mut lp);
+        assert_eq!(hits(&lp), 2 * INLINE_PER_PASS + 1);
+        next_pass(&mut lp);
+        assert_eq!(hits(&lp), 3 * INLINE_PER_PASS + 1);
+        assert!(lp.conns[&deep].read_buf.is_empty());
+        assert_eq!(lp.conns[&deep].parked, Parked::No, "an empty read buffer parks nothing");
+        assert!(lp.ready.is_empty());
+    }
+
+    /// A half-closed connection is not finished while requests wait in
+    /// its read buffer: flushing the answers before them to the last
+    /// byte must not close it.
+    #[test]
+    fn a_half_closed_connection_with_parked_requests_is_not_finished() {
+        let pool = ThreadPool::new(1, 4);
+        let (mut lp, _clients) = warm_loop(&pool, 1);
+        let token = lp.next_token - 1;
+        let conn = lp.conns.get_mut(&token).unwrap();
+        conn.read_buf = burst("half", 2 * INLINE_PER_PASS);
+        conn.peer_closed = true;
+        lp.parse_available(token);
+        lp.drive(token);
+        assert!(lp.conns.contains_key(&token), "closed with requests unanswered");
+        next_pass(&mut lp);
+        assert!(!lp.conns.contains_key(&token), "closes once every request is answered");
+        assert_eq!(lp.metrics.count(CACHE_HITS), 2 * INLINE_PER_PASS as u64);
     }
 }

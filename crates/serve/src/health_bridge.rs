@@ -115,8 +115,8 @@ impl MetricsSampler {
     /// currently registered quality groups.
     pub fn new(metrics: &Metrics) -> MetricsSampler {
         let mut groups: Vec<(String, String)> = Vec::new();
-        for entry in metrics.quality_entries() {
-            let key = (entry.model, entry.machine);
+        for entry in metrics.quality_entries().iter() {
+            let key = (entry.model.clone(), entry.machine.clone());
             if !groups.contains(&key) {
                 groups.push(key);
             }

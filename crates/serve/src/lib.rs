@@ -25,11 +25,12 @@
 //! Built as an event-driven data plane (see [`event_loop`] and
 //! `docs/SERVING.md`): one nonblocking epoll loop owns every socket —
 //! HTTP/1.1 keep-alive and pipelining, bounded buffers, per-request
-//! `503` shedding — while a bounded worker pool ([`pool`]) runs the
-//! handlers, each scoring its own model call on the worker that parsed
-//! the request (a predict splits over the cores only while it is the
-//! sole request in flight), so under load `--workers` is the daemon's
-//! compute parallelism. No external HTTP or JSON dependencies.
+//! `503` shedding, and the replay of advise cache hits — while a bounded
+//! worker pool ([`pool`]) runs every other handler, each scoring its own
+//! model call on the worker that parsed the request (a predict splits
+//! over the cores only while it is the sole request in flight), so under
+//! load `--workers` is the daemon's compute parallelism. No external
+//! HTTP or JSON dependencies.
 
 pub mod cache;
 pub mod client;

@@ -35,7 +35,7 @@ use chemcost_health::AlertState;
 use chemcost_lifecycle::{LifecycleObserver, LifecycleState, PromotionOutcome, TRANSITIONS};
 use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 /// Route label a request is accounted under. Fixed set — unknown paths
@@ -1016,9 +1016,11 @@ impl Metrics {
         }
     }
 
-    /// Snapshot of every registered quality group.
-    pub fn quality_entries(&self) -> Vec<QualityEntry> {
-        self.quality.read().clone()
+    /// Every registered quality group, read in place under the read
+    /// guard — a scrape or health sample copies no group. Drop the
+    /// guard before upserting a group on the same thread.
+    pub fn quality_entries(&self) -> RwLockReadGuard<'_, Vec<QualityEntry>> {
+        self.quality.read()
     }
 
     /// Upsert the lifecycle state gauge for one `(model, machine)` group.
@@ -1036,9 +1038,10 @@ impl Metrics {
         }
     }
 
-    /// Snapshot of every registered lifecycle group.
-    pub fn lifecycle_entries(&self) -> Vec<LifecycleEntry> {
-        self.lifecycle.read().clone()
+    /// Every registered lifecycle group, read in place under the read
+    /// guard (see [`Metrics::quality_entries`]).
+    pub fn lifecycle_entries(&self) -> RwLockReadGuard<'_, Vec<LifecycleEntry>> {
+        self.lifecycle.read()
     }
 
     /// Render the Prometheus text exposition: every row of [`FAMILIES`],
@@ -1077,7 +1080,7 @@ impl Metrics {
                     push_sample(&mut out, &lines[0], self.model_staleness_seconds())
                 }
                 Source::QualityCounter(read) | Source::QualityGauge(read) => {
-                    for e in &quality {
+                    for e in quality.iter() {
                         for i in 0..family.width() {
                             let extra = family.series_labels(i);
                             let _ = writeln!(
@@ -1093,7 +1096,7 @@ impl Metrics {
                     }
                 }
                 Source::LifecycleState => {
-                    for e in &lifecycle {
+                    for e in lifecycle.iter() {
                         let _ = writeln!(
                             out,
                             "{name}{{model=\"{}\",machine=\"{}\"}} {}",

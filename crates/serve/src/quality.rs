@@ -24,9 +24,14 @@
 //! A [`chemcost_ml::gaussian_process::GaussianProcess`] is refit
 //! periodically on the observation pool so each journaled prediction
 //! carries a 1-σ uncertainty; the fraction of residuals inside that ±σ
-//! band is the calibration ratio on `/metrics`.
+//! band is the calibration ratio on `/metrics`. A journal entry keeps a
+//! handle on the GP (and on the lifecycle's shadow candidate) current
+//! when it was journaled, and the σ (and the shadow score) are computed
+//! from those when the measurement arrives: the answer path, which may
+//! run on the event loop, never runs a model.
 
 use crate::metrics::{Metrics, QualityStats};
+use chemcost_lifecycle::ShadowHandle;
 use chemcost_linalg::Matrix;
 use chemcost_ml::gaussian_process::GaussianProcess;
 use chemcost_ml::monitor::{PageHinkley, RollingQuality};
@@ -38,7 +43,7 @@ use chemcost_sim::Problem;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Journal capacity: predictions awaiting ground truth. When full, the
 /// oldest pending prediction is evicted (a later report for it answers
@@ -64,6 +69,10 @@ const MAX_CANDIDATES: usize = 2000;
 /// Serving groups tracked at once (registry entries × surviving
 /// versions); oldest groups are dropped past this.
 const MAX_GROUPS: usize = 64;
+/// Replaced GPs that pending journal entries may keep alive for their σ
+/// (about 80 KiB each at 96 rows); past this, the oldest one's entries
+/// let go of it and report no σ.
+const MAX_RETIRED_GPS: usize = 16;
 
 /// One journaled `/v1/advise` answer awaiting its measured runtime.
 #[derive(Debug, Clone)]
@@ -86,13 +95,14 @@ pub struct PredictionRecord {
     pub tile: usize,
     /// The runtime the model promised, in seconds.
     pub predicted_seconds: f64,
-    /// GP 1-σ uncertainty at the recommended configuration, once the
-    /// group's GP has enough observations to be fit.
+    /// GP 1-σ uncertainty at the recommended configuration, from the
+    /// group's GP at journal time (once it had enough observations to be
+    /// fit). Computed when the measurement arrives, so `None` until then.
     pub gp_uncertainty: Option<f64>,
-    /// The shadow candidate's prediction for the same configuration, when
-    /// the group had a candidate in shadow at journal time. Scored against
-    /// the measured runtime on `/v1/observe` without ever being served.
-    pub shadow_predicted: Option<f64>,
+    /// The group's candidate in shadow at journal time, if any. Scored
+    /// against the measured runtime on `/v1/observe` without ever being
+    /// served.
+    pub shadow: Option<ShadowHandle>,
     /// Trace id of the advise request that produced this prediction.
     pub advise_trace: Option<String>,
 }
@@ -189,8 +199,23 @@ struct Group {
     /// Observations silently dropped from the full pool — exported so the
     /// retrainer's data loss is visible, not silent.
     pool_evictions: u64,
-    gp: Option<GaussianProcess>,
+    /// Shared with the journal entries made under it, whose σ it gives
+    /// when their measurement arrives.
+    gp: Option<Arc<GaussianProcess>>,
+    /// `window.observations()` when the installed GP's rows were taken
+    /// (0 before the first fit); a fit of an older snapshot never
+    /// replaces a newer one.
+    gp_rows_at: u64,
     accepted_since_fit: u64,
+}
+
+/// The most recent pool rows a GP refit trains on, copied out of the
+/// group so the fit runs without the hub lock.
+struct GpRows {
+    x: Matrix,
+    y: Vec<f64>,
+    /// `window.observations()` when the rows were taken.
+    at: u64,
 }
 
 impl Group {
@@ -206,6 +231,7 @@ impl Group {
             pool: VecDeque::new(),
             pool_evictions: 0,
             gp: None,
+            gp_rows_at: 0,
             accepted_since_fit: 0,
         }
     }
@@ -227,40 +253,45 @@ impl Group {
         }
     }
 
-    /// σ at one configuration from the group's GP, when fit.
-    fn sigma_at(&self, x: [f64; 4]) -> Option<f64> {
-        let gp = self.gp.as_ref()?;
-        let (_, std) = gp.predict_with_std(&Matrix::from_rows(&[&x]));
-        std.first().copied().filter(|s| s.is_finite())
-    }
-
-    /// Refit the uncertainty GP on the most recent pool rows. Failures
-    /// (degenerate pools) just leave the previous GP in place.
-    fn refit_gp(&mut self) {
+    /// Copy the most recent pool rows for a GP refit, newest first, and
+    /// restart the refit counter. `None` while the pool is too small.
+    fn gp_rows(&mut self) -> Option<GpRows> {
         let n = self.pool.len().min(GP_MAX_FIT);
         if n < 4 {
-            return;
+            return None;
         }
         let rows: Vec<&([f64; 4], f64)> = self.pool.iter().rev().take(n).collect();
         let x = Matrix::from_fn(n, 4, |i, j| rows[i].0[j]);
         let y: Vec<f64> = rows.iter().map(|(_, m)| *m).collect();
-        let mut gp = GaussianProcess::tuned();
-        if gp.fit(&x, &y).is_ok() {
-            self.gp = Some(gp);
-        }
         self.accepted_since_fit = 0;
+        Some(GpRows { x, y, at: self.window.observations() })
     }
+}
+
+/// σ at one configuration from a fitted GP.
+fn sigma_at(gp: &GaussianProcess, x: [f64; 4]) -> Option<f64> {
+    let (_, std) = gp.predict_with_std(&Matrix::from_rows(&[&x]));
+    std.first().copied().filter(|s| s.is_finite())
+}
+
+/// One pending prediction and the GP its σ will come from.
+struct Journaled {
+    record: PredictionRecord,
+    gp: Option<Arc<GaussianProcess>>,
 }
 
 #[derive(Default)]
 struct Inner {
-    journal: HashMap<u64, PredictionRecord>,
+    journal: HashMap<u64, Journaled>,
     /// Issue order of journal ids, for FIFO eviction. May hold ids
     /// already consumed (removed from `journal`); eviction skips them.
     order: VecDeque<u64>,
     consumed: HashSet<u64>,
     consumed_order: VecDeque<u64>,
     groups: Vec<Group>,
+    /// GPs replaced by a refit while journal entries still held them,
+    /// oldest first.
+    retired: VecDeque<Weak<GaussianProcess>>,
 }
 
 impl Inner {
@@ -277,6 +308,26 @@ impl Inner {
         }
         self.groups.push(Group::new(model, version, machine));
         self.groups.last_mut().expect("just pushed")
+    }
+
+    /// A refit replaced `gp`. Pending entries journaled under it keep it
+    /// for their σ, up to `MAX_RETIRED_GPS` replaced GPs; past that the
+    /// oldest one's entries drop it, so the journal's memory stays bounded.
+    fn retire(&mut self, gp: Arc<GaussianProcess>) {
+        if Arc::strong_count(&gp) == 1 {
+            return;
+        }
+        self.retired.push_back(Arc::downgrade(&gp));
+        drop(gp);
+        self.retired.retain(|w| w.strong_count() > 0);
+        while self.retired.len() > MAX_RETIRED_GPS {
+            let oldest = self.retired.pop_front().expect("over the cap");
+            for entry in self.journal.values_mut() {
+                if entry.gp.as_ref().is_some_and(|gp| Arc::as_ptr(gp) == oldest.as_ptr()) {
+                    entry.gp = None;
+                }
+            }
+        }
     }
 }
 
@@ -328,9 +379,11 @@ impl QualityHub {
         self.record_prediction_with_shadow(model, version, machine, config, predicted_seconds, None)
     }
 
-    /// [`QualityHub::record_prediction`] plus the shadow candidate's
-    /// prediction for the same configuration, so `/v1/observe` can score
-    /// the candidate's window alongside the serving model's.
+    /// [`QualityHub::record_prediction`] plus the group's shadow
+    /// candidate, so `/v1/observe` can score the candidate's window
+    /// alongside the serving model's. Runs no model: the entry keeps the
+    /// current GP for its σ, and both are read when the measurement
+    /// arrives.
     pub fn record_prediction_with_shadow(
         &self,
         model: &str,
@@ -338,17 +391,12 @@ impl QualityHub {
         machine: &str,
         config: (usize, usize, usize, usize),
         predicted_seconds: f64,
-        shadow_predicted: Option<f64>,
+        shadow: Option<ShadowHandle>,
     ) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (o, v, nodes, tile) = config;
         let mut inner = self.inner.lock();
-        let sigma = inner.group_mut(model, version, machine).sigma_at([
-            o as f64,
-            v as f64,
-            nodes as f64,
-            tile as f64,
-        ]);
+        let gp = inner.group_mut(model, version, machine).gp.clone();
         let record = PredictionRecord {
             id,
             model: model.to_string(),
@@ -359,8 +407,8 @@ impl QualityHub {
             nodes,
             tile,
             predicted_seconds,
-            gp_uncertainty: sigma,
-            shadow_predicted,
+            gp_uncertainty: None,
+            shadow,
             advise_trace: obs::current_trace().map(|t| t.to_string()),
         };
         // FIFO-evict once the journal is full; consumed ids linger in
@@ -374,7 +422,7 @@ impl QualityHub {
             }
         }
         inner.order.push_back(id);
-        inner.journal.insert(id, record);
+        inner.journal.insert(id, Journaled { record, gp });
         drop(inner);
         obs::event!(
             Level::Debug,
@@ -388,7 +436,6 @@ impl QualityHub {
             nodes = nodes,
             tile = tile,
             predicted_seconds = predicted_seconds,
-            gp_uncertainty = sigma.unwrap_or(f64::NAN),
         );
         id
     }
@@ -396,10 +443,12 @@ impl QualityHub {
     /// Score one measured runtime against its journaled prediction.
     ///
     /// Validation happens **before** any state changes: a rejected
-    /// report can never skew the rolling stats. Accepted reports update
-    /// the group's window, observation pool, GP refit counter, and the
-    /// drift detector, then push the new stats to `/metrics` and emit a
-    /// `quality.residual` event (plus `quality.drift` on a trip).
+    /// report can never skew the rolling stats. An accepted report gets
+    /// its σ from the GP it was journaled under, outside the hub lock,
+    /// then updates the group's window, observation pool, GP refit
+    /// counter, and the drift detector, pushes the new stats to
+    /// `/metrics` and emits a `quality.residual` event (plus
+    /// `quality.drift` on a trip).
     pub fn observe(
         &self,
         prediction_id: u64,
@@ -412,7 +461,7 @@ impl QualityHub {
         if inner.consumed.contains(&prediction_id) {
             return Err(ObserveError::Replayed);
         }
-        let Some(record) = inner.journal.remove(&prediction_id) else {
+        let Some(Journaled { mut record, gp }) = inner.journal.remove(&prediction_id) else {
             return Err(ObserveError::UnknownId);
         };
         inner.consumed.insert(prediction_id);
@@ -422,6 +471,13 @@ impl QualityHub {
                 inner.consumed.remove(&old);
             }
         }
+        drop(inner);
+
+        // The σ is a GP prediction: run it without the hub lock, which
+        // every advise answer takes.
+        let config = [record.o as f64, record.v as f64, record.nodes as f64, record.tile as f64];
+        record.gp_uncertainty = gp.and_then(|gp| sigma_at(&gp, config));
+        let mut inner = self.inner.lock();
 
         let residual_seconds = record.predicted_seconds - measured_seconds;
         let ape = residual_seconds.abs() / measured_seconds;
@@ -431,14 +487,12 @@ impl QualityHub {
             group.pool.pop_front();
             group.pool_evictions += 1;
         }
-        group.pool.push_back((
-            [record.o as f64, record.v as f64, record.nodes as f64, record.tile as f64],
-            measured_seconds,
-        ));
+        group.pool.push_back((config, measured_seconds));
         group.accepted_since_fit += 1;
-        if group.gp.is_none() || group.accepted_since_fit >= GP_REFIT_EVERY {
-            group.refit_gp();
-        }
+        let refit = match group.gp.is_none() || group.accepted_since_fit >= GP_REFIT_EVERY {
+            true => group.gp_rows(),
+            false => None,
+        };
         let drift_tripped = group.detector.update(ape);
         if drift_tripped {
             group.drift_trips += 1;
@@ -454,6 +508,9 @@ impl QualityHub {
         let observations = stats.observations;
         drop(inner);
 
+        if let Some(rows) = refit {
+            self.refit_gp(&record, &rows);
+        }
         self.metrics.set_model_quality(&record.model, record.version, &record.machine, stats);
         obs::event!(
             Level::Info,
@@ -471,6 +528,7 @@ impl QualityHub {
             residual_seconds = residual_seconds,
             ape = ape,
             window_mape = window_mape,
+            gp_uncertainty = record.gp_uncertainty.unwrap_or(f64::NAN),
             advise_trace = record.advise_trace.clone().unwrap_or_default(),
         );
         if drift_tripped {
@@ -494,6 +552,28 @@ impl QualityHub {
             pool_len,
             observations,
         })
+    }
+
+    /// Refit `record`'s group GP on `rows`. The tuned fit is dozens of
+    /// Cholesky factorizations, so it runs without the hub lock, which
+    /// every advise answer takes; the lock is retaken only to install
+    /// the result, unless the group is gone or a fit of newer rows
+    /// landed first. A failed fit (a degenerate pool) keeps the
+    /// previous GP.
+    fn refit_gp(&self, record: &PredictionRecord, rows: &GpRows) {
+        let mut gp = GaussianProcess::tuned();
+        if gp.fit(&rows.x, &rows.y).is_err() {
+            return;
+        }
+        let mut inner = self.inner.lock();
+        let group = inner.groups.iter_mut().find(|g| {
+            g.model == record.model && g.version == record.version && g.machine == record.machine
+        });
+        let Some(group) = group.filter(|g| rows.at > g.gp_rows_at) else { return };
+        group.gp_rows_at = rows.at;
+        if let Some(replaced) = group.gp.replace(Arc::new(gp)) {
+            inner.retire(replaced);
+        }
     }
 
     /// Snapshot of one group's retained observations
@@ -654,6 +734,9 @@ impl QualityHub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chemcost_lifecycle::{LifecycleConfig, LifecycleHub};
+    use chemcost_ml::gradient_boosting::GradientBoosting;
+    use chemcost_ml::persist::Lineage;
 
     fn hub() -> QualityHub {
         QualityHub::new(Arc::new(Metrics::new()))
@@ -771,6 +854,39 @@ mod tests {
         assert!(!h.snapshot()[0].stats.calibration_ratio.is_nan());
     }
 
+    /// The GP is fit outside the hub lock on a copy of the pool rows;
+    /// the installed model is the one a fit under the lock would give.
+    #[test]
+    fn gp_refit_outside_the_lock_matches_a_fit_on_the_same_rows() {
+        let h = hub();
+        // 4 observations fit the first GP; 16 more trigger the refit on
+        // all 20 rows that installs the GP checked below.
+        for i in 0..4 + GP_REFIT_EVERY as usize {
+            let config = (99 + i % 3, 718, 20 + 10 * (i % 6), 40 + 10 * (i % 5));
+            let id = h.record_prediction("gb", 1, "aurora", config, 100.0 + i as f64);
+            h.observe(id, 95.0 + 2.0 * i as f64).unwrap();
+        }
+        let installed = h.inner.lock().groups[0].gp.clone().expect("GP installed");
+        // What a refit under the lock fit: the pool's rows, newest first.
+        let pool = h.retained_pool("gb", 1, "aurora");
+        let rows: Vec<&([f64; 4], f64)> = pool.iter().rev().collect();
+        let x = Matrix::from_fn(rows.len(), 4, |i, j| rows[i].0[j]);
+        let y: Vec<f64> = rows.iter().map(|(_, m)| *m).collect();
+        let mut reference = GaussianProcess::tuned();
+        reference.fit(&x, &y).unwrap();
+        for at in
+            [[99.0, 718.0, 20.0, 40.0], [100.0, 718.0, 70.0, 80.0], [120.0, 900.0, 64.0, 24.0]]
+        {
+            let sigma = sigma_at(&installed, at);
+            assert!(sigma.is_some());
+            assert_eq!(sigma, sigma_at(&reference, at), "σ at {at:?}");
+        }
+        // The journal reads σ from the installed GP.
+        let id = h.record_prediction("gb", 1, "aurora", (99, 718, 20, 40), 100.0);
+        let out = h.observe(id, 101.0).unwrap();
+        assert_eq!(out.record.gp_uncertainty, sigma_at(&installed, [99.0, 718.0, 20.0, 40.0]));
+    }
+
     #[test]
     fn pool_evictions_are_counted_and_retained_pool_snapshots() {
         let h = hub();
@@ -793,22 +909,93 @@ mod tests {
     }
 
     #[test]
-    fn shadow_predictions_round_trip_through_observe() {
+    fn shadow_handles_round_trip_through_observe() {
+        let lifecycle = LifecycleHub::new(LifecycleConfig::default());
+        let x = Matrix::from_fn(40, 4, |i, j| [60.0 + i as f64, 600.0, 8.0, 20.0][j]);
+        let y: Vec<f64> = (0..40).map(|i| 100.0 + i as f64).collect();
+        let mut gb = GradientBoosting::new(5, 2, 0.3);
+        gb.fit(&x, &y).unwrap();
+        let lineage = Lineage {
+            parent_version: 1,
+            train_rows: 40,
+            observed_rows: 0,
+            fit_duration_ms: 0,
+            seed: 0,
+        };
+        lifecycle.install_candidate("gb", "aurora", gb, lineage);
+        let shadow = lifecycle.shadow_candidate("gb", "aurora");
         let h = hub();
-        let id = h.record_prediction_with_shadow(
-            "gb",
-            1,
-            "aurora",
-            (99, 718, 120, 90),
-            110.0,
-            Some(101.5),
-        );
+        let id =
+            h.record_prediction_with_shadow("gb", 1, "aurora", (99, 718, 120, 90), 110.0, shadow);
         let out = h.observe(id, 100.0).unwrap();
-        assert_eq!(out.record.shadow_predicted, Some(101.5));
+        let handle = out.record.shadow.as_ref().expect("the handle rides the journal");
+        let features = [99.0, 718.0, 120.0, 90.0];
+        let scored = lifecycle.score_shadow("gb", "aurora", handle, &features);
+        assert_eq!(scored, lifecycle.shadow_predict("gb", "aurora", &features));
+        assert!(scored.is_some());
         // The plain journal path leaves the shadow slot empty.
         let id = journal_one(&h, 110.0);
         let out = h.observe(id, 100.0).unwrap();
-        assert_eq!(out.record.shadow_predicted, None);
+        assert!(out.record.shadow.is_none());
+    }
+
+    /// σ comes from the GP current when the prediction was journaled,
+    /// even when a refit replaced it before the measurement arrived.
+    #[test]
+    fn sigma_comes_from_the_gp_the_prediction_was_journaled_under() {
+        let h = hub();
+        let observe_at = |i: usize| {
+            let config = (99 + i % 3, 718, 20 + 10 * (i % 6), 40 + 10 * (i % 5));
+            let id = h.record_prediction("gb", 1, "aurora", config, 100.0 + i as f64);
+            h.observe(id, 95.0 + 2.0 * i as f64).unwrap();
+        };
+        (0..4).for_each(observe_at);
+        let first = h.inner.lock().groups[0].gp.clone().expect("GP fit after 4 observations");
+        let pending = h.record_prediction("gb", 1, "aurora", (120, 900, 64, 24), 100.0);
+        (4..4 + GP_REFIT_EVERY as usize).for_each(observe_at);
+        let refit = h.inner.lock().groups[0].gp.clone().expect("GP refit");
+        assert!(!Arc::ptr_eq(&first, &refit));
+        let at = [120.0, 900.0, 64.0, 24.0];
+        assert_ne!(sigma_at(&first, at), sigma_at(&refit, at));
+        let out = h.observe(pending, 101.0).unwrap();
+        assert_eq!(out.record.gp_uncertainty, sigma_at(&first, at));
+        assert!(out.record.gp_uncertainty.is_some());
+    }
+
+    /// Pending entries keep at most `MAX_RETIRED_GPS` replaced GPs alive.
+    #[test]
+    fn journal_entries_let_go_of_the_oldest_retired_gps() {
+        let h = hub();
+        let mut inner = h.inner.lock();
+        let gps: Vec<Arc<GaussianProcess>> =
+            (0..MAX_RETIRED_GPS + 2).map(|_| Arc::new(GaussianProcess::tuned())).collect();
+        for (i, gp) in gps.iter().enumerate() {
+            let record = PredictionRecord {
+                id: i as u64,
+                model: "gb".into(),
+                version: 1,
+                machine: "aurora".into(),
+                o: 99,
+                v: 718,
+                nodes: 20,
+                tile: 40,
+                predicted_seconds: 100.0,
+                gp_uncertainty: None,
+                shadow: None,
+                advise_trace: None,
+            };
+            inner.journal.insert(i as u64, Journaled { record, gp: Some(Arc::clone(gp)) });
+        }
+        // A GP no entry holds is not kept.
+        inner.retire(Arc::new(GaussianProcess::tuned()));
+        assert!(inner.retired.is_empty());
+        for gp in gps {
+            inner.retire(gp);
+        }
+        assert_eq!(inner.retired.len(), MAX_RETIRED_GPS);
+        let held = |i: u64| inner.journal[&i].gp.is_some();
+        assert!(!held(0) && !held(1), "the two oldest retired GPs are let go");
+        assert!((2..MAX_RETIRED_GPS as u64 + 2).all(held));
     }
 
     #[test]

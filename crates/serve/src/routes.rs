@@ -17,7 +17,10 @@
 //! tree (`FlatGbt`'s `predict_grid`).
 //! Fully-answered advise responses are replayed from a keyed, sharded LRU
 //! [`AdviseCache`] until the model is reloaded — a warm hit probes with a
-//! borrowed key and replays the `Arc<str>` body without copying it.
+//! borrowed key and replays the `Arc<str>` body without copying it. The
+//! event loop answers such a hit itself through `Router::answer_if_cached`,
+//! which probes without side effects and, on a hit, replays the probe's
+//! entry through the same wrapper a worker runs.
 
 use crate::cache::{AdviseCache, AdviseKeyRef, CachedRec};
 use crate::http::{Body, Request, Response};
@@ -257,6 +260,27 @@ impl Router {
     /// the request entered the server (its enqueue time) — so time spent
     /// waiting in the worker-pool queue counts against the deadline.
     pub fn handle_from(&self, req: &Request, arrived: Instant) -> Response {
+        self.respond(req, arrived, None)
+    }
+
+    /// The event loop's answer to a `POST /v1/advise` with a canonical
+    /// body whose answer is cached: the same wrapper, deadline gates and
+    /// replay a worker runs, fed the probe's cache entry so the cache is
+    /// probed once. Everything else — misses, non-canonical bodies,
+    /// invalid questions, every other route — is `None` and goes to a
+    /// worker, which probes again and counts: a probe that misses
+    /// records nothing and leaves the cache as it was.
+    pub(crate) fn answer_if_cached(&self, req: &Request, arrived: Instant) -> Option<Response> {
+        if req.method != "POST" || req.path != "/v1/advise" {
+            return None;
+        }
+        let fields = std::str::from_utf8(&req.body).ok().and_then(scan_advise)?;
+        let probe = self.advise_probe(fields).ok()?;
+        probe.cached.as_ref()?;
+        Some(self.respond(req, arrived, Some(probe)))
+    }
+
+    fn respond(&self, req: &Request, arrived: Instant, hit: Option<AdviseProbe<'_>>) -> Response {
         let started = Instant::now();
         let trace_id: Arc<str> = match req.headers.get("x-request-id").map(|v| v.trim()) {
             Some(id) if !id.is_empty() => Arc::from(id),
@@ -281,7 +305,7 @@ impl Router {
             );
         }
         self.metrics.gauge_add(IN_FLIGHT, 1);
-        let (route, mut response) = self.dispatch(req, deadline);
+        let (route, mut response) = self.dispatch(req, deadline, hit);
         self.metrics.gauge_add(IN_FLIGHT, -1);
         // Two clocks (satellite of PR 8): `handler` is pure handler
         // time (the per-route latency histograms keep their meaning),
@@ -323,6 +347,7 @@ impl Router {
         &self,
         req: &Request,
         deadline: Result<Option<Deadline>, String>,
+        hit: Option<AdviseProbe<'_>>,
     ) -> (Route, Response) {
         let deadline = match deadline {
             Ok(d) => d,
@@ -369,7 +394,10 @@ impl Router {
                 (Route::Lifecycle, self.lifecycle_freeze(&req.body))
             }
             ("POST", "/v1/predict") => (Route::Predict, self.predict(&req.body)),
-            ("POST", "/v1/advise") => (Route::Advise, self.advise(&req.body, deadline)),
+            ("POST", "/v1/advise") => match hit {
+                Some(probe) => (Route::Advise, self.advise_answer(probe, deadline)),
+                None => (Route::Advise, self.advise(&req.body, deadline)),
+            },
             ("POST", "/v1/observe") => (Route::Observe, self.observe(&req.body)),
             ("POST", "/v1/shutdown") => {
                 self.shutdown.store(true, Ordering::SeqCst);
@@ -648,47 +676,59 @@ impl Router {
     /// Validation, cache probe, sweep and encode shared by the
     /// fast-scanned and tree-parsed advise paths.
     fn advise_fields(&self, f: AdviseFields<'_>, wall_budget: Option<Deadline>) -> Response {
-        let resolved = match self.registry.resolve(f.model, f.machine) {
-            Ok(r) => r,
-            Err(e) => return error(404, &e),
-        };
+        match self.advise_probe(f) {
+            Ok(probe) => self.advise_answer(probe, wall_budget),
+            Err(resp) => resp,
+        }
+    }
+
+    /// Validate an advise question, resolve its model, and look its
+    /// answer up in the cache. Records nothing — the answer counts the
+    /// hit or miss — so the event loop can probe a request and still
+    /// hand a miss to a worker untouched.
+    fn advise_probe<'a>(&self, f: AdviseFields<'a>) -> Result<AdviseProbe<'a>, Response> {
+        let resolved = self.registry.resolve(f.model, f.machine).map_err(|e| error(404, &e))?;
         let machine_name = f.machine.unwrap_or(&resolved.machine);
-        let Some(machine) = by_name(machine_name) else {
-            return error(400, &format!("unknown machine {machine_name:?} (aurora|frontier)"));
-        };
+        if by_name(machine_name).is_none() {
+            return Err(error(400, &format!("unknown machine {machine_name:?} (aurora|frontier)")));
+        }
         let (o, v) = match (f.o, f.v) {
             (Some(o), Some(v)) if o > 0 && v > 0 => (o, v),
-            _ => return error(400, "\"o\" and \"v\" must be positive integers"),
+            _ => return Err(error(400, "\"o\" and \"v\" must be positive integers")),
         };
         let goal = f.goal.unwrap_or("stq");
         if !matches!(goal, "stq" | "bq" | "pareto") {
-            return error(400, &format!("unknown goal {goal:?} (stq|bq|pareto)"));
+            return Err(error(400, &format!("unknown goal {goal:?} (stq|bq|pareto)")));
         }
-        let budget = f.budget;
-        let deadline = f.deadline;
-
-        // Cache-probe stage: out of budget before even probing? 504.
-        if let Some(d) = wall_budget.filter(|d| d.expired()) {
-            return self.deadline_504(DeadlineStage::Cache, d);
-        }
-
-        // The answer is a pure function of this key: replay it if cached.
-        // The probe borrows every string, so a warm hit allocates nothing
-        // for the key and shares the cached body by refcount.
-        let cache_started = Instant::now();
-        let key = AdviseKeyRef {
-            model: &resolved.name,
-            version: resolved.version,
-            machine: machine_name,
+        let mut probe = AdviseProbe {
+            resolved,
+            machine_field: f.machine,
             o,
             v,
             goal,
-            budget_bits: budget.map(f64::to_bits),
-            deadline_bits: deadline.map(f64::to_bits),
+            budget: f.budget,
+            deadline: f.deadline,
+            cached: None,
+            probe_time: Duration::ZERO,
         };
-        let cached = self.cache.get(&key);
+        let started = Instant::now();
+        probe.cached = self.cache.get(&probe.key());
+        probe.probe_time = started.elapsed();
+        Ok(probe)
+    }
+
+    /// Answer a probed advise question: replay its cached answer, or on
+    /// a miss serve stale under overload or run the sweep.
+    fn advise_answer(&self, mut probe: AdviseProbe<'_>, wall_budget: Option<Deadline>) -> Response {
+        // Cache-probe stage: out of budget at the probe? 504.
+        if let Some(d) = wall_budget.filter(|d| d.expired()) {
+            return self.deadline_504(DeadlineStage::Cache, d);
+        }
+        let cached = probe.cached.take();
+        let AdviseProbe { ref resolved, o, v, goal, budget, deadline, .. } = probe;
+        let machine_name = probe.machine_name();
         let hit = cached.is_some();
-        self.metrics.observe(ADVISE_STAGES[AdviseStage::Cache as usize], cache_started.elapsed());
+        self.metrics.observe(ADVISE_STAGES[AdviseStage::Cache as usize], probe.probe_time);
         obs::event!(Level::Debug, "advise.cache", hit = hit, o = o, v = v, goal = goal);
         if let Some((cached, rec)) = cached {
             self.metrics.inc(CACHE_HITS);
@@ -708,7 +748,7 @@ impl Router {
             return resp;
         }
         self.metrics.inc(CACHE_MISSES);
-
+        let key = probe.key();
         // Serve-stale-on-overload: while the pool is shedding, an answer
         // computed by a previous model version beats burning a sweep. The
         // replay is labelled `"stale": true` and keeps its original
@@ -771,6 +811,7 @@ impl Router {
                 model = resolved.name.as_str(),
                 model_version = resolved.version,
             );
+            let machine = by_name(machine_name).expect("advise_probe validated the machine");
             Advisor::new(resolved.flat.as_ref(), machine).sweep(o, v)
         };
         self.metrics.observe(ADVISE_STAGES[AdviseStage::Sweep as usize], sweep_started.elapsed());
@@ -848,16 +889,14 @@ impl Router {
         rec: Option<CachedRec>,
     ) {
         if let Some((nodes, tile, predicted_seconds)) = rec {
-            // Shadow stage: score the primary recommendation with the
-            // group's candidate (if one is in Shadow) so `/v1/observe` can
-            // later credit the same measurement to both windows. Timed as
-            // its own advise stage so the overhead is measurable.
+            // Shadow stage: journal the group's candidate (if one is in
+            // Shadow) with the answer, so `/v1/observe` can score the
+            // recommendation with it and credit the same measurement to
+            // both windows. A lookup only: the score runs when the
+            // measurement arrives, so no answer path — the event loop's
+            // included — runs a model here. Timed as its own advise stage.
             let shadow_started = Instant::now();
-            let shadow = self.lifecycle.shadow_predict(
-                model,
-                machine,
-                &[o as f64, v as f64, nodes as f64, tile as f64],
-            );
+            let shadow = self.lifecycle.shadow_candidate(model, machine);
             self.metrics
                 .observe(ADVISE_STAGES[AdviseStage::Shadow as usize], shadow_started.elapsed());
             let id = self.quality.record_prediction_with_shadow(
@@ -1065,8 +1104,12 @@ impl Router {
     fn drive_lifecycle(&self, out: &ObserveOutcome, measured_seconds: f64) {
         let model = out.record.model.as_str();
         let machine = out.record.machine.as_str();
-        if let Some(shadow) = out.record.shadow_predicted {
-            self.lifecycle.record_shadow(model, machine, shadow, measured_seconds);
+        if let Some(handle) = &out.record.shadow {
+            let r = &out.record;
+            let features = [r.o as f64, r.v as f64, r.nodes as f64, r.tile as f64];
+            if let Some(shadow) = self.lifecycle.score_shadow(model, machine, handle, &features) {
+                self.lifecycle.record_shadow(model, machine, shadow, measured_seconds);
+            }
         }
         // A drift trip always asks for a retrain; a full retained pool asks
         // too, and the hub spaces repeat pool triggers by `pool_trigger`
@@ -1416,6 +1459,46 @@ struct AdviseFields<'a> {
     goal: Option<&'a str>,
     budget: Option<f64>,
     deadline: Option<f64>,
+}
+
+/// An advise question validated, resolved and looked up in the cache:
+/// everything its answer needs short of the answer itself. Built by
+/// `Router::advise_probe`; `Router::answer_if_cached` answers from it
+/// only on a hit, so a hit is probed exactly once.
+struct AdviseProbe<'a> {
+    resolved: ResolvedModel,
+    /// The body's `machine` field; `None` means the model's machine.
+    machine_field: Option<&'a str>,
+    o: usize,
+    v: usize,
+    goal: &'a str,
+    budget: Option<f64>,
+    deadline: Option<f64>,
+    /// The cached body and its journaled recommendation, on a hit.
+    cached: Option<(Arc<str>, Option<CachedRec>)>,
+    /// How long the cache lookup took: the `cache` advise stage.
+    probe_time: Duration,
+}
+
+impl AdviseProbe<'_> {
+    fn machine_name(&self) -> &str {
+        self.machine_field.unwrap_or(&self.resolved.machine)
+    }
+
+    /// The cache key: everything the answer depends on. It borrows every
+    /// string, so a warm hit allocates nothing for the key.
+    fn key(&self) -> AdviseKeyRef<'_> {
+        AdviseKeyRef {
+            model: &self.resolved.name,
+            version: self.resolved.version,
+            machine: self.machine_name(),
+            o: self.o,
+            v: self.v,
+            goal: self.goal,
+            budget_bits: self.budget.map(f64::to_bits),
+            deadline_bits: self.deadline.map(f64::to_bits),
+        }
+    }
 }
 
 /// [`Json::as_usize`] semantics applied to an already-scanned number.
@@ -2044,6 +2127,85 @@ mod tests {
         // The stale replay keeps the version it was computed against.
         assert_eq!(parsed.get("model_version").and_then(Json::as_usize), Some(1));
         assert_eq!(scrape(&router, "chemcost_advise_stale_served_total"), 1);
+
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    /// The event loop answers a request itself only when
+    /// `answer_if_cached` does: a fresh cache hit with a canonical body.
+    /// A probe that misses records nothing; a hit is counted once and is
+    /// the worker's answer.
+    #[test]
+    fn only_fresh_canonical_cache_hits_answer_on_the_event_loop() {
+        let (router, path, x, y) = file_backed_router("probe");
+        let advise = |body: &str| Request::new("POST", "/v1/advise", body.as_bytes());
+        let inline = |req: &Request| router.answer_if_cached(req, Instant::now());
+        let body = r#"{"o": 120, "v": 900, "goal": "stq"}"#;
+        let advise_total = "chemcost_requests_total{route=\"advise\"}";
+
+        // A miss probes as nothing and leaves no trace: the worker
+        // answers and counts it.
+        assert!(inline(&advise(body)).is_none());
+        assert_eq!(scrape(&router, "chemcost_advise_cache_misses_total"), 0);
+        assert_eq!(scrape(&router, advise_total), 0);
+        let cold = router.handle(&advise(body));
+        assert_eq!(cold.status, 200);
+        assert_eq!(scrape(&router, "chemcost_advise_cache_misses_total"), 1);
+
+        // A hit is probed once and replayed from the probe.
+        let warm = inline(&advise(body)).expect("a cached canonical question answers inline");
+        assert_eq!((warm.status, &warm.body), (200, &cold.body));
+        for header in ["X-Request-Id", "X-Prediction-Id"] {
+            assert!(warm.headers.iter().any(|(name, _)| *name == header), "{header} missing");
+        }
+        assert_eq!(scrape(&router, "chemcost_advise_cache_hits_total"), 1);
+        assert_eq!(scrape(&router, "chemcost_advise_cache_misses_total"), 1);
+        assert_eq!(scrape(&router, advise_total), 2);
+
+        // Predicts, other methods, non-canonical bodies (the same
+        // question with an escape) and invalid questions go to a worker.
+        let predict = r#"{"rows": [{"o": 120, "v": 900, "nodes": 64, "tile": 24}]}"#;
+        assert!(inline(&Request::new("POST", "/v1/predict", predict.as_bytes())).is_none());
+        assert!(inline(&Request::new("PUT", "/v1/advise", body.as_bytes())).is_none());
+        assert!(inline(&advise(r#"{"o": 120, "v": 900, "goal": "st\u0071"}"#)).is_none());
+        assert!(inline(&advise(r#"{"o": 120, "v": 900, "goal": "??"}"#)).is_none());
+        assert_eq!(scrape(&router, advise_total), 2, "nothing above was counted");
+
+        // A group with a candidate in shadow answers inline too: the
+        // journal entry carries the candidate, which scores the answer
+        // only when its measurement arrives.
+        router.lifecycle().install_candidate(
+            "gb",
+            "aurora",
+            (*router.registry().resolve(Some("gb"), None).unwrap().model).clone(),
+            chemcost_ml::persist::Lineage {
+                parent_version: 1,
+                train_rows: 0,
+                observed_rows: 0,
+                fit_duration_ms: 0,
+                seed: 0,
+            },
+        );
+        let shadowed = inline(&advise(body)).expect("a shadowed group's hit answers inline");
+        let id = shadowed.headers.iter().find(|(name, _)| *name == "X-Prediction-Id").unwrap();
+        let rec = json_of(&cold).get("recommendation").cloned().unwrap();
+        let measured = 1.25 * rec.get("predicted_seconds").and_then(Json::as_f64).unwrap();
+        let observe = format!(r#"{{"prediction_id": {}, "measured_seconds": {measured}}}"#, id.1);
+        assert_eq!(post(&router, "/v1/observe", &observe).status, 200);
+        let group = &router.lifecycle().snapshot()[0];
+        assert_eq!(group.shadow_len, 1, "the observe scored the shadow candidate");
+
+        // After a reload the old answer is demoted: under overload a
+        // worker serves it labelled stale, the loop never does.
+        let mut gb2 = GradientBoosting::new(20, 3, 0.2);
+        gb2.seed = 11;
+        gb2.fit(&x, &y).unwrap();
+        chemcost_ml::persist::save_gb(&path, &gb2).unwrap();
+        assert_eq!(post(&router, "/v1/models/gb/reload", "").status, 200);
+        router.metrics().record_shed();
+        assert!(inline(&advise(body)).is_none());
+        let stale = router.handle(&advise(body));
+        assert_eq!(json_of(&stale).get("stale").and_then(Json::as_bool), Some(true));
 
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }

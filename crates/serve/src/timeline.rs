@@ -10,7 +10,7 @@
 //! | stage     | span                                                     |
 //! |-----------|----------------------------------------------------------|
 //! | `read`    | first byte → parse complete                              |
-//! | `queue`   | parse complete → worker dequeue                          |
+//! | `queue`   | parse complete → worker dequeue (0 for an inline hit)    |
 //! | `handler` | worker dequeue → handler done (model call included)      |
 //! | `reorder` | handler done → response encoded (pipeline reordering)    |
 //! | `write`   | response encoded → last byte accepted by the socket      |
@@ -80,6 +80,12 @@ impl TimelineBuilder {
     /// queue time — they model the worker not getting to the request).
     pub fn stamp_dequeued(&mut self) {
         self.dequeued = Some(Instant::now());
+    }
+
+    /// The event loop answered the request itself (an advise cache
+    /// hit): no hand-off, so the queue stage is zero.
+    pub fn stamp_answered_inline(&mut self) {
+        self.dequeued = Some(self.parsed);
     }
 
     /// The handler returned.

@@ -9,7 +9,7 @@ use chemcost_ml::gradient_boosting::GradientBoosting;
 use chemcost_ml::Regressor;
 use chemcost_obs as obs;
 use chemcost_serve::json::Json;
-use chemcost_serve::{ModelRegistry, Router, Server};
+use chemcost_serve::{FaultKind, FaultPlane, ModelRegistry, Router, Server};
 use chemcost_sim::datagen::generate_dataset_sized;
 use chemcost_sim::machine::by_name;
 use std::io::{Read, Write};
@@ -225,6 +225,98 @@ fn stage_sums_reconcile_with_end_to_end_latency() {
     assert!(series("chemcost_event_loop_events_per_wake_sum") > 0.0);
     assert!(series("chemcost_connections_read_paused") >= 0.0);
     assert!(series("chemcost_connections_write_stalled") >= 0.0);
+
+    shutdown(addr);
+    server_thread.join().unwrap().expect("clean shutdown");
+}
+
+/// The recent timelines whose trace id starts with `prefix`.
+fn traced<'a>(recent: &'a [Json], prefix: &str) -> Vec<&'a Json> {
+    recent
+        .iter()
+        .filter(|e| e.get("trace").and_then(Json::as_str).is_some_and(|t| t.starts_with(prefix)))
+        .collect()
+}
+
+/// An advise cache hit the event loop answers itself is never queued:
+/// its `queue` stage is exactly 0, alone or pipelined, and every
+/// timeline's stages still sum to its total within 5%.
+#[test]
+fn inline_hits_have_a_zero_queue_stage() {
+    const ALONE: usize = 6;
+    const PIPELINED: usize = 8;
+    let server = new_server(2);
+    let addr = server.local_addr().unwrap();
+    let server_thread = std::thread::spawn(move || server.run());
+    let body = r#"{"o": 120, "v": 900, "goal": "stq"}"#;
+
+    let mut stream = connect(addr);
+    let mut carry = Vec::new();
+    // The first ask misses and sweeps on a worker; every later one hits.
+    stream.write_all(&http("POST", "/v1/advise", Some("cold"), body, false)).unwrap();
+    assert_eq!(read_response(&mut stream, &mut carry).0, 200);
+    for n in 0..ALONE {
+        let trace = format!("alone-{n}");
+        stream.write_all(&http("POST", "/v1/advise", Some(&trace), body, false)).unwrap();
+        assert_eq!(read_response(&mut stream, &mut carry).0, 200);
+    }
+    let burst: Vec<u8> = (0..PIPELINED)
+        .flat_map(|n| http("POST", "/v1/advise", Some(&format!("piped-{n}")), body, false))
+        .collect();
+    stream.write_all(&burst).unwrap();
+    for _ in 0..PIPELINED {
+        assert_eq!(read_response(&mut stream, &mut carry).0, 200);
+    }
+
+    let doc = fetch_json(addr, "/debug/requests");
+    let recent = doc.get("recent").and_then(Json::as_array).expect("recent array");
+    let alone = traced(recent, "alone-");
+    let piped = traced(recent, "piped-");
+    assert_eq!((alone.len(), piped.len()), (ALONE, PIPELINED), "{doc:?}");
+    for entry in alone.iter().chain(&piped) {
+        assert_eq!(stage(entry, "queue_us"), 0.0, "an inline hit was queued: {entry:?}");
+    }
+    for entry in recent {
+        let total = entry.get("total_us").and_then(Json::as_f64).expect("total_us");
+        let sum: f64 = STAGE_KEYS.iter().map(|k| stage(entry, k)).sum();
+        let tolerance = (total * 0.05).max(10.0);
+        assert!((sum - total).abs() <= tolerance, "stage sum {sum} vs total {total}: {entry:?}");
+    }
+
+    shutdown(addr);
+    server_thread.join().unwrap().expect("clean shutdown");
+}
+
+/// A request the chaos plane rolled `slow-io` for rides a worker even
+/// when it is a cache hit the loop could answer: at rate 1 the cached
+/// advise shows a `queue` stage at least as long as the injected stall,
+/// which only a worker sleeps.
+#[test]
+fn slow_io_rolled_hits_ride_a_worker() {
+    let delay = Duration::from_millis(20);
+    let plane = FaultPlane::builder().seed(1).rate(FaultKind::SlowIo, 1.0).slow_io_delay(delay);
+    let server = new_server(2).with_faults(Arc::new(plane.build()));
+    let addr = server.local_addr().unwrap();
+    let server_thread = std::thread::spawn(move || server.run());
+    let body = r#"{"o": 120, "v": 900, "goal": "stq"}"#;
+
+    let mut stream = connect(addr);
+    let mut carry = Vec::new();
+    for trace in ["slow-cold", "slow-hit"] {
+        stream.write_all(&http("POST", "/v1/advise", Some(trace), body, false)).unwrap();
+        assert_eq!(read_response(&mut stream, &mut carry).0, 200);
+    }
+
+    let doc = fetch_json(addr, "/debug/requests");
+    let recent = doc.get("recent").and_then(Json::as_array).expect("recent array");
+    let hit = traced(recent, "slow-hit");
+    assert_eq!(hit.len(), 1, "{doc:?}");
+    let queued = stage(hit[0], "queue_us");
+    assert!(queued >= delay.as_micros() as f64, "queue {queued} µs < the {delay:?} stall");
+    let mut stream = connect(addr);
+    stream.write_all(&http("GET", "/metrics", None, "", true)).unwrap();
+    let (_, metrics) = read_response(&mut stream, &mut Vec::new());
+    assert!(metrics.contains("chemcost_advise_cache_hits_total 1\n"), "the second ask must hit");
 
     shutdown(addr);
     server_thread.join().unwrap().expect("clean shutdown");

@@ -13,7 +13,7 @@ use chemcost_sim::datagen::generate_dataset_sized;
 use chemcost_sim::machine::by_name;
 use proptest::prelude::*;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -67,6 +67,8 @@ fn http(method: &str, path: &str, body: &str, close: bool) -> Vec<u8> {
 struct Resp {
     status: u16,
     connection: String,
+    /// Status line and headers, through the blank line.
+    head: String,
     body: String,
 }
 
@@ -107,7 +109,7 @@ fn read_response(stream: &mut TcpStream, carry: &mut Vec<u8>) -> Resp {
     }
     let body = String::from_utf8_lossy(&carry[head_end..head_end + content_length]).into_owned();
     carry.drain(..head_end + content_length);
-    Resp { status, connection, body }
+    Resp { status, connection, head, body }
 }
 
 fn connect(addr: SocketAddr) -> TcpStream {
@@ -162,6 +164,153 @@ fn request_split_mid_header_and_mid_body_still_parses() {
     let resp = read_response(&mut stream, &mut Vec::new());
     assert_eq!(resp.status, 200, "{}", resp.body);
     assert!(resp.body.contains("predictions"), "{}", resp.body);
+}
+
+// -- advise cache hits on the event loop --------------------------------
+
+/// One sample value off a `/metrics` scrape.
+fn metric(addr: SocketAddr, series: &str) -> f64 {
+    let mut stream = connect(addr);
+    stream.write_all(&http("GET", "/metrics", "", true)).unwrap();
+    let text = read_response(&mut stream, &mut Vec::new()).body;
+    text.lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("{series} missing from /metrics"))
+}
+
+/// A response head without the per-round-trip id headers.
+fn without_ids(head: &str) -> String {
+    head.split("\r\n")
+        .filter(|l| !l.starts_with("X-Request-Id:") && !l.starts_with("X-Prediction-Id:"))
+        .collect::<Vec<_>>()
+        .join("\r\n")
+}
+
+/// One connection pipelines a miss, a hit, a hit, a miss, and a cached
+/// question sent with a non-canonical body. The loop answers the two
+/// canonical hits itself; the rest ride workers. The answers still come
+/// back in request order, byte-identical apart from the id headers to
+/// the same questions asked one at a time, and each advise counts
+/// exactly one cache hit or miss.
+#[test]
+fn pipelined_hits_and_misses_answer_in_order_as_if_asked_alone() {
+    let server = new_server(2);
+    let addr = server.local_addr().unwrap();
+    let server_thread = std::thread::spawn(move || server.run());
+    let cached = r#"{"o":116,"v":840,"goal":"stq"}"#;
+    let batch = [
+        r#"{"o":101,"v":801,"goal":"bq"}"#,
+        cached,
+        cached,
+        r#"{"o":102,"v":802,"goal":"pareto"}"#,
+        // The cached question again; the escape sends it to the tree
+        // parser on a worker, where it hits.
+        r#"{"o":116,"v":840,"goal":"st\u0071"}"#,
+    ];
+    let mut stream = connect(addr);
+    let mut carry = Vec::new();
+    stream.write_all(&http("POST", "/v1/advise", cached, false)).unwrap();
+    assert_eq!(read_response(&mut stream, &mut carry).status, 200);
+    let hits = || metric(addr, "chemcost_advise_cache_hits_total");
+    let misses = || metric(addr, "chemcost_advise_cache_misses_total");
+    let (hits_before, misses_before) = (hits(), misses());
+
+    let burst: Vec<u8> = batch.iter().flat_map(|b| http("POST", "/v1/advise", b, false)).collect();
+    stream.write_all(&burst).unwrap();
+    let pipelined: Vec<Resp> =
+        batch.iter().map(|_| read_response(&mut stream, &mut carry)).collect();
+    assert_eq!(hits() - hits_before, 3.0);
+    assert_eq!(misses() - misses_before, 2.0);
+    let advised = metric(addr, "chemcost_requests_total{route=\"advise\"}");
+    assert_eq!(advised, 1.0 + batch.len() as f64);
+
+    for (body, got) in batch.iter().zip(&pipelined) {
+        let mut alone = connect(addr);
+        alone.write_all(&http("POST", "/v1/advise", body, false)).unwrap();
+        let want = read_response(&mut alone, &mut Vec::new());
+        assert_eq!(got.status, 200, "{}", got.body);
+        assert_eq!(without_ids(&got.head), without_ids(&want.head), "{body}");
+        assert_eq!(got.body, want.body, "{body}");
+        assert!(got.head.contains("X-Prediction-Id: "), "{}", got.head);
+    }
+
+    let mut stream = connect(addr);
+    stream.write_all(&http("POST", "/v1/shutdown", "", true)).unwrap();
+    assert_eq!(read_response(&mut stream, &mut Vec::new()).status, 200);
+    server_thread.join().unwrap().expect("clean shutdown");
+}
+
+/// A client writes 2,000 pipelined cached advises before reading
+/// anything. The loop answers them itself, parks at the write
+/// high-water mark while the client is not reading (the bound is
+/// asserted by the `event_loop` unit test), and resumes as the client
+/// drains: every answer arrives, in request order.
+#[test]
+fn two_thousand_pipelined_hits_written_before_any_read_all_answer_in_order() {
+    const SENT: usize = 2000;
+    let body = r#"{"o":117,"v":841,"goal":"bq"}"#;
+    let mut stream = connect(shared_addr());
+    let mut carry = Vec::new();
+    stream.write_all(&http("POST", "/v1/advise", body, false)).unwrap();
+    assert_eq!(read_response(&mut stream, &mut carry).status, 200);
+
+    let burst: String = (0..SENT)
+        .map(|i| {
+            format!(
+                "POST /v1/advise HTTP/1.1\r\nX-Request-Id: pipe-{i}\r\n\
+                 Content-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+        })
+        .collect();
+    stream.set_write_timeout(Some(Duration::from_secs(20))).unwrap();
+    stream.write_all(burst.as_bytes()).expect("write every request before reading");
+    for i in 0..SENT {
+        let resp = read_response(&mut stream, &mut carry);
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert!(resp.head.contains(&format!("X-Request-Id: pipe-{i}\r\n")), "{}", resp.head);
+    }
+}
+
+/// A client pipelines more cached advises than the write high-water
+/// mark holds answers for, then half-closes its sending side before
+/// reading. The connection stays open until the loop has answered every
+/// request left in its read buffer, then closes: all 2,000 answers
+/// arrive, in order, followed by end-of-stream.
+#[test]
+fn hits_pipelined_past_the_mark_are_all_answered_after_a_half_close() {
+    const SENT: usize = 2000;
+    let body = r#"{"o":118,"v":842,"goal":"pareto"}"#;
+    let mut stream = connect(shared_addr());
+    let mut carry = Vec::new();
+    stream.write_all(&http("POST", "/v1/advise", body, false)).unwrap();
+    let first = read_response(&mut stream, &mut carry);
+    assert_eq!(first.status, 200);
+    assert!(
+        SENT * (first.head.len() + first.body.len()) > 2 * 256 * 1024,
+        "the answers must overrun the write high-water mark"
+    );
+
+    let burst: String = (0..SENT)
+        .map(|i| {
+            format!(
+                "POST /v1/advise HTTP/1.1\r\nX-Request-Id: half-{i}\r\n\
+                 Content-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+        })
+        .collect();
+    stream.set_write_timeout(Some(Duration::from_secs(20))).unwrap();
+    stream.write_all(burst.as_bytes()).expect("write every request before reading");
+    stream.shutdown(Shutdown::Write).unwrap();
+    for i in 0..SENT {
+        let resp = read_response(&mut stream, &mut carry);
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert!(resp.head.contains(&format!("X-Request-Id: half-{i}\r\n")), "{}", resp.head);
+    }
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).unwrap();
+    assert!(carry.is_empty() && rest.is_empty(), "nothing after the last answer");
 }
 
 // -- parser limits and malformed input ----------------------------------

@@ -1,10 +1,12 @@
 //! Smoke test for the deployed service, run as its own CI job: start the
 //! real `chemcost serve` binary with structured logging on, drive
 //! predict + advise over the wire, scrape `/metrics`, validate the
-//! exposition with the in-repo linter, and check that each request's
-//! JSONL records correlate under its own trace id: the advise from
-//! accept through its inline sweep, the predict from its access-log line
-//! to its `request.timeline`.
+//! exposition with the in-repo linter, check that a repeated advise (a
+//! cache hit the event loop answers itself) shows no queue stage in
+//! `/debug/requests`, and check that each request's JSONL records
+//! correlate under its own trace id: the advise from accept through its
+//! inline sweep, the hit from accept through its replay, the predict
+//! from its access-log line to its `request.timeline`.
 
 use chemcost::serve::json::Json;
 use chemcost::serve::metrics::lint_exposition;
@@ -124,6 +126,19 @@ fn serve_smoke_predict_advise_metrics_and_logs() {
         panic!("exposition fails the linter: {problems:?}\n{metrics}");
     }
 
+    // The same question again is a cache hit, answered on the event
+    // loop without a worker hand-off.
+    let hit_trace = "smoke-advise-2";
+    let (status, head, hit_body) = exchange(
+        "POST",
+        "/v1/advise",
+        &format!("X-Request-Id: {hit_trace}\r\n"),
+        r#"{"o": 120, "v": 900, "goal": "stq"}"#,
+    );
+    assert_eq!(status, 200, "{hit_body}");
+    assert_eq!(hit_body, body, "a cache hit replays the cold answer");
+    assert!(head.contains("X-Prediction-Id: "), "{head}");
+
     // /debug/requests: the flight recorder saw the predict and advise
     // requests, its JSON parses, and every timeline's stage durations
     // reconcile with its end-to-end total (±5%).
@@ -137,6 +152,12 @@ fn serve_smoke_predict_advise_metrics_and_logs() {
         recent.iter().any(|e| e.get("trace").and_then(Json::as_str) == Some(trace_id)),
         "advise request missing from flight recorder: {debug}"
     );
+    let hit = recent
+        .iter()
+        .find(|e| e.get("trace").and_then(Json::as_str) == Some(hit_trace))
+        .unwrap_or_else(|| panic!("repeated advise missing from flight recorder: {debug}"));
+    let queue_us = hit.get("stages").and_then(|s| s.get("queue_us")).and_then(Json::as_f64);
+    assert_eq!(queue_us, Some(0.0), "the repeated advise was queued: {hit:?}");
     for entry in recent {
         let total = entry.get("total_us").and_then(Json::as_f64).expect("total_us");
         let stages = entry.get("stages").expect("stages object");
@@ -173,6 +194,11 @@ fn serve_smoke_predict_advise_metrics_and_logs() {
     {
         assert!(names.iter().any(|n| n == name), "{name} missing from trace: {names:?}");
     }
+    let names = names_under(hit_trace);
+    for name in ["http.accept", "advise.cache", "http.request", "request.timeline"] {
+        assert!(names.iter().any(|n| n == name), "{name} missing from hit trace: {names:?}");
+    }
+    assert!(!names.iter().any(|n| n == "advise.sweep"), "a hit must not sweep: {names:?}");
     let names = names_under(predict_trace);
     for name in ["http.accept", "http.request", "request.timeline"] {
         assert!(names.iter().any(|n| n == name), "{name} missing from predict trace: {names:?}");
