@@ -67,12 +67,11 @@ fn bench_sweep_inference(c: &mut Criterion) {
     let x = candidate_matrix(116, 840);
     let n_rows = x.nrows();
 
-    // Sanity before timing: the exact flat path must agree bit-for-bit
-    // with the recursive model, and the quantized default must sit inside
-    // the documented tolerance (the candidate grid is all small integers,
-    // so routing is identical and only leaf rounding differs).
+    // Sanity before timing: the quantized path must sit inside the
+    // documented tolerance of the recursive model (the candidate grid is
+    // all small integers, so routing is identical and only leaf rounding
+    // differs).
     let exact = gb.predict(&x);
-    assert_eq!(flat.predict_batch_exact(&x), exact);
     for (q, e) in flat.predict_batch(&x).iter().zip(&exact) {
         assert!((q - e).abs() <= QUANT_REL_TOL * (1.0 + e.abs()));
     }

@@ -8,9 +8,10 @@
 //! 1. a **retraining trigger** (drift trip or observation-pool threshold)
 //!    enqueues a retrain job for the group;
 //! 2. a **background trainer** — one dedicated worker thread behind a
-//!    bounded queue, at most one in-flight job per group — warm-starts a
-//!    candidate [`GradientBoosting`] from the serving model's trees on the
-//!    retained observations, compiles it to [`FlatGbt`], and records
+//!    bounded queue, at most one in-flight job per group — rebuilds the
+//!    serving image's recursive model ([`FlatGbt::to_gb`]), warm-starts
+//!    a candidate from its trees on the retained observations, compiles
+//!    it to a [`FlatGbt`] image, keeps only that image, and records
 //!    [`Lineage`] (parent version, row counts, fit duration, seed);
 //! 3. a **shadow deploy** — the candidate silently scores its group's
 //!    traffic into its own [`RollingQuality`] window while the serving
@@ -19,9 +20,9 @@
 //! 4. **guarded auto-promotion** — once the shadow window reaches
 //!    [`LifecycleConfig::min_shadow`] and shadow MAPE beats serving MAPE by
 //!    [`LifecycleConfig::guardband`], the hub issues a [`PromotionTicket`]
-//!    that the server executes against its model registry (atomic hot swap,
-//!    cache eviction, drift un-latch), keeping the prior version for
-//!    one-command rollback.
+//!    that the server executes against its model registry (atomic hot swap
+//!    of the shadow's own image, cache eviction, drift un-latch), keeping
+//!    the prior version for one-command rollback.
 //!
 //! The crate is deliberately server-agnostic: it never touches sockets,
 //! registries, or Prometheus. Metrics flow out through the
@@ -37,7 +38,6 @@ use std::time::Instant;
 
 use chemcost_linalg::Matrix;
 use chemcost_ml::flat::FlatGbt;
-use chemcost_ml::gradient_boosting::GradientBoosting;
 use chemcost_ml::monitor::RollingQuality;
 use chemcost_ml::persist::Lineage;
 use chemcost_ml::Regressor;
@@ -191,8 +191,9 @@ pub struct RetrainRequest {
     pub machine: String,
     /// Registry version of the serving model the candidate warm-starts from.
     pub parent_version: u64,
-    /// Snapshot of the serving model (cloned trees are the warm start).
-    pub base: GradientBoosting,
+    /// The serving model's image; the trainer rebuilds its trees as the
+    /// warm start.
+    pub base: Arc<FlatGbt>,
     /// Retained observations: feature row plus measured seconds.
     pub rows: Vec<(FeatureRow, f64)>,
     /// Cumulative observation count for the group, used to space
@@ -209,8 +210,9 @@ pub struct PromotionTicket {
     pub model: String,
     /// Machine the group serves.
     pub machine: String,
-    /// The winning candidate, ready for `ModelRegistry::promote`.
-    pub candidate: GradientBoosting,
+    /// The winning candidate's image — the one it shadow-scored with —
+    /// ready for `ModelRegistry::promote`.
+    pub candidate: Arc<FlatGbt>,
     /// Lineage recorded at fit time.
     pub lineage: Lineage,
     /// Shadow-window MAPE at promotion time.
@@ -263,7 +265,6 @@ pub struct GroupLifecycle {
 }
 
 struct Candidate {
-    gb: GradientBoosting,
     flat: Arc<FlatGbt>,
     lineage: Lineage,
     window: RollingQuality,
@@ -364,10 +365,10 @@ impl Inner {
         let x = Matrix::from_fn(n, 4, |i, j| job.rows[i].0[j]);
         let y: Vec<f64> = job.rows.iter().map(|(_, m)| *m).collect();
 
-        let mut candidate = job.base.clone();
-        // Registry-loaded models decode with `max_depth = 0` (leaf-only), so
-        // the appended stages always get a real depth cap; early stopping is
-        // pointless on the small retained pool.
+        let mut candidate = job.base.to_gb();
+        // A rebuilt model has `max_depth = 0` (leaf-only) and default
+        // hyper-parameters, so the appended stages always get a real depth
+        // cap; early stopping is pointless on the small retained pool.
         candidate.max_depth = self.config.max_depth;
         candidate.n_iter_no_change = None;
         candidate.seed =
@@ -437,7 +438,6 @@ impl Inner {
         let mut groups = self.groups.lock();
         if let Some(entry) = groups.get_mut(&job.model, &job.machine) {
             entry.candidate = Some(Candidate {
-                gb: candidate,
                 flat,
                 lineage,
                 window: RollingQuality::new(self.config.shadow_window),
@@ -588,14 +588,12 @@ impl LifecycleHub {
         &self,
         model: &str,
         machine: &str,
-        gb: GradientBoosting,
+        flat: Arc<FlatGbt>,
         lineage: Lineage,
     ) {
-        let flat = Arc::new(FlatGbt::compile(&gb));
         let mut groups = self.inner.groups.lock();
         let entry = groups.entry(model, machine);
         entry.candidate = Some(Candidate {
-            gb,
             flat,
             lineage,
             window: RollingQuality::new(self.inner.config.shadow_window),
@@ -714,7 +712,7 @@ impl LifecycleHub {
             return ShadowVerdict::Promote(Box::new(PromotionTicket {
                 model: model.to_string(),
                 machine: machine.to_string(),
-                candidate: candidate.gb,
+                candidate: candidate.flat,
                 lineage,
                 shadow_mape,
                 serving_mape,
@@ -763,7 +761,7 @@ impl LifecycleHub {
         Ok(PromotionTicket {
             model: model.to_string(),
             machine: machine.to_string(),
-            candidate: candidate.gb,
+            candidate: candidate.flat,
             lineage,
             shadow_mape,
             serving_mape: f64::NAN,
@@ -869,6 +867,7 @@ impl Drop for LifecycleHub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chemcost_ml::gradient_boosting::GradientBoosting;
     use std::sync::atomic::AtomicU64;
     use std::time::Duration;
 
@@ -902,7 +901,7 @@ mod tests {
             model: "gb".into(),
             machine: "aurora".into(),
             parent_version: 1,
-            base: base.clone(),
+            base: image(base),
             rows: rows(n, shift, 1),
             observations: n as u64 + 100,
             reason: RetrainReason::DriftTrip,
@@ -917,11 +916,15 @@ mod tests {
         }
     }
 
-    fn nan_candidate() -> GradientBoosting {
+    fn image(gb: &GradientBoosting) -> Arc<FlatGbt> {
+        Arc::new(FlatGbt::compile(gb))
+    }
+
+    fn nan_candidate() -> Arc<FlatGbt> {
         use chemcost_ml::tree::FlatNode;
         let leaf =
             FlatNode { feature: u32::MAX, threshold: 0.0, left: 0, right: 0, value: f64::NAN };
-        GradientBoosting::from_export(0.0, 0.1, 4, &[vec![leaf]])
+        image(&GradientBoosting::from_export(0.0, 0.1, 4, &[vec![leaf]]))
     }
 
     fn lineage() -> Lineage {
@@ -986,7 +989,7 @@ mod tests {
                 assert_eq!(ticket.model, "gb");
                 assert_eq!(ticket.outcome, PromotionOutcome::Auto);
                 assert!(ticket.shadow_mape + 0.02 <= 0.41);
-                assert!(ticket.candidate.n_stages() > base.n_stages());
+                assert!(ticket.candidate.n_trees() > base.n_stages());
             }
             _ => panic!("expected promotion"),
         }
@@ -1047,7 +1050,7 @@ mod tests {
         hub.mark_rolled_back("gb", "aurora").unwrap();
         assert!(hub.shadow_candidate("gb", "aurora").is_none());
         let base = fitted_base(60);
-        hub.install_candidate("gb", "aurora", base.clone(), lineage());
+        hub.install_candidate("gb", "aurora", image(&base), lineage());
         let healthy = hub.shadow_candidate("gb", "aurora").expect("candidate in shadow");
         assert!(hub.score_shadow("gb", "aurora", &poisoned, &features).is_none());
         assert_eq!(hub.group_state("gb", "aurora"), Some(LifecycleState::Shadow));
@@ -1129,9 +1132,9 @@ mod tests {
             LifecycleConfig::default(),
             Box::new(Fwd(Arc::clone(&observer))),
         );
-        // An unfitted base makes fit_more fail -> Rejected.
-        let mut req = request(&GradientBoosting::new(10, 3, 0.1), 1.0, 60);
-        req.rows = rows(60, 1.0, 0);
+        // A non-finite measurement makes fit_more fail -> Rejected.
+        let mut req = request(&fitted_base(60), 1.0, 60);
+        req.rows[0].1 = f64::NAN;
         hub.request_retrain(req).expect("enqueue");
         wait_for(&hub, LifecycleState::Rejected);
         let snap = &hub.snapshot()[0];

@@ -1,33 +1,36 @@
-//! Flat, struct-of-arrays tree-ensemble inference — the serving hot path.
+//! Flat tree-ensemble inference — the serving hot path.
 //!
-//! Fitted [`DecisionTree`]s store `enum` nodes in per-tree arenas; walking
-//! them means matching an enum and chasing per-tree allocations for every
-//! row × tree. That is fine for training-time evaluation but wasteful on
-//! the advisor's query path, where one `/v1/advise` request sweeps hundreds
-//! of candidate configurations through an ensemble of hundreds of trees.
+//! Fitted [`DecisionTree`](crate::tree::DecisionTree)s store `enum` nodes
+//! in per-tree arenas; walking them means matching an enum and chasing
+//! per-tree allocations for every row × tree. That is fine for
+//! training-time evaluation but wasteful on the advisor's query path,
+//! where one `/v1/advise` request sweeps hundreds of candidate
+//! configurations through an ensemble of hundreds of trees.
 //!
-//! This module compiles a fitted ensemble into two parallel layouts:
+//! [`FlatGbt`] is the one in-memory form of a served model. Per node it
+//! holds:
 //!
-//! * an **exact** struct-of-arrays layout (`FlatNodes`): one `Vec` each for
-//!   split feature, `f64` threshold, children and leaf value, trees
-//!   concatenated and addressed by root offset. Served by
-//!   [`FlatForest::predict_batch_exact`] / [`FlatGbt::predict_batch_exact`],
-//!   its predictions are **bit-for-bit identical** to the recursive path:
-//!   per-row accumulation order over trees, the `<=`-threshold comparison
-//!   (including its NaN behaviour) and the scaling operations are exactly
-//!   those of [`RandomForest::predict`] and [`GradientBoosting::predict`].
-//! * a **quantized** layout (`QNodes`): 16-byte array-of-structs nodes
-//!   (`f32` threshold, feature, two child indices) plus a separate `f32`
-//!   leaf-value array. This is the default path behind
-//!   [`FlatForest::predict_batch`] / [`FlatGbt::predict_batch`]. Nodes
-//!   shrink from 28 to 16 bytes on the traversal stream, rows are
-//!   converted to `f32` once per batch, and leaves are stored as ordinary
-//!   self-loop nodes so the 8-lane interleaved stepper needs no leaf test
-//!   at all: it runs a fixed, per-tree-depth count of uniform
-//!   load→compare→select steps (bounds checks hoisted to one-time
-//!   compile-side validation), giving the core eight independent
-//!   dependent-load chains to overlap while a deep ensemble streams
-//!   through cache at roughly half the bytes of the exact layout.
+//! * the **hot** quantized layout: a 16-byte array-of-structs node (`f32`
+//!   threshold, feature, two child indices) plus an `f32` leaf value in a
+//!   separate array, trees concatenated and addressed by root offset.
+//!   Every prediction walks only this. Rows are converted to `f32` once
+//!   per batch, and leaves are stored as ordinary self-loop nodes so the
+//!   8-lane interleaved stepper needs no leaf test at all: it runs a
+//!   fixed, per-tree-depth count of uniform load→compare→select steps
+//!   (bounds checks hoisted to build-time validation), giving the core
+//!   eight independent dependent-load chains to overlap while a deep
+//!   ensemble streams through cache;
+//! * one **cold** `f64`: a split's exact threshold or a leaf's exact
+//!   value. No prediction reads it. It makes the image lossless:
+//!   [`FlatGbt::to_gb`] rebuilds the source [`GradientBoosting`] exactly,
+//!   and `crate::persist` re-encodes the image byte for byte.
+//!
+//! That is 28 bytes per node in all. One builder fills the image, from a
+//! fitted model ([`FlatGbt::compile`]) or straight from a model file
+//! (`crate::persist`), one tree at a time. It checks each tree as it
+//! pushes it — split features below the feature count, child links
+//! forward, inside the tree and claimed by one split only — and records
+//! the tree's depth on the way.
 //!
 //! # Quantization contract
 //!
@@ -77,10 +80,10 @@
 //! reduces each row's leaves in tree order so results are independent of
 //! worker count.
 
-use crate::forest::RandomForest;
 use crate::gradient_boosting::GradientBoosting;
+use crate::persist::DecodeError;
 use crate::traits::{check_grid_columns, FitError, Regressor};
-use crate::tree::{DecisionTree, FlatNode};
+use crate::tree::FlatNode;
 use chemcost_linalg::{parallel, Matrix};
 use std::cell::RefCell;
 
@@ -117,131 +120,6 @@ fn quantize_threshold(t: f64) -> f32 {
     }
 }
 
-/// Number of split steps on the longest root-to-leaf path of the tree
-/// whose nodes occupy `root..end` of `exact` (0 for a lone-leaf tree).
-/// Iterative DFS — recursion depth would otherwise track tree depth.
-fn tree_depth(exact: &FlatNodes, root: u32, end: usize) -> u32 {
-    let mut max = 0u32;
-    let mut stack = vec![(root as usize, 0u32)];
-    while let Some((i, d)) = stack.pop() {
-        assert!(i < end, "child index escapes its tree");
-        if exact.feature[i] == LEAF {
-            max = max.max(d);
-        } else {
-            let [l, r] = exact.children[i];
-            stack.push((l as usize, d + 1));
-            stack.push((r as usize, d + 1));
-        }
-    }
-    max
-}
-
-/// Concatenated struct-of-arrays node storage for a whole ensemble — the
-/// exact (`f64`) representation.
-///
-/// Node `i` of the ensemble lives at position `i` of every array; tree
-/// boundaries exist only as entries in `roots`. Leaves carry `LEAF` in
-/// `feature` and their prediction in `value`; split nodes carry the
-/// feature index, threshold and two absolute child indices.
-#[derive(Debug, Clone, Default)]
-struct FlatNodes {
-    feature: Vec<u32>,
-    threshold: Vec<f64>,
-    children: Vec<[u32; 2]>,
-    value: Vec<f64>,
-    roots: Vec<u32>,
-}
-
-impl FlatNodes {
-    fn with_capacity(trees: usize, nodes: usize) -> Self {
-        Self {
-            feature: Vec::with_capacity(nodes),
-            threshold: Vec::with_capacity(nodes),
-            children: Vec::with_capacity(nodes),
-            value: Vec::with_capacity(nodes),
-            roots: Vec::with_capacity(trees),
-        }
-    }
-
-    /// Append one tree's exported nodes, rebasing child indices to the
-    /// ensemble-wide address space.
-    fn push_tree(&mut self, nodes: &[FlatNode]) {
-        assert!(!nodes.is_empty(), "cannot flatten an unfitted tree");
-        let base = self.feature.len() as u32;
-        self.roots.push(base);
-        for n in nodes {
-            let abs = self.feature.len() as u32;
-            self.feature.push(n.feature);
-            if n.feature == LEAF {
-                // Leaves self-loop behind an always-true comparison so the
-                // interleaved traversal can keep stepping a finished row
-                // harmlessly while its lane-mates are still descending.
-                self.threshold.push(f64::INFINITY);
-                self.children.push([abs, abs]);
-                self.value.push(n.value);
-            } else {
-                assert!(
-                    (n.left as usize) < nodes.len() && (n.right as usize) < nodes.len(),
-                    "child index out of range in flattened tree"
-                );
-                self.threshold.push(n.threshold);
-                self.children.push([base + n.left, base + n.right]);
-                self.value.push(0.0);
-            }
-        }
-    }
-
-    /// Largest feature index referenced by any split, plus one.
-    fn min_features(&self) -> usize {
-        self.feature.iter().filter(|&&f| f != LEAF).map(|&f| f as usize + 1).max().unwrap_or(0)
-    }
-
-    /// Walk one tree for one row. Branch-light: the comparison selects a
-    /// child slot instead of branching, and the loop exits only at a leaf.
-    ///
-    /// The comparison is `!(x <= t)` rather than `x > t` so NaN feature
-    /// values fall right, exactly as in `DecisionTree::predict_row`.
-    #[inline]
-    #[allow(clippy::neg_cmp_op_on_partial_ord)] // deliberate: NaN must fall right
-    fn leaf_value(&self, root: u32, row: &[f64]) -> f64 {
-        let mut i = root as usize;
-        loop {
-            let f = self.feature[i];
-            if f == LEAF {
-                return self.value[i];
-            }
-            let go_right = !(row[f as usize] <= self.threshold[i]) as usize;
-            i = self.children[i][go_right] as usize;
-        }
-    }
-
-    /// Accumulate `init + Σ weight · tree(row)` over all trees, in tree
-    /// order — the exact floating-point sequence of the recursive path.
-    #[inline]
-    fn score_row(&self, row: &[f64], init: f64, weight: f64) -> f64 {
-        let mut acc = init;
-        for &root in &self.roots {
-            acc += weight * self.leaf_value(root, row);
-        }
-        acc
-    }
-
-    /// Score every row of `x` serially, tree-major, into a fresh vector —
-    /// the exact-path batch entry point. (The quantized path owns the
-    /// parallel machinery; the exact path exists as a reference and for
-    /// callers that need bit-for-bit recursive equality, where throughput
-    /// is secondary.)
-    fn score_batch(&self, x: &Matrix, init: f64, weight: f64) -> Vec<f64> {
-        let mut out = vec![init; x.nrows()];
-        for &root in &self.roots {
-            for (k, o) in out.iter_mut().enumerate() {
-                *o += weight * self.leaf_value(root, x.row(k));
-            }
-        }
-        out
-    }
-}
-
 /// One quantized tree node: 16 bytes, a single predictable stream for the
 /// traversal loop (threshold, feature and both children land on one cache
 /// line together instead of three separate array streams).
@@ -261,16 +139,17 @@ struct QNode {
 /// Quantized leaves are stored as *ordinary* nodes that compare feature 0
 /// against `+∞` and route to themselves, so the traversal loop needs no
 /// leaf test at all: it steps every lane exactly [`QNodes::depth`] times
-/// (the tree's longest root-to-leaf path) and lands on a leaf by
-/// construction, with finished rows self-looping harmlessly.
-#[derive(Debug, Clone, Default)]
+/// (at least the tree's longest root-to-leaf path) and lands on a leaf
+/// by construction, with finished rows self-looping harmlessly.
+#[derive(Debug, Clone)]
 struct QNodes {
     nodes: Vec<QNode>,
     value: Vec<f32>,
     roots: Vec<u32>,
     /// Per tree: the number of split steps on its longest root-to-leaf
-    /// path. Walking exactly this many uniform steps from the root is
-    /// guaranteed to finish on (or self-loop at) a leaf.
+    /// path (more only if the tree holds a node no split names). Walking
+    /// exactly this many uniform steps from the root is guaranteed to
+    /// finish on (or self-loop at) a leaf.
     depth: Vec<u32>,
 }
 
@@ -288,49 +167,127 @@ thread_local! {
     static Q_SCRATCH: RefCell<QScratch> = RefCell::new(QScratch::default());
 }
 
-impl QNodes {
-    /// Quantize the exact layout: thresholds round toward −∞ (see
-    /// [`quantize_threshold`]), leaf values round to nearest `f32`.
-    /// Leaves become uniform self-loop nodes (`feature 0` vs `+∞`, both
-    /// children pointing back at themselves) so the traversal loops never
-    /// have to distinguish them, and each tree's maximum descent depth is
-    /// recorded so those loops can run a fixed number of steps.
-    fn quantize(exact: &FlatNodes) -> Self {
-        let nodes = exact
-            .feature
-            .iter()
-            .zip(&exact.threshold)
-            .zip(&exact.children)
-            .map(|((&feature, &t), &children)| QNode {
-                threshold: quantize_threshold(t),
-                feature: if feature == LEAF { 0 } else { feature },
-                children,
-            })
-            .collect();
-        let value = exact.value.iter().map(|&v| v as f32).collect();
-        let depth = (0..exact.roots.len())
-            .map(|t| {
-                let end = exact.roots.get(t + 1).map_or(exact.feature.len(), |&r| r as usize);
-                tree_depth(exact, exact.roots[t], end)
-            })
-            .collect();
-        let q = QNodes { nodes, value, roots: exact.roots.clone(), depth };
-        // One-time structural validation backing the unchecked loads in
-        // `for_each_leaf`: every root and every child index must land
-        // inside the node array (push_tree guarantees this per tree; this
-        // re-checks the rebased ensemble-wide indices).
-        let len = q.nodes.len();
-        assert!(q.value.len() == len, "leaf value array out of sync");
-        assert!(q.roots.iter().all(|&r| (r as usize) < len), "root index out of range");
-        assert!(
-            q.nodes
-                .iter()
-                .all(|n| (n.children[0] as usize) < len && (n.children[1] as usize) < len),
-            "child index out of range"
-        );
-        q
+/// Marks a node of the tree being pushed that no split has claimed as a
+/// child (yet).
+const UNCLAIMED: u32 = u32::MAX;
+
+/// Fills a [`FlatGbt`] one tree at a time: [`FlatGbt::compile`] feeds it
+/// a fitted model's trees, `crate::persist` a model file's trees as it
+/// reads them.
+pub(crate) struct Builder {
+    q: QNodes,
+    exact: Vec<f64>,
+    n_features: usize,
+    /// Per node of the tree being pushed: its depth once a split has
+    /// claimed it, else [`UNCLAIMED`]. Reused across trees.
+    depth_of: Vec<u32>,
+}
+
+impl Builder {
+    /// A builder for an ensemble over `n_features` features, with room
+    /// for `trees` trees of `nodes` nodes in all.
+    pub(crate) fn new(n_features: usize, trees: usize, nodes: usize) -> Builder {
+        Builder {
+            q: QNodes {
+                nodes: Vec::with_capacity(nodes),
+                value: Vec::with_capacity(nodes),
+                roots: Vec::with_capacity(trees),
+                depth: Vec::with_capacity(trees),
+            },
+            exact: Vec::with_capacity(nodes),
+            n_features,
+            depth_of: Vec::new(),
+        }
     }
 
+    /// Append one tree, given in preorder with tree-local child links.
+    ///
+    /// Thresholds round toward −∞ (see [`quantize_threshold`]) and leaf
+    /// values to the nearest `f32`. Leaves become uniform self-loop nodes
+    /// (feature 0 against `+∞`, both children pointing back at
+    /// themselves), so the traversal loops never tell them apart.
+    ///
+    /// Every split must name a feature below the feature count, and two
+    /// children that lie ahead of it inside the tree and that no other
+    /// split names. So every walk ends at a leaf of its own tree in at
+    /// most the recorded depth of steps, and a node's depth is known
+    /// before the node is pushed. These checks back the unchecked loads
+    /// in [`QNodes::for_each_leaf`]. A node no split names starts a walk
+    /// of its own at depth 0, which can only raise the recorded depth.
+    pub(crate) fn push_tree(&mut self, tree: &[FlatNode]) -> Result<(), DecodeError> {
+        let n = tree.len();
+        if n == 0 {
+            return Err(DecodeError::Corrupt("empty tree".into()));
+        }
+        let start = self.q.nodes.len();
+        if start + n > u32::MAX as usize {
+            return Err(DecodeError::Corrupt("more nodes than 32-bit links address".into()));
+        }
+        let base = start as u32;
+        self.depth_of.clear();
+        self.depth_of.resize(n, UNCLAIMED);
+        let mut depth = 0;
+        for (i, node) in tree.iter().enumerate() {
+            let d = match self.depth_of[i] {
+                UNCLAIMED => 0,
+                d => d,
+            };
+            depth = depth.max(d);
+            let at = base + i as u32;
+            if node.feature == LEAF {
+                self.q.nodes.push(QNode {
+                    threshold: f32::INFINITY,
+                    feature: 0,
+                    children: [at; 2],
+                });
+                self.q.value.push(node.value as f32);
+                self.exact.push(node.value);
+                continue;
+            }
+            if node.feature as usize >= self.n_features {
+                return Err(DecodeError::Corrupt(format!(
+                    "split feature {} >= feature count {}",
+                    node.feature, self.n_features
+                )));
+            }
+            let (left, right) = (node.left as usize, node.right as usize);
+            if left >= n || right >= n {
+                return Err(DecodeError::Corrupt("child index out of range".into()));
+            }
+            for child in [left, right] {
+                if child <= i {
+                    return Err(DecodeError::Corrupt(format!(
+                        "node {i} links back to node {child}"
+                    )));
+                }
+                if self.depth_of[child] != UNCLAIMED {
+                    return Err(DecodeError::Corrupt(format!(
+                        "node {child} is the child of two splits"
+                    )));
+                }
+                self.depth_of[child] = d + 1;
+            }
+            self.q.nodes.push(QNode {
+                threshold: quantize_threshold(node.threshold),
+                feature: node.feature,
+                children: [base + node.left, base + node.right],
+            });
+            self.q.value.push(0.0);
+            self.exact.push(node.threshold);
+        }
+        self.q.roots.push(base);
+        self.q.depth.push(depth);
+        Ok(())
+    }
+
+    /// The finished image.
+    pub(crate) fn finish(self, init: f64, learning_rate: f64) -> FlatGbt {
+        let Builder { q, exact, n_features, .. } = self;
+        FlatGbt { q, exact, init, learning_rate, n_features }
+    }
+}
+
+impl QNodes {
     /// Walk one tree for one `f32` row; returns the leaf's node index.
     /// Runs exactly `depth` uniform steps — leaves self-loop, so landing
     /// early just spins in place (see [`QNodes`]).
@@ -367,13 +324,12 @@ impl QNodes {
     ///
     /// The inner loop uses unchecked loads; its indices are covered by
     /// two invariants. (1) Node cursors: each `idx[j]` starts at `root`
-    /// and only ever moves to a `children` slot, and [`Self::quantize`]
-    /// asserts every root and child index is in range once per compile.
-    /// (2) Feature gathers: every stored feature index is below the
-    /// ensemble's `min_features` (leaves store feature 0, which a
-    /// non-empty split set makes valid; an all-leaf ensemble has
-    /// `depth == 0` and never gathers), and the public entry points
-    /// assert `ncols ≥ min_features`, so
+    /// and only ever moves to a `children` slot, and
+    /// [`Builder::push_tree`] checks every child index in range as it
+    /// pushes the node. (2) Feature gathers: the builder keeps every
+    /// split feature below the ensemble's feature count, which is at
+    /// least 1 (leaves store feature 0), and the public entry points
+    /// assert `ncols` equals that count, so
     /// `base[j] + feature < (start + n) · ncols ≤ rows.len()` — the
     /// debug assertion below re-states that bound.
     #[inline]
@@ -402,8 +358,9 @@ impl QNodes {
                 // unrolled (LANES is const): each lane's chain lives in
                 // registers and the eight chains overlap their loads.
                 // SAFETY: invariants (1) and (2) in the doc comment —
-                // `idx` holds quantize-validated node indices and the
-                // gather offset is bounded by the entry-point width check.
+                // `idx` holds node indices `Builder::push_tree` range-checked
+                // and the gather offset is bounded by the entry-point width
+                // check.
                 for j in 0..LANES {
                     let n = unsafe { *self.nodes.get_unchecked(idx[j]) };
                     let x = unsafe { *rows.get_unchecked(base[j] + n.feature as usize) };
@@ -639,178 +596,77 @@ fn fill_rect(out: &mut [f64], ni: usize, [o_lo, o_hi, i_lo, i_hi]: [usize; 4], v
     }
 }
 
-/// A fitted [`RandomForest`] compiled for fast batched inference.
-///
-/// The default [`predict_batch`](FlatForest::predict_batch) runs the
-/// quantized `f32` path (see the module docs for the tolerance contract);
-/// [`predict_batch_exact`](FlatForest::predict_batch_exact) replays the
-/// recursive path bit-for-bit.
-///
-/// # Example
-///
-/// ```
-/// use chemcost_linalg::Matrix;
-/// use chemcost_ml::flat::{FlatForest, QUANT_REL_TOL};
-/// use chemcost_ml::forest::RandomForest;
-/// use chemcost_ml::Regressor;
-///
-/// let x = Matrix::from_fn(60, 2, |i, j| ((i * (j + 2)) % 17) as f64);
-/// let y: Vec<f64> = (0..60).map(|i| x[(i, 0)] * 3.0 - x[(i, 1)]).collect();
-/// let mut rf = RandomForest::new(12, 6);
-/// rf.fit(&x, &y).unwrap();
-///
-/// let flat = FlatForest::compile(&rf);
-/// // The exact path is bit-for-bit the recursive model …
-/// assert_eq!(flat.predict_batch_exact(&x), rf.predict(&x));
-/// // … and the quantized default stays within the documented tolerance.
-/// for (q, e) in flat.predict_batch(&x).iter().zip(rf.predict(&x)) {
-///     assert!((q - e).abs() <= QUANT_REL_TOL * (1.0 + e.abs()));
-/// }
-/// ```
-#[derive(Debug, Clone)]
-pub struct FlatForest {
-    nodes: FlatNodes,
-    qnodes: QNodes,
-    /// `x.ncols()` must be at least this for prediction to be meaningful.
-    min_features: usize,
-}
-
-impl FlatForest {
-    /// Compile a fitted forest into the flat layouts.
-    ///
-    /// # Panics
-    /// Panics if the forest has not been fitted.
-    pub fn compile(rf: &RandomForest) -> FlatForest {
-        assert!(!rf.trees().is_empty(), "FlatForest::compile before fit");
-        let total: usize = rf.trees().iter().map(DecisionTree::n_nodes).sum();
-        let mut nodes = FlatNodes::with_capacity(rf.trees().len(), total);
-        for tree in rf.trees() {
-            nodes.push_tree(&tree.export_nodes());
-        }
-        let min_features = nodes.min_features();
-        let qnodes = QNodes::quantize(&nodes);
-        FlatForest { nodes, qnodes, min_features }
-    }
-
-    /// Number of trees in the compiled ensemble.
-    pub fn n_trees(&self) -> usize {
-        self.nodes.roots.len()
-    }
-
-    /// Total nodes across all trees.
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.feature.len()
-    }
-
-    /// Predict one row on the quantized path (allocation-free when warm).
-    ///
-    /// # Panics
-    /// Panics if `row` is shorter than the largest feature index used.
-    pub fn predict_row(&self, row: &[f64]) -> f64 {
-        assert!(row.len() >= self.min_features, "FlatForest::predict_row: row too short");
-        self.qnodes.score_row_f64(row, 0.0, 1.0) / self.n_trees() as f64
-    }
-
-    /// Predict every row of `x` on the quantized path, in parallel for
-    /// large batches.
-    ///
-    /// # Panics
-    /// Panics if `x` has fewer columns than the largest feature index used.
-    pub fn predict_batch(&self, x: &Matrix) -> Vec<f64> {
-        assert!(x.ncols() >= self.min_features, "FlatForest::predict_batch: too few columns");
-        let k = self.n_trees() as f64;
-        let mut out = Vec::new();
-        self.qnodes.score_batch_into(x, 0.0, 1.0, true, &mut out);
-        for o in &mut out {
-            *o /= k;
-        }
-        out
-    }
-
-    /// Predict one row on the exact `f64` path — bit-for-bit
-    /// [`RandomForest::predict`].
-    ///
-    /// # Panics
-    /// Panics if `row` is shorter than the largest feature index used.
-    pub fn predict_row_exact(&self, row: &[f64]) -> f64 {
-        assert!(row.len() >= self.min_features, "FlatForest::predict_row_exact: row too short");
-        self.nodes.score_row(row, 0.0, 1.0) / self.n_trees() as f64
-    }
-
-    /// Predict every row of `x` on the exact `f64` path — bit-for-bit
-    /// [`RandomForest::predict`].
-    ///
-    /// # Panics
-    /// Panics if `x` has fewer columns than the largest feature index used.
-    pub fn predict_batch_exact(&self, x: &Matrix) -> Vec<f64> {
-        assert!(x.ncols() >= self.min_features, "FlatForest::predict_batch_exact: too few columns");
-        let k = self.n_trees() as f64;
-        let mut out = self.nodes.score_batch(x, 0.0, 1.0);
-        for o in &mut out {
-            *o /= k;
-        }
-        out
-    }
-}
-
-impl Regressor for FlatForest {
-    /// Compiled models are read-only; refit the source [`RandomForest`]
-    /// and re-[`compile`](FlatForest::compile) instead.
-    fn fit(&mut self, _x: &Matrix, _y: &[f64]) -> Result<(), FitError> {
-        Err(FitError::NotTrainable("FlatForest"))
-    }
-
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
-        self.predict_batch(x)
-    }
-
-    fn name(&self) -> &'static str {
-        "FlatRF"
-    }
-}
-
-/// A fitted [`GradientBoosting`] ensemble compiled for fast batched
-/// inference.
-///
-/// The default [`predict_batch`](FlatGbt::predict_batch) runs the
-/// quantized `f32` path within the module-level tolerance contract;
-/// [`predict_batch_exact`](FlatGbt::predict_batch_exact) replays
-/// `init + Σ lr · treeᵗ(row)` in stage order — the exact floating-point
-/// sequence of [`GradientBoosting::predict`], bit-for-bit.
+/// A fitted [`GradientBoosting`] ensemble as one flat image: the
+/// quantized nodes every prediction walks, within the module-level
+/// tolerance contract, plus the exact `f64` per node that
+/// [`FlatGbt::to_gb`] rebuilds the source model from.
 #[derive(Debug, Clone)]
 pub struct FlatGbt {
-    nodes: FlatNodes,
-    qnodes: QNodes,
-    init: f64,
-    learning_rate: f64,
+    q: QNodes,
+    /// Cold, per node: a split's exact threshold or a leaf's exact value.
+    exact: Vec<f64>,
+    pub(crate) init: f64,
+    pub(crate) learning_rate: f64,
     n_features: usize,
 }
 
 impl FlatGbt {
-    /// Compile a fitted gradient-boosting ensemble into the flat layouts.
+    /// Compile a fitted gradient-boosting ensemble into the flat image.
+    ///
+    /// A fitted model whose residuals vanished before its first stage
+    /// compiles to an image of no trees, which predicts its `init`.
     ///
     /// # Panics
-    /// Panics if the ensemble has no fitted stages.
+    /// Panics before fit, or if a tree breaks the builder's structural
+    /// checks (a model fitted here never does).
     pub fn compile(gb: &GradientBoosting) -> FlatGbt {
         let (init, learning_rate, n_features, trees) = gb.export();
-        assert!(!trees.is_empty(), "FlatGbt::compile before fit");
-        let total: usize = trees.iter().map(Vec::len).sum();
-        let mut nodes = FlatNodes::with_capacity(trees.len(), total);
+        assert!(n_features > 0, "FlatGbt::compile before fit");
+        let total = trees.iter().map(Vec::len).sum();
+        let mut builder = Builder::new(n_features, trees.len(), total);
         for tree in &trees {
-            nodes.push_tree(tree);
+            if let Err(e) = builder.push_tree(tree) {
+                panic!("FlatGbt::compile: {e}");
+            }
         }
-        let qnodes = QNodes::quantize(&nodes);
-        FlatGbt { nodes, qnodes, init, learning_rate, n_features }
+        builder.finish(init, learning_rate)
+    }
+
+    /// Rebuild the source model from the exact values: its recursive
+    /// predictions are bit-identical to the model this image was built
+    /// from, and `crate::persist` encodes it to the same bytes.
+    pub fn to_gb(&self) -> GradientBoosting {
+        let trees: Vec<Vec<FlatNode>> =
+            (0..self.n_trees()).map(|t| self.tree(t).collect()).collect();
+        GradientBoosting::from_export(self.init, self.learning_rate, self.n_features, &trees)
+    }
+
+    /// Tree `t` as tree-local [`FlatNode`]s, with the fields a node does
+    /// not use zeroed, as `DecisionTree::export_nodes` writes them.
+    pub(crate) fn tree(&self, t: usize) -> impl ExactSizeIterator<Item = FlatNode> + '_ {
+        let start = self.q.roots[t];
+        let end = self.q.roots.get(t + 1).map_or(self.q.nodes.len() as u32, |&r| r);
+        (start..end).map(move |i| {
+            let (n, exact) = (self.q.nodes[i as usize], self.exact[i as usize]);
+            // Leaves are the self-loop nodes: a split's children lie
+            // ahead of it.
+            if n.children[0] == i {
+                FlatNode { feature: LEAF, threshold: 0.0, left: 0, right: 0, value: exact }
+            } else {
+                let [left, right] = n.children.map(|c| c - start);
+                FlatNode { feature: n.feature, threshold: exact, left, right, value: 0.0 }
+            }
+        })
     }
 
     /// Number of boosting stages in the compiled ensemble.
     pub fn n_trees(&self) -> usize {
-        self.nodes.roots.len()
+        self.q.roots.len()
     }
 
     /// Total nodes across all stages.
     pub fn n_nodes(&self) -> usize {
-        self.nodes.feature.len()
+        self.q.nodes.len()
     }
 
     /// Number of features the source model was fitted on.
@@ -819,9 +675,7 @@ impl FlatGbt {
     }
 
     fn check_width(&self, ncols: usize, what: &str) {
-        if self.n_features > 0 {
-            assert_eq!(ncols, self.n_features, "FlatGbt::{what}: feature-count mismatch");
-        }
+        assert_eq!(ncols, self.n_features, "FlatGbt::{what}: feature-count mismatch");
     }
 
     /// Predict one row on the quantized path (allocation-free when warm).
@@ -830,7 +684,7 @@ impl FlatGbt {
     /// Panics on feature-count mismatch.
     pub fn predict_row(&self, row: &[f64]) -> f64 {
         self.check_width(row.len(), "predict_row");
-        self.qnodes.score_row_f64(row, self.init, self.learning_rate)
+        self.q.score_row_f64(row, self.init, self.learning_rate)
     }
 
     /// Predict every row of `x` on the quantized path, in parallel for
@@ -852,7 +706,7 @@ impl FlatGbt {
     /// Panics on feature-count mismatch.
     pub fn predict_batch_into(&self, x: &Matrix, out: &mut Vec<f64>) {
         self.check_width(x.ncols(), "predict_batch");
-        self.qnodes.score_batch_into(x, self.init, self.learning_rate, true, out);
+        self.q.score_batch_into(x, self.init, self.learning_rate, true, out);
     }
 
     /// [`predict_batch`](FlatGbt::predict_batch) on the calling thread
@@ -865,28 +719,8 @@ impl FlatGbt {
     pub fn predict_batch_serial(&self, x: &Matrix) -> Vec<f64> {
         self.check_width(x.ncols(), "predict_batch_serial");
         let mut out = Vec::new();
-        self.qnodes.score_batch_into(x, self.init, self.learning_rate, false, &mut out);
+        self.q.score_batch_into(x, self.init, self.learning_rate, false, &mut out);
         out
-    }
-
-    /// Predict one row on the exact `f64` path — bit-for-bit
-    /// [`GradientBoosting::predict`].
-    ///
-    /// # Panics
-    /// Panics on feature-count mismatch.
-    pub fn predict_row_exact(&self, row: &[f64]) -> f64 {
-        self.check_width(row.len(), "predict_row_exact");
-        self.nodes.score_row(row, self.init, self.learning_rate)
-    }
-
-    /// Predict every row of `x` on the exact `f64` path — bit-for-bit
-    /// [`GradientBoosting::predict`].
-    ///
-    /// # Panics
-    /// Panics on feature-count mismatch.
-    pub fn predict_batch_exact(&self, x: &Matrix) -> Vec<f64> {
-        self.check_width(x.ncols(), "predict_batch_exact");
-        self.nodes.score_batch(x, self.init, self.learning_rate)
     }
 }
 
@@ -922,7 +756,7 @@ impl Regressor for FlatGbt {
         let base: Vec<f32> = base.iter().map(|&v| v as f32).collect();
         let (a, b) = (GridAxis::new(a), GridAxis::new(b));
         let sorted =
-            self.qnodes.score_grid(&base, (col_a, &a), (col_b, &b), self.init, self.learning_rate);
+            self.q.score_grid(&base, (col_a, &a), (col_b, &b), self.init, self.learning_rate);
         if a.perm.is_none() && b.perm.is_none() {
             return sorted;
         }
@@ -967,34 +801,14 @@ mod tests {
     }
 
     #[test]
-    fn forest_exact_path_matches_recursive_exactly() {
-        let (x, y) = training_data(150);
-        let mut rf = RandomForest::new(15, 7);
-        rf.seed = 11;
-        rf.fit(&x, &y).unwrap();
-        let flat = FlatForest::compile(&rf);
-        assert_eq!(flat.predict_batch_exact(&x), rf.predict(&x));
-        assert_eq!(flat.n_trees(), 15);
-    }
-
-    #[test]
-    fn forest_quantized_path_within_tolerance() {
-        let (x, y) = training_data(150);
-        let mut rf = RandomForest::new(15, 7);
-        rf.seed = 11;
-        rf.fit(&x, &y).unwrap();
-        let flat = FlatForest::compile(&rf);
-        assert_close(&flat.predict_batch(&x), &rf.predict(&x));
-    }
-
-    #[test]
-    fn gbt_exact_path_matches_recursive_exactly() {
+    fn to_gb_rebuilds_the_source_model_exactly() {
         let (x, y) = training_data(120);
         let mut gb = GradientBoosting::new(40, 4, 0.1);
         gb.seed = 7;
         gb.fit(&x, &y).unwrap();
         let flat = FlatGbt::compile(&gb);
-        assert_eq!(flat.predict_batch_exact(&x), gb.predict(&x));
+        assert_eq!(flat.to_gb().predict(&x), gb.predict(&x));
+        assert_eq!(flat.to_gb().export(), gb.export());
         assert_eq!(flat.n_trees(), gb.n_stages());
         assert_eq!(flat.n_features(), 3);
     }
@@ -1007,12 +821,6 @@ mod tests {
         gb.fit(&x, &y).unwrap();
         let flat = FlatGbt::compile(&gb);
         assert_close(&flat.predict_batch(&x), &gb.predict(&x));
-        for i in 0..x.nrows() {
-            assert!(
-                (flat.predict_row_exact(x.row(i)) - gb.predict(&x)[i]).abs() == 0.0,
-                "exact row path must stay bit-for-bit"
-            );
-        }
     }
 
     #[test]
@@ -1051,15 +859,14 @@ mod tests {
         // result must be identical to the serial per-row quantized path
         // and within tolerance of the recursive model.
         let (x, y) = training_data(PAR_MIN_ROWS * 4);
-        let mut rf = RandomForest::new(8, 6);
-        rf.fit(&x, &y).unwrap();
-        let flat = FlatForest::compile(&rf);
+        let mut gb = GradientBoosting::new(8, 6, 0.3);
+        gb.fit(&x, &y).unwrap();
+        let flat = FlatGbt::compile(&gb);
         let batch = flat.predict_batch(&x);
         for (i, &b) in batch.iter().enumerate() {
             assert_eq!(flat.predict_row(x.row(i)), b);
         }
-        assert_close(&batch, &rf.predict(&x));
-        assert_eq!(flat.predict_batch_exact(&x), rf.predict(&x));
+        assert_close(&batch, &gb.predict(&x));
     }
 
     #[test]
@@ -1087,8 +894,18 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "before fit")]
-    fn compile_unfitted_forest_panics() {
-        let _ = FlatForest::compile(&RandomForest::new(5, 3));
+    fn compile_unfitted_model_panics() {
+        let _ = FlatGbt::compile(&GradientBoosting::new(5, 3, 0.1));
+    }
+
+    /// An in-memory model gets the same structural checks as a file: a
+    /// child link back to the root would make every walk cycle.
+    #[test]
+    #[should_panic(expected = "links back")]
+    fn compile_rejects_a_backward_link() {
+        let split = FlatNode { feature: 0, threshold: 1.0, left: 1, right: 0, value: 0.0 };
+        let leaf = FlatNode { feature: LEAF, threshold: 0.0, left: 0, right: 0, value: 2.0 };
+        let _ = FlatGbt::compile(&GradientBoosting::from_export(0.0, 0.1, 1, &[vec![split, leaf]]));
     }
 
     #[test]

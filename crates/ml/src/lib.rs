@@ -72,5 +72,5 @@ pub mod tree;
 pub mod zoo;
 
 pub use dataset::Dataset;
-pub use flat::{FlatForest, FlatGbt};
+pub use flat::FlatGbt;
 pub use traits::{FitError, Regressor, UncertaintyRegressor};

@@ -3,9 +3,9 @@
 //! Training takes ~1 s (Table 2), but a downstream tool (a job-script
 //! generator, a CI gate on allocation requests) should not retrain per
 //! invocation. This module gives the deployed GB a compact, versioned
-//! binary format: save once after training, load in microseconds.
+//! binary format: save once after training, load in milliseconds.
 //!
-//! Format (little-endian, via `bytes`):
+//! Format (little-endian):
 //!
 //! ```text
 //! magic  u32  = 0x43434742  ("CCGB")
@@ -23,21 +23,39 @@
 //!
 //! Version 2 is version 1 plus a fixed [`Lineage`] trailer recording a
 //! retrained model's provenance (see the `lifecycle` subsystem); both
-//! versions decode with [`decode_gb_full`].
+//! versions decode with [`decode_flat`].
+//!
+//! The in-memory form of a file is the [`FlatGbt`] image. One decoder
+//! reads a file tree by tree, through a bounded buffer, straight into the
+//! image's builder: [`load_flat`] reads a regular file through a 64 KiB
+//! `BufReader` and never holds it whole (a pipe, which has no length up
+//! front, is read whole first). One encoder writes the image back. The
+//! image keeps one exact `f64` per node — a split's threshold or a leaf's
+//! value — and a node's unused fields are written as zeros, as
+//! `DecisionTree::export_nodes` writes them, so a file this module wrote
+//! decodes and re-encodes to the same bytes. The [`GradientBoosting`]
+//! entry points go through the image: [`encode_gb`] compiles the model,
+//! and [`decode_gb`] rebuilds it with [`FlatGbt::to_gb`].
 //!
 //! Decoding validates every structural field (magic, version, counts,
 //! split features < n_features, and child indices that point forward
 //! within their tree to a node no other split claims), so arbitrary or
 //! corrupted bytes produce [`DecodeError`], never a panic or a tree
-//! that loops — fuzzed in `tests/properties.rs`. Trees are written in
-//! preorder, so a valid child index is always greater than its
-//! parent's and names a node of its own; a backward or self link would
-//! make every walk of the tree cycle, and a shared child would make
-//! the number of root-to-leaf paths grow exponentially with depth.
+//! that loops — fuzzed in `tests/properties.rs`. Every count is checked
+//! against the bytes left (for a file, its length from the metadata)
+//! before it sizes an allocation, so a short input that claims a huge
+//! model fails as [`DecodeError::Truncated`] without allocating for the
+//! claim. Trees are written in preorder, so a valid child index is
+//! always greater than its parent's and names a node of its own; a
+//! backward or self link would make every walk of the tree cycle, and a
+//! shared child would make the number of root-to-leaf paths grow
+//! exponentially with depth.
 
+use crate::flat::{Builder, FlatGbt};
 use crate::gradient_boosting::GradientBoosting;
 use crate::tree::FlatNode;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::fs::File;
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 const MAGIC: u32 = 0x4343_4742;
@@ -47,6 +65,12 @@ const VERSION: u32 = 1;
 /// [`encode_gb`] keeps writing version 1 so artifacts stay compatible
 /// with older builds unless lineage is explicitly requested.
 const VERSION_LINEAGE: u32 = 2;
+/// Bytes of one encoded node.
+const NODE_BYTES: u64 = 28;
+/// Bytes of the version-2 lineage trailer.
+const TRAILER_BYTES: u64 = 32;
+/// Buffer between a model file and the decoder or encoder.
+const FILE_BUFFER: usize = 64 << 10;
 
 /// Provenance of a retrained model: where it came from and what data and
 /// effort produced it. Persisted as a fixed 32-byte trailer in version-2
@@ -93,175 +117,211 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// Serialize a fitted GB model to bytes (version 1, no lineage).
-pub fn encode_gb(gb: &GradientBoosting) -> Bytes {
-    encode_gb_at(gb, None)
+///
+/// # Panics
+/// Panics if the model is unfitted (see [`FlatGbt::compile`]).
+pub fn encode_gb(gb: &GradientBoosting) -> Vec<u8> {
+    encode_flat(&FlatGbt::compile(gb), None)
 }
 
-/// Serialize a fitted GB model with its [`Lineage`] trailer (version 2).
-pub fn encode_gb_with_lineage(gb: &GradientBoosting, lineage: &Lineage) -> Bytes {
-    encode_gb_at(gb, Some(lineage))
+/// Serialize an image: version 2 with its [`Lineage`] trailer when one is
+/// given, else version 1.
+pub fn encode_flat(flat: &FlatGbt, lineage: Option<&Lineage>) -> Vec<u8> {
+    let trailer = if lineage.is_some() { TRAILER_BYTES as usize } else { 0 };
+    let len = 32 + 4 * flat.n_trees() + NODE_BYTES as usize * flat.n_nodes() + trailer;
+    let mut buf = Vec::with_capacity(len);
+    write_flat(&mut buf, flat, lineage).expect("writing to a Vec cannot fail");
+    buf
 }
 
-fn encode_gb_at(gb: &GradientBoosting, lineage: Option<&Lineage>) -> Bytes {
-    let (init, lr, n_features, trees) = gb.export();
-    let node_total: usize = trees.iter().map(|t| t.len()).sum();
-    let mut buf = BytesMut::with_capacity(36 + trees.len() * 4 + node_total * 28 + 32);
-    buf.put_u32_le(MAGIC);
-    buf.put_u32_le(if lineage.is_some() { VERSION_LINEAGE } else { VERSION });
-    buf.put_f64_le(init);
-    buf.put_f64_le(lr);
-    buf.put_u32_le(n_features as u32);
-    buf.put_u32_le(trees.len() as u32);
-    for tree in &trees {
-        buf.put_u32_le(tree.len() as u32);
+/// The one encoder.
+fn write_flat(w: &mut impl Write, flat: &FlatGbt, lineage: Option<&Lineage>) -> io::Result<()> {
+    let version = if lineage.is_some() { VERSION_LINEAGE } else { VERSION };
+    w.write_all(&MAGIC.to_le_bytes())?;
+    w.write_all(&version.to_le_bytes())?;
+    w.write_all(&flat.init.to_le_bytes())?;
+    w.write_all(&flat.learning_rate.to_le_bytes())?;
+    w.write_all(&(flat.n_features() as u32).to_le_bytes())?;
+    w.write_all(&(flat.n_trees() as u32).to_le_bytes())?;
+    for t in 0..flat.n_trees() {
+        let tree = flat.tree(t);
+        w.write_all(&(tree.len() as u32).to_le_bytes())?;
         for n in tree {
-            buf.put_u32_le(n.feature);
-            buf.put_f64_le(n.threshold);
-            buf.put_u32_le(n.left);
-            buf.put_u32_le(n.right);
-            buf.put_f64_le(n.value);
+            let mut b = [0u8; NODE_BYTES as usize];
+            b[..4].copy_from_slice(&n.feature.to_le_bytes());
+            b[4..12].copy_from_slice(&n.threshold.to_le_bytes());
+            b[12..16].copy_from_slice(&n.left.to_le_bytes());
+            b[16..20].copy_from_slice(&n.right.to_le_bytes());
+            b[20..].copy_from_slice(&n.value.to_le_bytes());
+            w.write_all(&b)?;
         }
     }
     if let Some(l) = lineage {
-        buf.put_u64_le(l.parent_version);
-        buf.put_u32_le(l.train_rows);
-        buf.put_u32_le(l.observed_rows);
-        buf.put_u64_le(l.fit_duration_ms);
-        buf.put_u64_le(l.seed);
+        w.write_all(&l.parent_version.to_le_bytes())?;
+        w.write_all(&l.train_rows.to_le_bytes())?;
+        w.write_all(&l.observed_rows.to_le_bytes())?;
+        w.write_all(&l.fit_duration_ms.to_le_bytes())?;
+        w.write_all(&l.seed.to_le_bytes())?;
     }
-    buf.freeze()
+    Ok(())
 }
 
-/// Deserialize a GB model from bytes, discarding any lineage trailer.
-pub fn decode_gb(buf: &[u8]) -> Result<GradientBoosting, DecodeError> {
-    decode_gb_full(buf).map(|(gb, _)| gb)
+/// Little-endian reads from an input of known length, each checked
+/// against the bytes left before it is made.
+struct Input<R> {
+    r: R,
+    left: u64,
 }
 
-/// Deserialize a GB model plus its [`Lineage`] (version-2 files; `None`
-/// for version-1 files, which predate lineage).
-pub fn decode_gb_full(mut buf: &[u8]) -> Result<(GradientBoosting, Option<Lineage>), DecodeError> {
-    let need = |n: usize, buf: &[u8]| {
-        if buf.remaining() < n {
+impl<R: Read> Input<R> {
+    /// Fail as truncated unless `n` more bytes remain.
+    fn need(&self, n: u64) -> Result<(), DecodeError> {
+        if self.left < n {
             Err(DecodeError::Truncated)
         } else {
             Ok(())
         }
-    };
-    need(8, buf)?;
-    if buf.get_u32_le() != MAGIC {
+    }
+
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        self.need(N as u64)?;
+        let mut b = [0; N];
+        // A reader that falls short of the length it was given lost its
+        // tail since (a file cut while it was read): truncated too.
+        self.r.read_exact(&mut b).map_err(|_| DecodeError::Truncated)?;
+        self.left -= N as u64;
+        Ok(b)
+    }
+
+    fn u32(&mut self) -> Result<u32, DecodeError> {
+        self.take().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, DecodeError> {
+        self.take().map(u64::from_le_bytes)
+    }
+
+    fn f64(&mut self) -> Result<f64, DecodeError> {
+        self.take().map(f64::from_le_bytes)
+    }
+}
+
+/// The one decoder: read a model of `len` bytes from `r`, tree by tree,
+/// into a [`FlatGbt`].
+fn read_flat(r: impl Read, len: u64) -> Result<(FlatGbt, Option<Lineage>), DecodeError> {
+    let mut input = Input { r, left: len };
+    if input.u32()? != MAGIC {
         return Err(DecodeError::BadMagic);
     }
-    let version = buf.get_u32_le();
+    let version = input.u32()?;
     if version != VERSION && version != VERSION_LINEAGE {
         return Err(DecodeError::UnsupportedVersion(version));
     }
-    need(24, buf)?;
-    let init = buf.get_f64_le();
-    let lr = buf.get_f64_le();
-    let n_features = buf.get_u32_le() as usize;
-    let n_trees = buf.get_u32_le() as usize;
+    let init = input.f64()?;
+    let lr = input.f64()?;
+    let n_features = input.u32()? as usize;
+    let n_trees = input.u32()? as u64;
     if n_trees > 1_000_000 {
         return Err(DecodeError::Corrupt(format!("implausible tree count {n_trees}")));
     }
     if n_features == 0 || n_features > 1_000_000 {
         return Err(DecodeError::Corrupt(format!("implausible feature count {n_features}")));
     }
-    let mut trees = Vec::with_capacity(n_trees);
+    // The tree counts and the trailer must fit in the bytes left, and
+    // what is left after them bounds the node count: the arrays are sized
+    // by bytes that exist, not by a count the input claims.
+    let trailer = if version == VERSION_LINEAGE { TRAILER_BYTES } else { 0 };
+    let framing = 4 * n_trees + trailer;
+    input.need(framing)?;
+    let nodes = (input.left - framing) / NODE_BYTES;
+    let mut builder = Builder::new(n_features, n_trees as usize, nodes as usize);
+    let mut tree = Vec::new();
     for _ in 0..n_trees {
-        need(4, buf)?;
-        let n_nodes = buf.get_u32_le() as usize;
-        if n_nodes == 0 {
-            return Err(DecodeError::Corrupt("empty tree".into()));
+        let n_nodes = input.u32()?;
+        input.need(NODE_BYTES * u64::from(n_nodes))?;
+        tree.clear();
+        for _ in 0..n_nodes {
+            let b: [u8; NODE_BYTES as usize] = input.take()?;
+            let u32_at = |i: usize| u32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
+            let f64_at = |i: usize| f64::from_le_bytes(b[i..i + 8].try_into().expect("8 bytes"));
+            tree.push(FlatNode {
+                feature: u32_at(0),
+                threshold: f64_at(4),
+                left: u32_at(12),
+                right: u32_at(16),
+                value: f64_at(20),
+            });
         }
-        if buf.remaining() < n_nodes * 28 {
-            return Err(DecodeError::Truncated);
-        }
-        let mut nodes = Vec::with_capacity(n_nodes);
-        // Which nodes a split already names as its child.
-        let mut claimed = vec![false; n_nodes];
-        for i in 0..n_nodes {
-            let feature = buf.get_u32_le();
-            let threshold = buf.get_f64_le();
-            let left = buf.get_u32_le();
-            let right = buf.get_u32_le();
-            let value = buf.get_f64_le();
-            if feature != u32::MAX {
-                if feature as usize >= n_features {
-                    return Err(DecodeError::Corrupt(format!(
-                        "split feature {feature} >= feature count {n_features}"
-                    )));
-                }
-                if left as usize >= n_nodes || right as usize >= n_nodes {
-                    return Err(DecodeError::Corrupt("child index out of range".into()));
-                }
-                for child in [left as usize, right as usize] {
-                    if child <= i {
-                        return Err(DecodeError::Corrupt(format!(
-                            "node {i} links back to node {child}"
-                        )));
-                    }
-                    if std::mem::replace(&mut claimed[child], true) {
-                        return Err(DecodeError::Corrupt(format!(
-                            "node {child} is the child of two splits"
-                        )));
-                    }
-                }
-            }
-            nodes.push(FlatNode { feature, threshold, left, right, value });
-        }
-        trees.push(nodes);
+        builder.push_tree(&tree)?;
     }
     let lineage = if version == VERSION_LINEAGE {
-        need(32, buf)?;
         Some(Lineage {
-            parent_version: buf.get_u64_le(),
-            train_rows: buf.get_u32_le(),
-            observed_rows: buf.get_u32_le(),
-            fit_duration_ms: buf.get_u64_le(),
-            seed: buf.get_u64_le(),
+            parent_version: input.u64()?,
+            train_rows: input.u32()?,
+            observed_rows: input.u32()?,
+            fit_duration_ms: input.u64()?,
+            seed: input.u64()?,
         })
     } else {
         None
     };
-    if buf.remaining() > 0 {
-        return Err(DecodeError::Corrupt(format!(
-            "{} trailing bytes after last tree",
-            buf.remaining()
-        )));
+    if input.left > 0 {
+        return Err(DecodeError::Corrupt(format!("{} trailing bytes after last tree", input.left)));
     }
-    Ok((GradientBoosting::from_export(init, lr, n_features, &trees), lineage))
+    Ok((builder.finish(init, lr), lineage))
 }
 
-/// Save a fitted GB model to a file.
-pub fn save_gb(path: &Path, gb: &GradientBoosting) -> std::io::Result<()> {
+/// Decode a model straight into its image, plus its [`Lineage`]
+/// (version-2 files; `None` for version-1 files, which predate lineage).
+pub fn decode_flat(buf: &[u8]) -> Result<(FlatGbt, Option<Lineage>), DecodeError> {
+    read_flat(buf, buf.len() as u64)
+}
+
+/// Deserialize a GB model from bytes, discarding any lineage trailer.
+pub fn decode_gb(buf: &[u8]) -> Result<GradientBoosting, DecodeError> {
+    decode_flat(buf).map(|(flat, _)| flat.to_gb())
+}
+
+/// Save a fitted GB model to a file (version 1).
+///
+/// # Panics
+/// Panics if the model is unfitted (see [`FlatGbt::compile`]).
+pub fn save_gb(path: &Path, gb: &GradientBoosting) -> io::Result<()> {
+    save_flat(path, &FlatGbt::compile(gb), None)
+}
+
+/// Save an image to a file, streamed through a buffer: version 2 with
+/// its [`Lineage`] trailer when one is given, else version 1.
+pub fn save_flat(path: &Path, flat: &FlatGbt, lineage: Option<&Lineage>) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    std::fs::write(path, encode_gb(gb))
+    let mut w = BufWriter::with_capacity(FILE_BUFFER, File::create(path)?);
+    write_flat(&mut w, flat, lineage)?;
+    w.flush()
 }
 
-/// Save a fitted GB model with its [`Lineage`] trailer (version-2 file).
-pub fn save_gb_with_lineage(
-    path: &Path,
-    gb: &GradientBoosting,
-    lineage: &Lineage,
-) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(path, encode_gb_with_lineage(gb, lineage))
+/// Load a GB model from a file, discarding any lineage trailer.
+pub fn load_gb(path: &Path) -> io::Result<GradientBoosting> {
+    load_flat(path).map(|(flat, _)| flat.to_gb())
 }
 
-/// Load a GB model from a file.
-pub fn load_gb(path: &Path) -> std::io::Result<GradientBoosting> {
-    let data = std::fs::read(path)?;
-    decode_gb(&data).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-}
-
-/// Load a GB model plus its lineage (if the file is version 2).
-pub fn load_gb_full(path: &Path) -> std::io::Result<(GradientBoosting, Option<Lineage>)> {
-    let data = std::fs::read(path)?;
-    decode_gb_full(&data).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+/// Load a model file straight into its image, plus its lineage. A
+/// regular file is read through a 64 KiB buffer, tree by tree, with every
+/// count checked against the file's length. A pipe (`/dev/stdin`, a
+/// shell's `<(...)`) has no length up front, so it is read whole and the
+/// bytes read bound the decode.
+pub fn load_flat(path: &Path) -> io::Result<(FlatGbt, Option<Lineage>)> {
+    let mut file = File::open(path)?;
+    let meta = file.metadata()?;
+    let decoded = if meta.is_file() {
+        read_flat(BufReader::with_capacity(FILE_BUFFER, file), meta.len())
+    } else {
+        let mut buf = Vec::new();
+        file.read_to_end(&mut buf)?;
+        decode_flat(&buf)
+    };
+    decoded.map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]
@@ -298,6 +358,21 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A model whose residuals vanished before its first stage has no
+    /// trees; it still round-trips, and its image predicts its `init`.
+    #[test]
+    fn a_model_of_no_trees_round_trips() {
+        let x = Matrix::from_fn(10, 2, |i, j| (i + j) as f64);
+        let mut gb = GradientBoosting::new(5, 3, 0.1);
+        gb.fit(&x, &[4.0; 10]).unwrap();
+        assert_eq!(gb.n_stages(), 0);
+        let bytes = encode_gb(&gb);
+        let (flat, _) = decode_flat(&bytes).unwrap();
+        assert_eq!(flat.predict_batch(&x), vec![4.0; 10]);
+        assert_eq!(encode_flat(&flat, None), bytes);
+        assert_eq!(decode_gb(&bytes).unwrap().predict(&x), gb.predict(&x));
+    }
+
     #[test]
     fn rejects_bad_magic() {
         assert_eq!(decode_gb(&[0u8; 64]).unwrap_err(), DecodeError::BadMagic);
@@ -313,10 +388,56 @@ mod tests {
         }
     }
 
+    /// A file cut at every 4 KiB boundary, and at every byte of the
+    /// header and of the first tree, fails to load — read from disk,
+    /// where the length comes from the file's metadata, and from memory.
+    #[test]
+    fn a_file_cut_anywhere_fails_to_load() {
+        let (gb, _) = fitted_gb();
+        let bytes = encode_gb(&gb);
+        let first_tree = 32 + 4 + 28 * gb.export().3[0].len();
+        let mut cuts: Vec<usize> =
+            (0..first_tree).chain((4096..bytes.len()).step_by(4096)).collect();
+        cuts.sort_unstable_by(|a, b| b.cmp(a));
+        let dir = std::env::temp_dir().join(format!("chemcost_persist_cut_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.ccgb");
+        std::fs::write(&path, &bytes).unwrap();
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        // Longest cut first, so each one shortens the same file.
+        for cut in cuts {
+            file.set_len(cut as u64).unwrap();
+            assert!(load_flat(&path).is_err(), "file cut at {cut} loaded");
+            assert!(decode_flat(&bytes[..cut]).is_err(), "buffer cut at {cut} decoded");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_directory_is_not_a_model_file() {
+        assert!(load_flat(&std::env::temp_dir()).is_err());
+    }
+
+    /// A pipe, as a shell's `<(...)` hands one over, loads like a file.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_pipe_loads_like_a_file() {
+        use std::os::fd::AsRawFd;
+        let (gb, x) = fitted_gb();
+        let bytes = encode_gb(&gb);
+        let (reader, mut writer) = io::pipe().unwrap();
+        let path = std::path::PathBuf::from(format!("/proc/self/fd/{}", reader.as_raw_fd()));
+        let feeder = std::thread::spawn(move || writer.write_all(&bytes));
+        let (flat, lineage) = load_flat(&path).unwrap();
+        feeder.join().unwrap().unwrap();
+        assert_eq!(lineage, None);
+        assert_eq!(flat.to_gb().predict(&x), gb.predict(&x));
+    }
+
     #[test]
     fn rejects_future_version() {
         let (gb, _) = fitted_gb();
-        let mut bytes = encode_gb(&gb).to_vec();
+        let mut bytes = encode_gb(&gb);
         bytes[4] = 99; // version field
         assert!(matches!(decode_gb(&bytes), Err(DecodeError::UnsupportedVersion(_))));
     }
@@ -324,7 +445,7 @@ mod tests {
     #[test]
     fn rejects_corrupt_child_index() {
         let (gb, _) = fitted_gb();
-        let mut bytes = encode_gb(&gb).to_vec();
+        let mut bytes = encode_gb(&gb);
         // First tree's first node: set feature=0 with left pointing far out
         // of range. Node layout starts at offset 32 (header) + 4 (n_nodes).
         let node0 = 32 + 4;
@@ -335,9 +456,7 @@ mod tests {
     }
 
     /// A child link back to an ancestor would send every walk of the
-    /// tree round a cycle forever (`FlatGbt::compile` measures depth by
-    /// walking it), so decode refuses it. Asserted on decode only: the
-    /// bad model is never compiled.
+    /// tree round a cycle forever, so decode refuses it.
     #[test]
     fn rejects_backward_child_link() {
         // A 1-tree model whose node 1, a split, links its left child
@@ -346,7 +465,7 @@ mod tests {
         let y: Vec<f64> = (0..40).map(|i| x[(i, 0)] * 3.0 + x[(i, 1)]).collect();
         let mut gb = GradientBoosting::new(1, 3, 0.5);
         gb.fit(&x, &y).unwrap();
-        let mut bytes = encode_gb(&gb).to_vec();
+        let mut bytes = encode_gb(&gb);
         let node1 = 32 + 4 + 28;
         let feature = u32::from_le_bytes(bytes[node1..node1 + 4].try_into().unwrap());
         assert_ne!(feature, u32::MAX, "node 1 must be a split for this case");
@@ -359,9 +478,8 @@ mod tests {
 
     /// Forward links alone do not make a tree: a chain of 64 splits
     /// whose left and right child are both the next node has 2⁶³
-    /// root-to-leaf paths, and any walk without a visited set (depth
-    /// measurement, scoring) would never finish. Decode refuses the
-    /// shared child; the model is never compiled.
+    /// root-to-leaf paths, and any walk without a visited set would
+    /// never finish. Decode refuses the shared child.
     #[test]
     fn rejects_a_child_shared_by_two_links() {
         let x = Matrix::from_fn(40, 2, |i, j| ((i * (j + 3)) % 11) as f64);
@@ -389,7 +507,7 @@ mod tests {
     #[test]
     fn rejects_trailing_garbage() {
         let (gb, _) = fitted_gb();
-        let mut bytes = encode_gb(&gb).to_vec();
+        let mut bytes = encode_gb(&gb);
         bytes.extend_from_slice(&[0xAB; 7]);
         match decode_gb(&bytes) {
             Err(DecodeError::Corrupt(msg)) => {
@@ -413,11 +531,11 @@ mod tests {
     #[test]
     fn rejects_implausible_counts() {
         let (gb, _) = fitted_gb();
-        let mut bytes = encode_gb(&gb).to_vec();
+        let mut bytes = encode_gb(&gb);
         // n_features at offset 24, n_trees at offset 28.
         bytes[24..28].copy_from_slice(&0u32.to_le_bytes());
         assert!(matches!(decode_gb(&bytes), Err(DecodeError::Corrupt(_))), "zero features");
-        let mut bytes = encode_gb(&gb).to_vec();
+        let mut bytes = encode_gb(&gb);
         bytes[28..32].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(decode_gb(&bytes), Err(DecodeError::Corrupt(_))), "huge tree count");
     }
@@ -425,7 +543,7 @@ mod tests {
     #[test]
     fn rejects_split_feature_out_of_range() {
         let (gb, _) = fitted_gb();
-        let mut bytes = encode_gb(&gb).to_vec();
+        let mut bytes = encode_gb(&gb);
         // First node: feature index far beyond n_features (3), with valid
         // child indices (0) so the feature check is the one that fires.
         let node0 = 32 + 4;
@@ -475,7 +593,7 @@ mod tests {
         assert!(DecodeError::Corrupt("x".into()).to_string().contains("x"));
     }
 
-    fn lineage() -> Lineage {
+    fn lineage_fixture() -> Lineage {
         Lineage {
             parent_version: 3,
             train_rows: 240,
@@ -488,10 +606,10 @@ mod tests {
     #[test]
     fn lineage_round_trip_preserves_model_and_trailer() {
         let (gb, x) = fitted_gb();
-        let bytes = encode_gb_with_lineage(&gb, &lineage());
-        let (back, l) = decode_gb_full(&bytes).unwrap();
-        assert_eq!(gb.predict(&x), back.predict(&x));
-        assert_eq!(l, Some(lineage()));
+        let bytes = encode_flat(&FlatGbt::compile(&gb), Some(&lineage_fixture()));
+        let (back, l) = decode_flat(&bytes).unwrap();
+        assert_eq!(gb.predict(&x), back.to_gb().predict(&x));
+        assert_eq!(l, Some(lineage_fixture()));
         // The v2 payload is exactly the v1 payload plus the 32-byte
         // trailer and the version field difference.
         assert_eq!(bytes.len(), encode_gb(&gb).len() + 32);
@@ -500,9 +618,9 @@ mod tests {
     #[test]
     fn v1_files_decode_with_no_lineage() {
         let (gb, x) = fitted_gb();
-        let (back, l) = decode_gb_full(&encode_gb(&gb)).unwrap();
+        let (back, l) = decode_flat(&encode_gb(&gb)).unwrap();
         assert_eq!(l, None);
-        assert_eq!(gb.predict(&x), back.predict(&x));
+        assert_eq!(gb.predict(&x), back.to_gb().predict(&x));
     }
 
     #[test]
@@ -510,11 +628,11 @@ mod tests {
         let (gb, x) = fitted_gb();
         let dir = std::env::temp_dir().join("chemcost_persist_lineage_test");
         let path = dir.join("model.ccgb");
-        save_gb_with_lineage(&path, &gb, &lineage()).unwrap();
-        // load_gb tolerates the trailer; load_gb_full surfaces it.
+        save_flat(&path, &FlatGbt::compile(&gb), Some(&lineage_fixture())).unwrap();
+        // load_gb tolerates the trailer; load_flat surfaces it.
         assert_eq!(load_gb(&path).unwrap().predict(&x), gb.predict(&x));
-        let (_, l) = load_gb_full(&path).unwrap();
-        assert_eq!(l, Some(lineage()));
+        let (_, l) = load_flat(&path).unwrap();
+        assert_eq!(l, Some(lineage_fixture()));
         std::fs::remove_file(&path).ok();
         std::fs::remove_dir(&dir).ok();
     }
@@ -522,16 +640,16 @@ mod tests {
     #[test]
     fn v2_rejects_truncated_trailer_and_trailing_garbage() {
         let (gb, _) = fitted_gb();
-        let bytes = encode_gb_with_lineage(&gb, &lineage());
+        let bytes = encode_flat(&FlatGbt::compile(&gb), Some(&lineage_fixture()));
         for cut in 1..32 {
             assert!(
-                decode_gb_full(&bytes[..bytes.len() - cut]).is_err(),
+                decode_flat(&bytes[..bytes.len() - cut]).is_err(),
                 "trailer cut by {cut} accepted"
             );
         }
-        let mut noisy = bytes.to_vec();
+        let mut noisy = bytes.clone();
         noisy.extend_from_slice(&[0xCD; 5]);
-        assert!(matches!(decode_gb_full(&noisy), Err(DecodeError::Corrupt(_))));
+        assert!(matches!(decode_flat(&noisy), Err(DecodeError::Corrupt(_))));
     }
 
     #[test]

@@ -1,26 +1,26 @@
-//! Equivalence battery for flat (struct-of-arrays, iterative, parallel)
-//! inference, in two tiers:
+//! Equivalence battery for the flat image, in three tiers:
 //!
-//! * **Exact tier** — `predict_batch_exact` / `predict_row_exact` must
-//!   match the recursive per-tree path **bit-for-bit**: every assertion
-//!   is `==` on raw `f64`s, never a tolerance. This is PR 2's original
-//!   contract, now carried by the exact path.
-//! * **Tolerance tier** — the default quantized (`f32`) path must stay
-//!   within [`QUANT_REL_TOL`] of the recursive model on `f32`-representable
-//!   inputs (which the advisor's integer candidate grids always are):
-//!   thresholds quantize toward −∞ so routing is preserved exactly, and
-//!   the only error is one `f64 → f32` rounding per leaf value. Covered on
-//!   proptest-generated models and on the 750-tree paper-config ensemble.
+//! * **Round-trip tier** — `FlatGbt::compile(&gb).to_gb()` must be `gb`
+//!   again: it encodes to the same bytes and predicts bit-for-bit like
+//!   `gb` on the recursive path (every assertion is `==` on raw `f64`s,
+//!   never a tolerance). Nothing of the source model is lost, which is
+//!   what lets the image be the one in-memory form of a served model.
+//! * **Tolerance tier** — the quantized (`f32`) path every prediction
+//!   takes must stay within [`QUANT_REL_TOL`] of the recursive model on
+//!   `f32`-representable inputs (which the advisor's integer candidate
+//!   grids always are): thresholds quantize toward −∞ so routing is
+//!   preserved exactly, and the only error is one `f64 → f32` rounding
+//!   per leaf value. Covered on proptest-generated models and on the
+//!   750-tree paper-config ensemble.
 //! * **Grid tier** — `FlatGbt::predict_grid` (the advisor's sweep path)
 //!   must equal `predict_batch` on the same grid written out as a matrix,
 //!   bit for bit, for any axis values and on every sweep the paper-config
 //!   model serves.
 
 use chemcost_linalg::Matrix;
-use chemcost_ml::flat::{FlatForest, FlatGbt, QUANT_REL_TOL};
-use chemcost_ml::forest::RandomForest;
+use chemcost_ml::flat::{FlatGbt, QUANT_REL_TOL};
 use chemcost_ml::gradient_boosting::{GbLoss, GradientBoosting};
-use chemcost_ml::tree::MaxFeatures;
+use chemcost_ml::persist::encode_gb;
 use chemcost_ml::Regressor;
 use chemcost_sim::ccsd::Problem;
 use chemcost_sim::datagen::{
@@ -69,31 +69,12 @@ fn assert_close(quantized: &[f64], exact: &[f64], what: &str) {
     }
 }
 
-#[test]
-fn forest_exact_equivalence_across_hyperparameters() {
-    let (x, y) = corpus(200, 4, 1);
-    let q = queries(300, 4);
-    for (n_estimators, max_depth, bootstrap, max_features) in [
-        (1, 3, true, MaxFeatures::All),
-        (25, 6, true, MaxFeatures::Sqrt),
-        (40, usize::MAX, true, MaxFeatures::Count(2)),
-        (10, 8, false, MaxFeatures::All),
-    ] {
-        let mut rf = RandomForest::new(n_estimators, max_depth);
-        rf.bootstrap = bootstrap;
-        rf.max_features = max_features;
-        rf.seed = 99;
-        rf.fit(&x, &y).unwrap();
-        let flat = FlatForest::compile(&rf);
-        assert_eq!(
-            flat.predict_batch_exact(&q),
-            rf.predict(&q),
-            "config {n_estimators}/{max_depth}"
-        );
-        assert_eq!(flat.predict_batch_exact(&x), rf.predict(&x));
-        // Tolerance tier on the same configurations.
-        assert_close(&flat.predict_batch(&q), &rf.predict(&q), "forest quantized");
-    }
+/// Round-trip-tier assertion: the image rebuilds `gb` — the same bytes,
+/// and bit-identical recursive predictions on `x`.
+fn assert_round_trip(flat: &FlatGbt, gb: &GradientBoosting, x: &Matrix) {
+    let back = flat.to_gb();
+    assert!(encode_gb(&back) == encode_gb(gb), "to_gb() encodes differently from its source");
+    assert_eq!(back.predict(x), gb.predict(x));
 }
 
 #[test]
@@ -129,13 +110,11 @@ fn gbt_equivalence_across_losses_and_controls() {
     for mut gb in configs {
         gb.fit(&x, &y).unwrap();
         let flat = FlatGbt::compile(&gb);
-        assert_eq!(flat.predict_batch_exact(&q), gb.predict(&q), "loss {:?}", gb.loss);
-        assert_eq!(flat.predict_batch_exact(&x), gb.predict(&x));
+        assert_round_trip(&flat, &gb, &q);
+        assert_round_trip(&flat, &gb, &x);
         assert_close(&flat.predict_batch(&q), &gb.predict(&q), "gbt quantized");
-        // Single-row paths agree with their batch counterparts and with
-        // predict_one.
+        // The single-row path agrees with its batch counterpart.
         for i in (0..q.nrows()).step_by(37) {
-            assert_eq!(flat.predict_row_exact(q.row(i)), gb.predict_one(q.row(i)));
             assert_eq!(flat.predict_row(q.row(i)), flat.predict_batch(&q)[i]);
         }
     }
@@ -158,9 +137,6 @@ fn equivalence_on_advisor_style_sweep_inputs() {
     let mut gb = GradientBoosting::new(120, 6, 0.1);
     gb.seed = 42;
     gb.fit(&x, &y).unwrap();
-    let mut rf = RandomForest::new(40, 10);
-    rf.seed = 42;
-    rf.fit(&x, &y).unwrap();
 
     // A dense (nodes, tile) grid at fixed (o, v) — the sweep shape.
     let nodes_grid: Vec<f64> = vec![5.0, 10.0, 20.0, 35.0, 50.0, 80.0, 120.0, 200.0, 400.0, 900.0];
@@ -171,20 +147,17 @@ fn equivalence_on_advisor_style_sweep_inputs() {
             sweep.push_row(&[116.0, 840.0, n, t]);
         }
     }
-    let flat_gb = FlatGbt::compile(&gb);
-    let flat_rf = FlatForest::compile(&rf);
-    assert_eq!(flat_gb.predict_batch_exact(&sweep), gb.predict(&sweep));
-    assert_eq!(flat_rf.predict_batch_exact(&sweep), rf.predict(&sweep));
-    assert_close(&flat_gb.predict_batch(&sweep), &gb.predict(&sweep), "gbt sweep");
-    assert_close(&flat_rf.predict_batch(&sweep), &rf.predict(&sweep), "rf sweep");
+    let flat = FlatGbt::compile(&gb);
+    assert_round_trip(&flat, &gb, &sweep);
+    assert_close(&flat.predict_batch(&sweep), &gb.predict(&sweep), "gbt sweep");
 }
 
 #[test]
 fn paper_config_model_within_tolerance() {
     // The deployed shape: the 750-estimator paper-config ensemble. The
     // quantized serving path must stay inside QUANT_REL_TOL of the
-    // recursive model across a full advisor-style sweep, and the exact
-    // path must stay bit-for-bit.
+    // recursive model across a full advisor-style sweep, and the image
+    // must rebuild the model bit-for-bit.
     let (x, y) = corpus(400, 4, 7);
     let x = Matrix::from_fn(x.nrows(), 4, |i, j| match j {
         0 => (40.0 + x[(i, 0)] * 3.0).round(),
@@ -205,7 +178,7 @@ fn paper_config_model_within_tolerance() {
         }
     }
     let exact = gb.predict(&sweep);
-    assert_eq!(flat.predict_batch_exact(&sweep), exact);
+    assert_round_trip(&flat, &gb, &sweep);
     assert_close(&flat.predict_batch(&sweep), &exact, "paper-config quantized");
     // Row path and batch path are bit-identical within the quantized tier.
     let batch = flat.predict_batch(&sweep);
@@ -216,15 +189,15 @@ fn paper_config_model_within_tolerance() {
 
 #[test]
 fn compiled_model_survives_persistence_round_trip() {
-    // serve loads models from disk via export/from_export; the flat
-    // compilation of a round-tripped model must equal the original's.
+    // A model rebuilt from its export must compile to an image that
+    // rebuilds the original, and quantizes to the same predictions.
     let (x, y) = corpus(100, 4, 4);
     let mut gb = GradientBoosting::new(30, 5, 0.1);
     gb.fit(&x, &y).unwrap();
     let (init, lr, d, trees) = gb.export();
     let restored = GradientBoosting::from_export(init, lr, d, &trees);
     let q = queries(120, 4);
-    assert_eq!(FlatGbt::compile(&restored).predict_batch_exact(&q), gb.predict(&q));
+    assert_round_trip(&FlatGbt::compile(&restored), &gb, &q);
     // The quantized layouts of original and round-tripped models must
     // agree bit-for-bit too (same nodes in, same quantization out).
     assert_eq!(
@@ -359,8 +332,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Randomized shapes and hyper-parameters: exact flat == recursive,
-    /// always; quantized flat within QUANT_REL_TOL, always.
+    /// Randomized shapes and hyper-parameters: the image rebuilds the
+    /// recursive model, always; quantized flat within QUANT_REL_TOL,
+    /// always.
     #[test]
     fn prop_flat_matches_recursive(
         n in 20usize..120,
@@ -372,24 +346,13 @@ proptest! {
         let (x, y) = corpus(n, d, seed);
         let q = queries(150, d);
 
-        let mut rf = RandomForest::new(n_estimators, max_depth);
-        rf.seed = seed;
-        rf.max_features = MaxFeatures::Sqrt;
-        rf.fit(&x, &y).unwrap();
-        let flat_rf = FlatForest::compile(&rf);
-        prop_assert_eq!(flat_rf.predict_batch_exact(&q), rf.predict(&q));
-        for (i, (qv, e)) in flat_rf.predict_batch(&q).iter().zip(rf.predict(&q)).enumerate() {
-            prop_assert!(
-                (qv - e).abs() <= QUANT_REL_TOL * (1.0 + e.abs()),
-                "rf row {} quantized {} vs exact {}", i, qv, e
-            );
-        }
-
         let mut gb = GradientBoosting::new(n_estimators, max_depth, 0.15);
         gb.seed = seed;
         gb.fit(&x, &y).unwrap();
         let flat_gb = FlatGbt::compile(&gb);
-        prop_assert_eq!(flat_gb.predict_batch_exact(&q), gb.predict(&q));
+        let back = flat_gb.to_gb();
+        prop_assert!(encode_gb(&back) == encode_gb(&gb));
+        prop_assert_eq!(back.predict(&q), gb.predict(&q));
         for (i, (qv, e)) in flat_gb.predict_batch(&q).iter().zip(gb.predict(&q)).enumerate() {
             prop_assert!(
                 (qv - e).abs() <= QUANT_REL_TOL * (1.0 + e.abs()),

@@ -735,6 +735,7 @@ impl QualityHub {
 mod tests {
     use super::*;
     use chemcost_lifecycle::{LifecycleConfig, LifecycleHub};
+    use chemcost_ml::flat::FlatGbt;
     use chemcost_ml::gradient_boosting::GradientBoosting;
     use chemcost_ml::persist::Lineage;
 
@@ -922,7 +923,7 @@ mod tests {
             fit_duration_ms: 0,
             seed: 0,
         };
-        lifecycle.install_candidate("gb", "aurora", gb, lineage);
+        lifecycle.install_candidate("gb", "aurora", Arc::new(FlatGbt::compile(&gb)), lineage);
         let shadow = lifecycle.shadow_candidate("gb", "aurora");
         let h = hub();
         let id =

@@ -1,22 +1,18 @@
 //! Named, versioned model registry.
 //!
-//! Models are `chemcost_ml` gradient-boosting ensembles loaded through
-//! `chemcost_ml::persist`. Each entry remembers the file it came from so
-//! it can be hot-reloaded; every successful (re)load bumps the entry's
-//! version. Lookups return an `Arc` clone, so a reload never invalidates
-//! predictions already in flight.
-//!
-//! Every registered ensemble is compiled once, at (re)load time, into a
-//! [`FlatGbt`] — the contiguous quantized representation whose batched
-//! predictions agree with the recursive path within
-//! `chemcost_ml::flat::QUANT_REL_TOL` (and whose exact `f64` entry
-//! points stay bit-for-bit) — so the request handlers never pay per-row
-//! tree recursion.
+//! Models are `chemcost_ml` gradient-boosting ensembles held as their
+//! [`FlatGbt`] image — the one in-memory form of a served model. A file
+//! decodes straight into it through `chemcost_ml::persist::load_flat`;
+//! the recursive model is never built to serve. Each entry remembers the
+//! file it came from so it can be hot-reloaded; every successful
+//! (re)load bumps the entry's version. Lookups return an `Arc` clone, so
+//! a reload never invalidates predictions already in flight (a reload
+//! briefly holds the old image and the new one).
 
 use crate::fault::{FaultKind, FaultPlane};
 use chemcost_ml::flat::FlatGbt;
 use chemcost_ml::gradient_boosting::GradientBoosting;
-use chemcost_ml::persist::load_gb;
+use chemcost_ml::persist::load_flat;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -24,15 +20,13 @@ use std::sync::Arc;
 
 /// One registered model.
 struct Entry {
-    model: Arc<GradientBoosting>,
-    /// The same ensemble compiled for fast batched inference.
     flat: Arc<FlatGbt>,
     version: u64,
     machine: String,
     path: Option<PathBuf>,
-    /// Displaced (model, flat, version) kept by the last promotion so one
+    /// Displaced (image, version) kept by the last promotion so one
     /// rollback command can restore it.
-    prior: Option<(Arc<GradientBoosting>, Arc<FlatGbt>, u64)>,
+    prior: Option<(Arc<FlatGbt>, u64)>,
 }
 
 /// Summary of a registered model, as reported by `GET /v1/models`.
@@ -55,12 +49,9 @@ pub struct ModelInfo {
 pub struct ResolvedModel {
     /// Registry name the lookup resolved to.
     pub name: String,
-    /// The shared trained model (recursive representation).
-    pub model: Arc<GradientBoosting>,
-    /// The same ensemble compiled into the flat fast-inference layout;
-    /// predictions agree with `model`'s within
-    /// `chemcost_ml::flat::QUANT_REL_TOL` (the quantized default path),
-    /// bit-for-bit on the `*_exact` entry points.
+    /// The shared model image; its predictions agree with the recursive
+    /// model's within `chemcost_ml::flat::QUANT_REL_TOL`, and
+    /// `FlatGbt::to_gb` rebuilds that model exactly.
     pub flat: Arc<FlatGbt>,
     /// Load generation.
     pub version: u64,
@@ -104,36 +95,25 @@ impl ModelRegistry {
 
     /// Register an in-memory model (no reload path).
     pub fn insert(&self, name: &str, machine: &str, model: GradientBoosting) {
-        let flat = Arc::new(FlatGbt::compile(&model));
-        self.entries.write().insert(
-            name.to_string(),
-            Entry {
-                model: Arc::new(model),
-                flat,
-                version: 1,
-                machine: machine.to_string(),
-                path: None,
-                prior: None,
-            },
-        );
+        self.install(name, machine, FlatGbt::compile(&model), None);
     }
 
     /// Register a model from a persisted `.ccgb` file.
     pub fn load_file(&self, name: &str, machine: &str, path: &Path) -> Result<(), String> {
-        let gb = load_gb(path).map_err(|e| format!("loading {}: {e}", path.display()))?;
-        let flat = Arc::new(FlatGbt::compile(&gb));
-        self.entries.write().insert(
-            name.to_string(),
-            Entry {
-                model: Arc::new(gb),
-                flat,
-                version: 1,
-                machine: machine.to_string(),
-                path: Some(path.to_path_buf()),
-                prior: None,
-            },
-        );
+        let (flat, _) = load_flat(path).map_err(|e| format!("loading {}: {e}", path.display()))?;
+        self.install(name, machine, flat, Some(path.to_path_buf()));
         Ok(())
+    }
+
+    fn install(&self, name: &str, machine: &str, flat: FlatGbt, path: Option<PathBuf>) {
+        let entry = Entry {
+            flat: Arc::new(flat),
+            version: 1,
+            machine: machine.to_string(),
+            path,
+            prior: None,
+        };
+        self.entries.write().insert(name.to_string(), entry);
     }
 
     /// Re-read a file-backed model from disk. Returns the new version.
@@ -146,7 +126,7 @@ impl ModelRegistry {
                 .path
                 .clone()
                 .ok_or_else(|| format!("model {name:?} is in-memory only (no file to reload)"))?;
-            (path, entry.model.n_features())
+            (path, entry.flat.n_features())
         };
         let poisoned = self.faults.read().as_ref().is_some_and(|p| p.roll(FaultKind::PoisonReload));
         if poisoned {
@@ -155,27 +135,24 @@ impl ModelRegistry {
                 path.display()
             ));
         }
-        // Read the file without holding the lock — disk I/O under a write
-        // lock would stall every concurrent prediction.
-        let gb = load_gb(&path).map_err(|e| format!("reloading {}: {e}", path.display()))?;
+        // Read and decode without holding the lock — disk I/O under a
+        // write lock would stall every concurrent prediction.
+        let (flat, _) =
+            load_flat(&path).map_err(|e| format!("reloading {}: {e}", path.display()))?;
         // The wire format only bounds the feature count loosely, so a
         // corrupt-but-decodable file can change it; swapping such a model
         // in would panic every caller still predicting with the old
         // feature layout. Keep the last-good model instead.
-        if expect_features > 0 && gb.n_features() != expect_features {
+        if flat.n_features() != expect_features {
             return Err(format!(
                 "reloading {}: feature count changed from {expect_features} to {} (refusing to swap)",
                 path.display(),
-                gb.n_features()
+                flat.n_features()
             ));
         }
-        // Compile outside the write lock too — flattening a 750-tree
-        // ensemble is pure CPU work no request should wait behind.
-        let flat = Arc::new(FlatGbt::compile(&gb));
         let mut entries = self.entries.write();
         let entry = entries.get_mut(name).ok_or_else(|| format!("model {name:?} was removed"))?;
-        entry.model = Arc::new(gb);
-        entry.flat = flat;
+        entry.flat = Arc::new(flat);
         entry.version += 1;
         // A reload is explicit operator intervention: the pre-promotion
         // snapshot no longer describes the previous serving model.
@@ -183,34 +160,25 @@ impl ModelRegistry {
         Ok(entry.version)
     }
 
-    /// Atomically swap a retrained candidate in as the serving model,
-    /// keeping the displaced (model, flat, version) triple for
+    /// Atomically swap a retrained candidate's image in as the serving
+    /// model, keeping the displaced (image, version) pair for
     /// [`ModelRegistry::rollback`]. Returns the new version.
     ///
-    /// Mirrors [`ModelRegistry::reload`]: the candidate is compiled outside
-    /// the write lock, versions only ever move forward, and in-flight
-    /// requests keep their `Arc` to the displaced model.
-    pub fn promote(&self, name: &str, candidate: GradientBoosting) -> Result<u64, String> {
-        if !self.entries.read().contains_key(name) {
-            return Err(format!("no model named {name:?}"));
-        }
-        let flat = Arc::new(FlatGbt::compile(&candidate));
-        let model = Arc::new(candidate);
+    /// The candidate is the shadow's own image, installed as is: a
+    /// promotion compiles nothing. Versions only ever move forward, and
+    /// in-flight requests keep their `Arc` to the displaced model.
+    pub fn promote(&self, name: &str, candidate: Arc<FlatGbt>) -> Result<u64, String> {
         let mut entries = self.entries.write();
-        let entry = entries.get_mut(name).ok_or_else(|| format!("model {name:?} was removed"))?;
-        let displaced = (
-            std::mem::replace(&mut entry.model, model),
-            std::mem::replace(&mut entry.flat, flat),
-            entry.version,
-        );
-        entry.prior = Some(displaced);
+        let entry = entries.get_mut(name).ok_or_else(|| format!("no model named {name:?}"))?;
+        let displaced = std::mem::replace(&mut entry.flat, candidate);
+        entry.prior = Some((displaced, entry.version));
         entry.version += 1;
         Ok(entry.version)
     }
 
     /// Restore the model displaced by the last [`ModelRegistry::promote`].
     ///
-    /// The prior model comes back **byte-identical** (the same `Arc`s the
+    /// The prior model comes back **byte-identical** (the same `Arc` the
     /// promotion displaced) but under a *new*, higher version number — never
     /// the old one — so caches and quality groups keyed by (name, version)
     /// can never confuse pre- and post-rollback answers. The snapshot is
@@ -218,11 +186,10 @@ impl ModelRegistry {
     pub fn rollback(&self, name: &str) -> Result<u64, String> {
         let mut entries = self.entries.write();
         let entry = entries.get_mut(name).ok_or_else(|| format!("no model named {name:?}"))?;
-        let (model, flat, _) = entry
+        let (flat, _) = entry
             .prior
             .take()
             .ok_or_else(|| format!("model {name:?} has no prior version to roll back to"))?;
-        entry.model = model;
         entry.flat = flat;
         entry.version += 1;
         Ok(entry.version)
@@ -269,7 +236,6 @@ impl ModelRegistry {
             .ok_or_else(|| format!("no model named {resolved_name:?}"))?;
         Ok(ResolvedModel {
             name: resolved_name,
-            model: Arc::clone(&entry.model),
             flat: Arc::clone(&entry.flat),
             version: entry.version,
             machine: entry.machine.clone(),
@@ -308,6 +274,11 @@ mod tests {
     use super::*;
     use chemcost_linalg::Matrix;
     use chemcost_ml::Regressor;
+
+    /// `tiny_model(seed)` compiled, as a promotion hands it over.
+    fn tiny_image(seed: u64) -> Arc<FlatGbt> {
+        Arc::new(FlatGbt::compile(&tiny_model(seed)))
+    }
 
     /// Tiny model fitted on a trivial 4-feature dataset.
     fn tiny_model(seed: u64) -> GradientBoosting {
@@ -373,7 +344,7 @@ mod tests {
         assert_eq!(after.version, 2);
         // The old Arc is still usable by in-flight requests.
         let probe = Matrix::from_fn(1, 4, |_, j| j as f64);
-        let _ = before.model.predict(&probe);
+        let _ = before.flat.predict(&probe);
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -394,7 +365,7 @@ mod tests {
         let still = reg.resolve(Some("m"), None).unwrap();
         assert_eq!(still.version, 1);
         let probe = Matrix::from_fn(1, 4, |_, j| j as f64);
-        assert!(still.model.predict(&probe)[0].is_finite());
+        assert!(still.flat.predict(&probe)[0].is_finite());
 
         // Restore a valid file: the next reload succeeds and bumps to v2.
         chemcost_ml::persist::save_gb(&path, &tiny_model(2)).unwrap();
@@ -438,26 +409,27 @@ mod tests {
 
     #[test]
     fn promote_swaps_and_rollback_restores_byte_identically() {
-        use chemcost_ml::persist::encode_gb;
+        use chemcost_ml::persist::{encode_flat, encode_gb};
 
         let reg = ModelRegistry::new();
         let original = tiny_model(1);
         let original_bytes = encode_gb(&original);
         reg.insert("m", "aurora", original);
-        let candidate = tiny_model(99);
-        let candidate_bytes = encode_gb(&candidate);
+        let candidate = tiny_image(99);
+        let candidate_bytes = encode_flat(&candidate, None);
 
-        assert_eq!(reg.promote("m", candidate).unwrap(), 2);
+        assert_eq!(reg.promote("m", Arc::clone(&candidate)).unwrap(), 2);
         let promoted = reg.resolve(Some("m"), None).unwrap();
         assert_eq!(promoted.version, 2);
-        assert_eq!(encode_gb(&promoted.model), candidate_bytes);
+        assert!(Arc::ptr_eq(&promoted.flat, &candidate), "a promotion installs the shadow's image");
+        assert_eq!(encode_flat(&promoted.flat, None), candidate_bytes);
 
         // Rollback restores the displaced model byte-identically, under a
         // NEW version — never a reused one.
         assert_eq!(reg.rollback("m").unwrap(), 3);
         let restored = reg.resolve(Some("m"), None).unwrap();
         assert_eq!(restored.version, 3);
-        assert_eq!(encode_gb(&restored.model), original_bytes);
+        assert_eq!(encode_flat(&restored.flat, None), original_bytes);
 
         // The snapshot is consumed: no double rollback.
         let err = reg.rollback("m").unwrap_err();
@@ -470,7 +442,7 @@ mod tests {
         reg.insert("m", "aurora", tiny_model(1));
         assert!(reg.rollback("m").unwrap_err().contains("no prior"));
         assert!(reg.rollback("ghost").unwrap_err().contains("no model"));
-        assert!(reg.promote("ghost", tiny_model(2)).is_err());
+        assert!(reg.promote("ghost", tiny_image(2)).is_err());
     }
 
     #[test]
@@ -482,7 +454,7 @@ mod tests {
 
         let reg = ModelRegistry::new();
         reg.load_file("m", "aurora", &path).unwrap();
-        reg.promote("m", tiny_model(99)).unwrap();
+        reg.promote("m", tiny_image(99)).unwrap();
         assert_eq!(reg.reload("m").unwrap(), 3);
         // Operator reload invalidates the pre-promotion snapshot.
         assert!(reg.rollback("m").unwrap_err().contains("no prior"));
@@ -506,7 +478,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for j in 0..8u64 {
                     if (i + j) % 2 == 0 {
-                        reg.promote("m", tiny_model(100 + i * 8 + j)).unwrap();
+                        reg.promote("m", tiny_image(100 + i * 8 + j)).unwrap();
                     } else {
                         reg.reload("m").unwrap();
                     }
@@ -514,7 +486,7 @@ mod tests {
                     let r = reg.resolve(Some("m"), None).unwrap();
                     let probe = Matrix::from_fn(1, 4, |_, j| j as f64);
                     assert!(r.flat.predict_row(&[0.0, 1.0, 2.0, 3.0]).is_finite());
-                    assert!(r.model.predict(&probe)[0].is_finite());
+                    assert!(r.flat.predict(&probe)[0].is_finite());
                 }
             }));
         }

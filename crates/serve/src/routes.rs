@@ -39,9 +39,9 @@ use chemcost_lifecycle::{
     ShadowVerdict,
 };
 use chemcost_linalg::Matrix;
-use chemcost_ml::persist::save_gb_with_lineage;
+use chemcost_ml::persist::save_flat;
 use chemcost_obs::{self as obs, Level};
-use chemcost_sim::machine::by_name;
+use chemcost_sim::machine::{by_name, is_known};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -593,8 +593,8 @@ impl Router {
         self.lifecycle.shadow_predict(&resolved.name, &resolved.machine, &features[0]);
         let x = Matrix::from_fn(features.len(), 4, |i, j| features[i][j]);
         // Flat inference runs the quantized traversal, within
-        // QUANT_REL_TOL of resolved.model's recursive path. Split and
-        // serial scoring give the same bits.
+        // QUANT_REL_TOL of the recursive model's path. Split and serial
+        // scoring give the same bits.
         let seconds = if self.alone() {
             resolved.flat.predict_batch(&x)
         } else {
@@ -689,7 +689,7 @@ impl Router {
     fn advise_probe<'a>(&self, f: AdviseFields<'a>) -> Result<AdviseProbe<'a>, Response> {
         let resolved = self.registry.resolve(f.model, f.machine).map_err(|e| error(404, &e))?;
         let machine_name = f.machine.unwrap_or(&resolved.machine);
-        if by_name(machine_name).is_none() {
+        if !is_known(machine_name) {
             return Err(error(400, &format!("unknown machine {machine_name:?} (aurora|frontier)")));
         }
         let (o, v) = match (f.o, f.v) {
@@ -1163,7 +1163,7 @@ impl Router {
             model: model.to_string(),
             machine: machine.to_string(),
             parent_version: resolved.version,
-            base: (*resolved.model).clone(),
+            base: resolved.flat,
             rows,
             observations: out.observations,
             reason,
@@ -1194,28 +1194,26 @@ impl Router {
             serving_mape,
             outcome,
         } = ticket;
-        let version = self.registry.promote(&model, candidate)?;
+        let version = self.registry.promote(&model, Arc::clone(&candidate))?;
         let demoted = self.cache.demote_model(&model, version);
         self.metrics.gauge_set(CACHE_ENTRIES, self.cache.len());
         self.metrics.mark_model_fresh();
         self.quality.register_group(&model, version, &machine);
         // Best-effort durability for file-backed models: write the promoted
-        // candidate (lineage included) next to the serving artifact, so an
+        // image (lineage included) next to the serving artifact, so an
         // operator can pin or inspect the exact promoted generation.
         if let Some(path) =
             self.registry.list().into_iter().find(|i| i.name == model).and_then(|i| i.path)
         {
-            if let Ok(resolved) = self.registry.resolve(Some(&model), None) {
-                let sidecar = path.with_extension(format!("v{version}.ccgb"));
-                if let Err(e) = save_gb_with_lineage(&sidecar, &resolved.model, &lineage) {
-                    obs::event!(
-                        Level::Warn,
-                        "lifecycle.persist_failed",
-                        model = model.as_str(),
-                        path = sidecar.display().to_string(),
-                        error = e.to_string(),
-                    );
-                }
+            let sidecar = path.with_extension(format!("v{version}.ccgb"));
+            if let Err(e) = save_flat(&sidecar, &candidate, Some(&lineage)) {
+                obs::event!(
+                    Level::Warn,
+                    "lifecycle.persist_failed",
+                    model = model.as_str(),
+                    path = sidecar.display().to_string(),
+                    error = e.to_string(),
+                );
             }
         }
         obs::event!(
@@ -1793,7 +1791,7 @@ mod tests {
         // The served path runs the quantized flat traversal: within
         // QUANT_REL_TOL of the recursive model (routing is exact on these
         // integer features; only leaf rounding differs).
-        let model = router.registry().resolve(Some("gb"), None).unwrap().model;
+        let model = router.registry().resolve(Some("gb"), None).unwrap().flat.to_gb();
         let x = Matrix::from_fn(1, 4, |_, j| [120.0, 900.0, 64.0, 24.0][j]);
         let expect = model.predict(&x)[0];
         let got = preds[0].get("seconds").and_then(Json::as_f64).unwrap();
@@ -1921,8 +1919,8 @@ mod tests {
         let v = json_of(&resp);
         assert_eq!(v.get("goal").and_then(Json::as_str), Some("BQ"));
 
-        let model = router.registry().resolve(Some("gb"), None).unwrap().model;
-        let advisor = Advisor::new(model.as_ref(), by_name("aurora").unwrap());
+        let model = router.registry().resolve(Some("gb"), None).unwrap().flat.to_gb();
+        let advisor = Advisor::new(&model, by_name("aurora").unwrap());
         let expect = advisor.answer_bq(120, 900).unwrap();
         let rec = v.get("recommendation").unwrap();
         assert_eq!(rec.get("nodes").and_then(Json::as_usize), Some(expect.nodes));
@@ -2177,7 +2175,7 @@ mod tests {
         router.lifecycle().install_candidate(
             "gb",
             "aurora",
-            (*router.registry().resolve(Some("gb"), None).unwrap().model).clone(),
+            router.registry().resolve(Some("gb"), None).unwrap().flat,
             chemcost_ml::persist::Lineage {
                 parent_version: 1,
                 train_rows: 0,

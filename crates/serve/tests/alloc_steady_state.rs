@@ -82,7 +82,7 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
 
 /// The warm advise request may allocate at most this many times: the
 /// per-request prediction id (and its response header strings) plus the
-/// response struct itself. Measured 13 on the current code; headroom
+/// response struct itself. Measured 11 on the current code; headroom
 /// covers allocator-count jitter across toolchains, not new work.
 const WARM_ADVISE_ALLOC_BUDGET: u64 = 24;
 

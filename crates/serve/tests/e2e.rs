@@ -70,11 +70,11 @@ fn rec_fields(v: &Json) -> (usize, usize, f64, f64) {
 fn server_answers_like_the_offline_advisor_then_drains() {
     let gb = tiny_model();
     let registry = Arc::new(ModelRegistry::new());
-    registry.insert("gb-aurora", "aurora", gb);
+    registry.insert("gb-aurora", "aurora", gb.clone());
     registry.set_default("aurora", "gb-aurora").unwrap();
     let router = Router::new(registry);
     // Offline reference: the exact same model through the library API.
-    let reference = router.registry().resolve(Some("gb-aurora"), None).unwrap().model;
+    let reference = gb;
 
     let server = Server::bind("127.0.0.1:0", router, 2).expect("bind ephemeral");
     let addr = server.local_addr().unwrap();
@@ -119,7 +119,7 @@ fn server_answers_like_the_offline_advisor_then_drains() {
 
     // -- /v1/advise (stq and bq) matches the offline Advisor (seconds
     // within the quantized tolerance, same recommended point) --
-    let advisor = Advisor::new(reference.as_ref(), by_name("aurora").unwrap());
+    let advisor = Advisor::new(&reference, by_name("aurora").unwrap());
     for goal in ["stq", "bq"] {
         let (status, body) = request(
             addr,

@@ -15,8 +15,9 @@
 
 use chemcost_lifecycle::{LifecycleConfig, LifecycleState};
 use chemcost_linalg::Matrix;
+use chemcost_ml::flat::FlatGbt;
 use chemcost_ml::gradient_boosting::GradientBoosting;
-use chemcost_ml::persist::{encode_gb, Lineage};
+use chemcost_ml::persist::{encode_flat, Lineage};
 use chemcost_ml::Regressor;
 use chemcost_serve::http::{Request, Response};
 use chemcost_serve::json::Json;
@@ -278,11 +279,11 @@ fn lifecycle_soak_drift_retrain_shadow_promote_recover() {
 
 /// Train a second-generation model on the same data with another seed —
 /// a well-formed shadow candidate for the operator-path tests.
-fn candidate_like(x: &Matrix, y: &[f64], seed: u64) -> GradientBoosting {
+fn candidate_like(x: &Matrix, y: &[f64], seed: u64) -> Arc<FlatGbt> {
     let mut gb = GradientBoosting::new(60, 4, 0.1);
     gb.seed = seed;
     gb.fit(x, y).unwrap();
-    gb
+    Arc::new(FlatGbt::compile(&gb))
 }
 
 fn test_lineage() -> Lineage {
@@ -294,7 +295,7 @@ fn operator_promote_then_rollback_is_byte_identical() {
     let (router, path, x, y, _) = soak_router("lifecycle-rollback", soak_config());
     let bytes_v1 = {
         let resolved = router.registry().resolve(Some("gb"), None).unwrap();
-        encode_gb(&resolved.model)
+        encode_flat(&resolved.flat, None)
     };
 
     router.lifecycle().install_candidate(
@@ -311,7 +312,7 @@ fn operator_promote_then_rollback_is_byte_identical() {
     let bytes_v2 = {
         let resolved = router.registry().resolve(Some("gb"), None).unwrap();
         assert_eq!(resolved.version, 2);
-        encode_gb(&resolved.model)
+        encode_flat(&resolved.flat, None)
     };
     assert_ne!(bytes_v1, bytes_v2, "promotion must swap the serving model");
     // The operator promotion shows up on the metrics and the report.
@@ -325,7 +326,7 @@ fn operator_promote_then_rollback_is_byte_identical() {
     assert_eq!(body_json(&rollback).get("version").and_then(Json::as_usize), Some(3));
     let resolved = router.registry().resolve(Some("gb"), None).unwrap();
     assert_eq!(resolved.version, 3);
-    assert_eq!(encode_gb(&resolved.model), bytes_v1, "rollback must be byte-identical");
+    assert_eq!(encode_flat(&resolved.flat, None), bytes_v1, "rollback must be byte-identical");
     assert_eq!(lifecycle_group(&router).get("state").and_then(Json::as_str), Some("rolled-back"));
 
     // The snapshot is consumed: a second rollback is a structured 409.
@@ -484,7 +485,7 @@ fn poison_candidate_is_rejected_and_never_promoted() {
         use chemcost_ml::tree::FlatNode;
         let leaf =
             FlatNode { feature: u32::MAX, threshold: 0.0, left: 0, right: 0, value: f64::NAN };
-        GradientBoosting::from_export(0.0, 0.1, 4, &[vec![leaf]])
+        Arc::new(FlatGbt::compile(&GradientBoosting::from_export(0.0, 0.1, 4, &[vec![leaf]])))
     };
     router.lifecycle().install_candidate("gb", "aurora", poison, test_lineage());
     assert_eq!(router.lifecycle().group_state("gb", "aurora"), Some(LifecycleState::Shadow));

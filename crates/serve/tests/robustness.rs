@@ -158,7 +158,7 @@ fn assert_last_good_live(
         prop_assert!(resolved.version == 1, "failed reload must not bump the version");
     }
     let probe = Matrix::from_fn(1, 4, |_, j| j as f64);
-    prop_assert!(resolved.model.predict(&probe)[0].is_finite());
+    prop_assert!(resolved.flat.predict(&probe)[0].is_finite());
     Ok(())
 }
 

@@ -107,18 +107,38 @@ pub fn frontier() -> MachineModel {
     }
 }
 
+/// A profile's name and the function that builds it.
+type Profile = (&'static str, fn() -> MachineModel);
+
+/// Every profile, by name.
+const MACHINES: [Profile; 2] = [("aurora", aurora), ("frontier", frontier)];
+
+fn lookup(name: &str) -> Option<&'static Profile> {
+    MACHINES.iter().find(|(known, _)| known.eq_ignore_ascii_case(name))
+}
+
+/// Whether a profile goes by `name` (case-insensitive). Allocates
+/// nothing, unlike building the profile with [`by_name`].
+pub fn is_known(name: &str) -> bool {
+    lookup(name).is_some()
+}
+
 /// Look up a profile by name (case-insensitive).
 pub fn by_name(name: &str) -> Option<MachineModel> {
-    match name.to_ascii_lowercase().as_str() {
-        "aurora" => Some(aurora()),
-        "frontier" => Some(frontier()),
-        _ => None,
-    }
+    lookup(name).map(|(_, make)| make())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn names_resolve_case_insensitively() {
+        assert_eq!(by_name("AURORA"), Some(aurora()));
+        assert_eq!(by_name("Frontier"), Some(frontier()));
+        assert!(is_known("fRoNtIeR") && is_known("aurora"));
+        assert!(by_name("summit").is_none() && !is_known("summit") && !is_known(""));
+    }
 
     #[test]
     fn executors_scale_with_nodes() {

@@ -6,13 +6,17 @@
 //! `/debug/requests`, and check that each request's JSONL records
 //! correlate under its own trace id: the advise from accept through its
 //! inline sweep, the hit from accept through its replay, the predict
-//! from its access-log line to its `request.timeline`.
+//! from its access-log line to its `request.timeline`. A second test
+//! holds the daemon's peak memory to the model image it serves.
 
+use chemcost::ml::gradient_boosting::GradientBoosting;
+use chemcost::ml::persist::save_gb;
+use chemcost::ml::tree::FlatNode;
 use chemcost::serve::json::Json;
 use chemcost::serve::metrics::lint_exposition;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Duration;
 
@@ -205,4 +209,86 @@ fn serve_smoke_predict_advise_metrics_and_logs() {
     }
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A complete tree of `depth` split levels, pushed in preorder, over the
+/// four serving features.
+fn complete_tree(depth: u32, salt: f64, nodes: &mut Vec<FlatNode>) -> u32 {
+    let at = nodes.len() as u32;
+    if depth == 0 {
+        let value = salt + at as f64 * 1e-3;
+        nodes.push(FlatNode { feature: u32::MAX, threshold: 0.0, left: 0, right: 0, value });
+        return at;
+    }
+    let feature = depth % 4;
+    let threshold = 10.0 * depth as f64 + salt;
+    nodes.push(FlatNode { feature, threshold, left: 0, right: 0, value: 0.0 });
+    let left = complete_tree(depth - 1, salt, nodes);
+    let right = complete_tree(depth - 1, salt, nodes);
+    nodes[at as usize].left = left;
+    nodes[at as usize].right = right;
+    at
+}
+
+/// A valid model of `trees` complete trees of `depth` split levels.
+fn synthetic_model(trees: usize, depth: u32) -> GradientBoosting {
+    let trees: Vec<Vec<FlatNode>> = (0..trees)
+        .map(|t| {
+            let mut nodes = Vec::new();
+            complete_tree(depth, t as f64 * 0.5, &mut nodes);
+            nodes
+        })
+        .collect();
+    GradientBoosting::from_export(100.0, 0.1, 4, &trees)
+}
+
+/// Peak resident memory (`VmHWM`, KiB) of `chemcost serve` once it
+/// listens on `model`: loading is done by then.
+fn serve_peak_kib(model: &Path) -> u64 {
+    let mut child = bin()
+        .args(["serve", "--model"])
+        .arg(model)
+        .args(["--machine", "aurora", "--addr", "127.0.0.1:0", "--workers", "2"])
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    let mut line = String::new();
+    BufReader::new(child.stderr.take().expect("piped stderr"))
+        .read_line(&mut line)
+        .expect("startup line");
+    assert!(line.contains("listening"), "startup line: {line:?}");
+    let status = std::fs::read_to_string(format!("/proc/{}/status", child.id()));
+    child.kill().ok();
+    child.wait().ok();
+    let status = status.expect("read /proc/<pid>/status");
+    let hwm = status.lines().find_map(|l| l.strip_prefix("VmHWM:")).expect("VmHWM line");
+    hwm.trim().trim_end_matches("kB").trim().parse().expect("VmHWM in kB")
+}
+
+/// The daemon keeps one resident image of its model: 28 bytes a node
+/// (a 16-byte quantized node, its `f32` leaf value, its exact `f64`).
+/// Serving a ~600k-node model may raise the peak over a tiny model's by
+/// at most 1.25× that — no recursive copy, no second layout, and no
+/// whole-file read buffer beside it.
+#[test]
+fn serve_peak_memory_is_one_model_image() {
+    let dir = std::env::temp_dir().join(format!("chemcost_serve_memory_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (big, tiny) = (dir.join("big.ccgb"), dir.join("tiny.ccgb"));
+    let (trees, depth) = (300, 10);
+    save_gb(&big, &synthetic_model(trees, depth)).unwrap();
+    save_gb(&tiny, &synthetic_model(1, 1)).unwrap();
+    let nodes = trees * ((1 << (depth + 1)) - 1);
+
+    let grew = serve_peak_kib(&big).saturating_sub(serve_peak_kib(&tiny)) * 1024;
+    let bound = 1.25 * 28.0 * nodes as f64;
+    std::fs::remove_dir_all(&dir).ok();
+    eprintln!(
+        "peak grew {grew} bytes for {nodes} nodes ({:.1} B/node)",
+        grew as f64 / nodes as f64
+    );
+    assert!(
+        grew as f64 <= bound,
+        "serving {nodes} nodes raised peak RSS by {grew} bytes, over 1.25 × 28 B/node ({bound:.0})"
+    );
 }
