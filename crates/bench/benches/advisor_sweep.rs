@@ -1,8 +1,9 @@
-//! The PR's headline benchmark: advisor candidate-sweep inference,
-//! recursive vs. flat (struct-of-arrays) vs. flat batched.
+//! Advisor candidate-sweep inference: recursive vs. flat vs. flat
+//! batched, plus the flat stepper on one predict body.
 //!
-//! Four inference strategies over the same fitted ensemble and the same
-//! ~465-row candidate matrix the advisor sweeps per question:
+//! Five inference strategies over the same fitted ensemble and the same
+//! ~465-row candidate matrix the advisor sweeps per question, and one
+//! over held-out rows:
 //!
 //! * `recursive_per_row` — the naive path: `predict_one` per candidate,
 //!   pointer-chasing `Node` enums for every tree.
@@ -17,6 +18,10 @@
 //!   grid: one serial region walk per tree, bit-identical to
 //!   `flat_batched`. This is what `Advisor::sweep` and the serving
 //!   daemon's `/v1/advise` run.
+//! * `flat_serial_64` — `FlatGbt::predict_batch_serial` over 64 held-out
+//!   rows: the stepper pass a daemon's `/v1/predict` of 64 rows takes
+//!   while other requests keep the cores busy, bit-identical to
+//!   `predict_batch`.
 //!
 //! Plus an end-to-end group timing `Advisor::answer` (which now sweeps
 //! once through whatever `Regressor` it wraps) with the recursive vs.
@@ -33,14 +38,26 @@ use chemcost_sim::machine::aurora;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
+/// The Aurora corpus: the model fits its training split, and the
+/// predict bench scores rows of its held-out split.
+fn aurora_data() -> MachineData {
+    MachineData::generate_sized(&aurora(), 1200, 42)
+}
+
 /// The paper's deployed ensemble (750 estimators, depth 10) fitted on the
 /// Aurora training split.
-fn fitted_model() -> GradientBoosting {
-    let md = MachineData::generate_sized(&aurora(), 1200, 42);
+fn fitted_model(md: &MachineData) -> GradientBoosting {
     let train = md.train_dataset(Target::Seconds);
     let mut gb = GradientBoosting::paper_config();
     gb.fit(&train.x, &train.y).unwrap();
     gb
+}
+
+/// The first 64 rows of the held-out split: one 64-row `/v1/predict`
+/// body.
+fn held_out_rows(md: &MachineData) -> Matrix {
+    let test = md.test_dataset(Target::Seconds);
+    Matrix::from_fn(64, test.x.ncols(), |i, j| test.x[(i, j)])
 }
 
 /// The full (nodes, tile) candidate grid at a fixed water-cluster-sized
@@ -62,9 +79,11 @@ fn grid_axes() -> (Vec<f64>, Vec<f64>) {
 }
 
 fn bench_sweep_inference(c: &mut Criterion) {
-    let gb = fitted_model();
+    let md = aurora_data();
+    let gb = fitted_model(&md);
     let flat = FlatGbt::compile(&gb);
     let x = candidate_matrix(116, 840);
+    let rows = held_out_rows(&md);
     let n_rows = x.nrows();
 
     // Sanity before timing: the quantized path must sit inside the
@@ -79,6 +98,8 @@ fn bench_sweep_inference(c: &mut Criterion) {
     let base = [116.0, 840.0, 0.0, 0.0];
     let (nodes, tiles) = grid_axes();
     assert_eq!(flat.predict_grid(&base, (2, &nodes), (3, &tiles)), flat.predict_batch(&x));
+    // So must the serial pass over held-out rows.
+    assert_eq!(flat.predict_batch_serial(&rows), flat.predict_batch(&rows));
 
     let mut group = c.benchmark_group("advisor_sweep_inference");
     group.sample_size(10);
@@ -108,12 +129,16 @@ fn bench_sweep_inference(c: &mut Criterion) {
     group.bench_function("flat_grid", |b| {
         b.iter(|| black_box(flat.predict_grid(black_box(&base), (2, &nodes), (3, &tiles))))
     });
+    group.throughput(Throughput::Elements(rows.nrows() as u64));
+    group.bench_function("flat_serial_64", |b| {
+        b.iter(|| black_box(flat.predict_batch_serial(black_box(&rows))))
+    });
     group.finish();
 }
 
 fn bench_advisor_end_to_end(c: &mut Criterion) {
     let machine = aurora();
-    let gb = fitted_model();
+    let gb = fitted_model(&aurora_data());
     let flat = FlatGbt::compile(&gb);
     let recursive_advisor = Advisor::new(&gb, machine.clone());
     let flat_advisor = Advisor::new(&flat, machine);

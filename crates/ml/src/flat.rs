@@ -10,27 +10,34 @@
 //! [`FlatGbt`] is the one in-memory form of a served model. Per node it
 //! holds:
 //!
-//! * the **hot** quantized layout: a 16-byte array-of-structs node (`f32`
-//!   threshold, feature, two child indices) plus an `f32` leaf value in a
-//!   separate array, trees concatenated and addressed by root offset.
-//!   Every prediction walks only this. Rows are converted to `f32` once
-//!   per batch, and leaves are stored as ordinary self-loop nodes so the
-//!   8-lane interleaved stepper needs no leaf test at all: it runs a
-//!   fixed, per-tree-depth count of uniform load→compare→select steps
+//! * the **hot** quantized layout: one 8-byte node, trees concatenated
+//!   in preorder and addressed by root offset. A split holds its `f32`
+//!   threshold and one link word: its right child's offset above the
+//!   low bits that name its feature. Its left child is the next node,
+//!   so it needs no link. A leaf holds its `f32` value where a split
+//!   holds its threshold, and a zero link. Every prediction walks only
+//!   this. Rows are converted to `f32` once per batch. A walk moves by
+//!   the right offset when the row falls right and by `min(offset, 1)`
+//!   when it falls left, so a leaf, offset 0, stays put either way and
+//!   the 8-lane interleaved stepper needs no leaf test at all: it runs a
+//!   fixed, per-tree-depth count of uniform load→compare→step moves
 //!   (bounds checks hoisted to build-time validation), giving the core
 //!   eight independent dependent-load chains to overlap while a deep
-//!   ensemble streams through cache;
+//!   ensemble streams through cache. Its lanes are eight rows of one
+//!   tree, or, for a single row and the rows a batch has past its last
+//!   whole eight, eight trees of one row;
 //! * one **cold** `f64`: a split's exact threshold or a leaf's exact
 //!   value. No prediction reads it. It makes the image lossless:
 //!   [`FlatGbt::to_gb`] rebuilds the source [`GradientBoosting`] exactly,
 //!   and `crate::persist` re-encodes the image byte for byte.
 //!
-//! That is 28 bytes per node in all. One builder fills the image, from a
+//! That is 16 bytes per node in all. One builder fills the image, from a
 //! fitted model ([`FlatGbt::compile`]) or straight from a model file
 //! (`crate::persist`), one tree at a time. It checks each tree as it
 //! pushes it — split features below the feature count, child links
-//! forward, inside the tree and claimed by one split only — and records
-//! the tree's depth on the way.
+//! forward, inside the tree and claimed by one split only, each left
+//! child the next node and each right offset small enough for the link
+//! word — and records the tree's depth on the way.
 //!
 //! # Quantization contract
 //!
@@ -74,7 +81,9 @@
 //! Evaluation is **tree-major** everywhere (trees outer, rows inner): a
 //! deep ensemble's node arrays are far larger than cache, so walking one
 //! tree across all rows before moving to the next keeps its hot nodes
-//! resident instead of re-streaming the whole ensemble per row. Large
+//! resident instead of re-streaming the whole ensemble per row. Only a
+//! batch's last `n % 8` rows, too few to fill the row lanes, stream it
+//! once each, eight trees at a time. Large
 //! batches additionally parallelise over *trees* — each worker fills leaf
 //! values for its run of trees, streamed once in total, and a serial pass
 //! reduces each row's leaves in tree order so results are independent of
@@ -86,9 +95,15 @@ use crate::traits::{check_grid_columns, FitError, Regressor};
 use crate::tree::FlatNode;
 use chemcost_linalg::{parallel, Matrix};
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// Sentinel feature index marking a leaf (same encoding as [`FlatNode`]).
 const LEAF: u32 = u32::MAX;
+
+/// Cursors the interleaved stepper walks in lock-step: rows of one
+/// tree ([`QNodes::for_each_leaf`]) or trees of one row
+/// ([`QNodes::for_each_tree_leaf`]).
+const LANES: usize = 8;
 
 /// Below this many rows a batch is predicted serially: spawning scoped
 /// threads costs more than walking a few hundred trees for a handful of
@@ -120,37 +135,73 @@ fn quantize_threshold(t: f64) -> f32 {
     }
 }
 
-/// One quantized tree node: 16 bytes, a single predictable stream for the
-/// traversal loop (threshold, feature and both children land on one cache
-/// line together instead of three separate array streams).
+/// One quantized tree node: 8 bytes, so eight fit a cache line.
+///
+/// A split's left child is the next node. Its `link` holds its right
+/// child's offset from itself, shifted above the [`QNodes::fbits`] low
+/// bits that hold its feature; the offset is at least 2, so a split's
+/// link is never 0. A leaf's `link` is 0: offset 0, feature 0.
 #[derive(Debug, Clone, Copy)]
 #[repr(C)]
 struct QNode {
-    threshold: f32,
-    feature: u32,
-    children: [u32; 2],
+    /// A split's threshold, quantized (see [`quantize_threshold`]), or a
+    /// leaf's value rounded to the nearest `f32`.
+    tv: f32,
+    /// `right offset << fbits | feature` for a split, 0 for a leaf.
+    link: u32,
 }
 
-/// The quantized ensemble: array-of-structs nodes plus a separate leaf
-/// value array (leaf values are only touched once per row × tree, at the
-/// end of a descent — keeping them out of [`QNode`] keeps the hot
-/// traversal stream dense).
+impl QNode {
+    /// The node's feature, the low `fbits` bits of its link (0 for a
+    /// leaf).
+    #[inline(always)]
+    fn feature(self, fbits: u32) -> usize {
+        (self.link & ((1 << fbits) - 1)) as usize
+    }
+
+    /// The right child's offset from this node, the link's high bits (0
+    /// for a leaf).
+    #[inline(always)]
+    fn offset(self, fbits: u32) -> usize {
+        (self.link >> fbits) as usize
+    }
+
+    /// How far a walk moves from this node on feature value `x`: the
+    /// right child's offset if `x` falls right (NaN does), else
+    /// `min(offset, 1)`, the next node for a split. A leaf's offset is 0,
+    /// so it stays put either way.
+    #[inline(always)]
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // deliberate: NaN must fall right
+    fn step(self, x: f32, fbits: u32) -> usize {
+        let off = self.offset(fbits);
+        if !(x <= self.tv) {
+            off
+        } else {
+            off.min(1)
+        }
+    }
+}
+
+/// The quantized ensemble: one array of 8-byte nodes, trees in preorder.
 ///
-/// Quantized leaves are stored as *ordinary* nodes that compare feature 0
-/// against `+∞` and route to themselves, so the traversal loop needs no
-/// leaf test at all: it steps every lane exactly [`QNodes::depth`] times
-/// (at least the tree's longest root-to-leaf path) and lands on a leaf
-/// by construction, with finished rows self-looping harmlessly.
+/// A leaf is an *ordinary* node that moves by 0 whichever way its
+/// comparison falls, so the traversal loop needs no leaf test at all:
+/// it steps every lane at least [`QNodes::depth`] times (at least the
+/// tree's longest root-to-leaf path) and lands on a leaf by
+/// construction, with finished lanes staying put harmlessly. The leaf's
+/// value is in the node it lands on, so no second array is read.
 #[derive(Debug, Clone)]
 struct QNodes {
     nodes: Vec<QNode>,
-    value: Vec<f32>,
     roots: Vec<u32>,
     /// Per tree: the number of split steps on its longest root-to-leaf
     /// path (more only if the tree holds a node no split names). Walking
     /// exactly this many uniform steps from the root is guaranteed to
-    /// finish on (or self-loop at) a leaf.
+    /// finish on (or stay at) a leaf.
     depth: Vec<u32>,
+    /// Low bits of a split's link that hold its feature: as many as
+    /// `n_features − 1` needs, at most 31.
+    fbits: u32,
 }
 
 /// Reusable per-thread scratch for the quantized batch path: the `f32`
@@ -186,13 +237,19 @@ pub(crate) struct Builder {
 impl Builder {
     /// A builder for an ensemble over `n_features` features, with room
     /// for `trees` trees of `nodes` nodes in all.
+    ///
+    /// # Panics
+    /// Panics unless `1 ≤ n_features ≤ 2³¹` (the decoder admits at most
+    /// 10⁶; a fitted model's count is a matrix width).
     pub(crate) fn new(n_features: usize, trees: usize, nodes: usize) -> Builder {
+        assert!((1..=1 << 31).contains(&n_features), "feature count {n_features}");
+        let fbits = u32::BITS - ((n_features - 1) as u32).leading_zeros();
         Builder {
             q: QNodes {
                 nodes: Vec::with_capacity(nodes),
-                value: Vec::with_capacity(nodes),
                 roots: Vec::with_capacity(trees),
                 depth: Vec::with_capacity(trees),
+                fbits,
             },
             exact: Vec::with_capacity(nodes),
             n_features,
@@ -203,17 +260,18 @@ impl Builder {
     /// Append one tree, given in preorder with tree-local child links.
     ///
     /// Thresholds round toward −∞ (see [`quantize_threshold`]) and leaf
-    /// values to the nearest `f32`. Leaves become uniform self-loop nodes
-    /// (feature 0 against `+∞`, both children pointing back at
-    /// themselves), so the traversal loops never tell them apart.
+    /// values to the nearest `f32`. A leaf's link is 0, so the traversal
+    /// loops never tell it apart from a split (see [`QNode::step`]).
     ///
     /// Every split must name a feature below the feature count, and two
     /// children that lie ahead of it inside the tree and that no other
-    /// split names. So every walk ends at a leaf of its own tree in at
-    /// most the recorded depth of steps, and a node's depth is known
-    /// before the node is pushed. These checks back the unchecked loads
-    /// in [`QNodes::for_each_leaf`]. A node no split names starts a walk
-    /// of its own at depth 0, which can only raise the recorded depth.
+    /// split names: the left one the next node, the right one close
+    /// enough for its offset to fit the link word's `32 − fbits` high
+    /// bits. So every walk ends at a leaf of its own tree in at most the
+    /// recorded depth of steps, and a node's depth is known before the
+    /// node is pushed. These checks back the unchecked loads in
+    /// [`QNodes::for_each_leaf`]. A node no split names starts a walk of
+    /// its own at depth 0, which can only raise the recorded depth.
     pub(crate) fn push_tree(&mut self, tree: &[FlatNode]) -> Result<(), DecodeError> {
         let n = tree.len();
         if n == 0 {
@@ -224,6 +282,8 @@ impl Builder {
             return Err(DecodeError::Corrupt("more nodes than 32-bit links address".into()));
         }
         let base = start as u32;
+        // The largest right offset a link holds above the feature bits.
+        let max_offset = u32::MAX >> self.q.fbits;
         self.depth_of.clear();
         self.depth_of.resize(n, UNCLAIMED);
         let mut depth = 0;
@@ -233,14 +293,8 @@ impl Builder {
                 d => d,
             };
             depth = depth.max(d);
-            let at = base + i as u32;
             if node.feature == LEAF {
-                self.q.nodes.push(QNode {
-                    threshold: f32::INFINITY,
-                    feature: 0,
-                    children: [at; 2],
-                });
-                self.q.value.push(node.value as f32);
+                self.q.nodes.push(QNode { tv: node.value as f32, link: 0 });
                 self.exact.push(node.value);
                 continue;
             }
@@ -267,12 +321,22 @@ impl Builder {
                 }
                 self.depth_of[child] = d + 1;
             }
+            if left != i + 1 {
+                return Err(DecodeError::Corrupt(format!(
+                    "node {i}'s left child {left} is not the next node"
+                )));
+            }
+            // A right child lies ahead of the left one, so `offset ≥ 2`.
+            let offset = (right - i) as u32;
+            if offset > max_offset {
+                return Err(DecodeError::Corrupt(format!(
+                    "node {i}'s right child is {offset} nodes ahead, past the {max_offset} a link holds"
+                )));
+            }
             self.q.nodes.push(QNode {
-                threshold: quantize_threshold(node.threshold),
-                feature: node.feature,
-                children: [base + node.left, base + node.right],
+                tv: quantize_threshold(node.threshold),
+                link: offset << self.q.fbits | node.feature,
             });
-            self.q.value.push(0.0);
             self.exact.push(node.threshold);
         }
         self.q.roots.push(base);
@@ -288,104 +352,140 @@ impl Builder {
 }
 
 impl QNodes {
-    /// Walk one tree for one `f32` row; returns the leaf's node index.
-    /// Runs exactly `depth` uniform steps — leaves self-loop, so landing
-    /// early just spins in place (see [`QNodes`]).
+    /// Walk tree `t` for one `f32` row; returns the leaf's value. Runs
+    /// exactly the tree's depth of uniform steps — a leaf moves by 0, so
+    /// landing early just stays put (see [`QNodes`]).
     #[inline]
-    #[allow(clippy::neg_cmp_op_on_partial_ord)] // deliberate: NaN must fall right
-    fn leaf_index(&self, root: u32, depth: u32, row: &[f32]) -> usize {
-        let mut i = root as usize;
-        for _ in 0..depth {
+    fn leaf_value(&self, t: usize, row: &[f32]) -> f32 {
+        let fbits = self.fbits;
+        let mut i = self.roots[t] as usize;
+        for _ in 0..self.depth[t] {
             let n = self.nodes[i];
-            let go_right = !(row[n.feature as usize] <= n.threshold) as usize;
-            i = n.children[go_right] as usize;
+            i += n.step(row[n.feature(fbits)], fbits);
         }
-        i
+        self.nodes[i].tv
     }
 
     /// Accumulate `init + Σ weight · tree(row)` in tree order, in `f64`.
     #[inline]
     fn score_row(&self, row: &[f32], init: f64, weight: f64) -> f64 {
         let mut acc = init;
-        for (&root, &depth) in self.roots.iter().zip(&self.depth) {
-            acc += weight * self.value[self.leaf_index(root, depth, row)] as f64;
-        }
+        self.for_each_tree_leaf(0..self.roots.len(), row, |_, leaf| acc += weight * leaf as f64);
         acc
     }
 
-    /// Call `sink(k, leaf)` with tree `root`'s leaf value for each row
-    /// `start + k`, `k < n`, walking `LANES` rows at a time through the
-    /// tree. Tree traversal is a chain of dependent loads; independent
-    /// per-lane cursors give the core that many load chains to overlap.
-    /// The per-lane step is uniform and branchless — leaves are ordinary
-    /// self-loop nodes (see [`QNodes`]) — so the group runs exactly
-    /// `depth` lock-step iterations with no leaf test, and rows that
-    /// reach a leaf early self-loop until the group finishes.
+    /// Move the [`LANES`] cursors `idx` `depth` uniform steps in
+    /// lock-step, lane `j` reading feature `f` of its row at `x(j, f)`.
+    /// Tree traversal is a chain of dependent loads; independent lanes
+    /// give the core that many chains to overlap. The step is branchless
+    /// — a leaf is an ordinary node that moves by 0 (see [`QNodes`]) — so
+    /// there is no leaf test, and a lane that reaches its leaf early
+    /// stays put until the others finish.
     ///
-    /// The inner loop uses unchecked loads; its indices are covered by
-    /// two invariants. (1) Node cursors: each `idx[j]` starts at `root`
-    /// and only ever moves to a `children` slot, and
-    /// [`Builder::push_tree`] checks every child index in range as it
-    /// pushes the node. (2) Feature gathers: the builder keeps every
-    /// split feature below the ensemble's feature count, which is at
-    /// least 1 (leaves store feature 0), and the public entry points
-    /// assert `ncols` equals that count, so
-    /// `base[j] + feature < (start + n) · ncols ≤ rows.len()` — the
-    /// debug assertion below re-states that bound.
-    #[inline]
+    /// # Safety
+    ///
+    /// Every cursor must start on a tree's root, and `depth` must be at
+    /// least that tree's depth. Then the unchecked node loads stay in
+    /// bounds: a cursor only ever moves forward by `min(off, 1)` or
+    /// `off`, the node's right offset (0 at a leaf), and
+    /// [`Builder::push_tree`] range-checks both as it pushes a split —
+    /// its left child is the next node and its right child lies inside
+    /// its tree. `x` is called with the features of the nodes the lanes
+    /// visit: the builder keeps every split's feature below the
+    /// ensemble's feature count, and a leaf's link reads as feature 0.
+    #[inline(always)]
     #[allow(clippy::needless_range_loop)] // j indexes lock-step lane arrays
-    #[allow(clippy::neg_cmp_op_on_partial_ord)] // deliberate: NaN must fall right
-    #[allow(clippy::too_many_arguments)] // flat args keep the hot call zero-cost
+    unsafe fn step_lanes(
+        &self,
+        idx: &mut [usize; LANES],
+        depth: u32,
+        x: impl Fn(usize, usize) -> f32,
+    ) {
+        let fbits = self.fbits;
+        for _ in 0..depth {
+            // One fused load→compare→step move per lane, fully unrolled
+            // (LANES is const): each lane's chain lives in registers.
+            for j in 0..LANES {
+                // SAFETY: the cursor condition under `# Safety`.
+                let n = unsafe { *self.nodes.get_unchecked(idx[j]) };
+                idx[j] += n.step(x(j, n.feature(fbits)), fbits);
+            }
+        }
+    }
+
+    /// Call `sink(k, leaf)` with tree `t`'s leaf value for each row
+    /// `start + k`, `k < n`, of the `f32` row-major buffer, walking
+    /// [`LANES`] rows at a time through the tree. `n` must be a multiple
+    /// of `LANES`; a batch's last `n % LANES` rows take
+    /// [`Self::for_each_tree_leaf`] instead.
+    ///
+    /// The public entry points assert `ncols` equals the feature count,
+    /// so every gather stays inside its row: `base[j] + f <
+    /// (start + n) · ncols ≤ rows.len()`, as the debug assertion
+    /// re-states.
+    #[inline]
     fn for_each_leaf<F: FnMut(usize, f32)>(
         &self,
-        root: u32,
-        depth: u32,
+        t: usize,
         rows: &[f32],
         ncols: usize,
         start: usize,
         n: usize,
         mut sink: F,
     ) {
-        const LANES: usize = 8;
-        debug_assert!(rows.len() >= (start + n) * ncols);
-        let r = root as usize;
-        let mut k = 0;
-        while k + LANES <= n {
+        debug_assert!(n.is_multiple_of(LANES) && rows.len() >= (start + n) * ncols);
+        let (root, depth) = (self.roots[t] as usize, self.depth[t]);
+        for k in (0..n).step_by(LANES) {
             let base: [usize; LANES] = std::array::from_fn(|j| (start + k + j) * ncols);
-            let mut idx = [r; LANES];
-            for _ in 0..depth {
-                // One fused load→compare→select step per lane, fully
-                // unrolled (LANES is const): each lane's chain lives in
-                // registers and the eight chains overlap their loads.
-                // SAFETY: invariants (1) and (2) in the doc comment —
-                // `idx` holds node indices `Builder::push_tree` range-checked
-                // and the gather offset is bounded by the entry-point width
-                // check.
-                for j in 0..LANES {
-                    let n = unsafe { *self.nodes.get_unchecked(idx[j]) };
-                    let x = unsafe { *rows.get_unchecked(base[j] + n.feature as usize) };
-                    let go_right = !(x <= n.threshold) as usize;
-                    idx[j] = n.children[go_right] as usize;
-                }
+            let mut idx = [root; LANES];
+            // SAFETY: every lane starts on tree `t`'s root and runs its
+            // depth; lane `j` gathers feature `f < ncols` of its own row,
+            // inside `rows` by the bound above.
+            unsafe { self.step_lanes(&mut idx, depth, |j, f| *rows.get_unchecked(base[j] + f)) };
+            for (j, &i) in idx.iter().enumerate() {
+                sink(k + j, self.nodes[i].tv);
             }
-            for j in 0..LANES {
-                sink(k + j, self.value[idx[j]]);
-            }
-            k += LANES;
         }
-        while k < n {
-            let row = &rows[(start + k) * ncols..(start + k + 1) * ncols];
-            sink(k, self.value[self.leaf_index(root, depth, row)]);
-            k += 1;
+    }
+
+    /// Call `sink(t, leaf)` with tree `t`'s leaf value for `row`, for
+    /// each tree `t` in `trees` in ascending order, walking [`LANES`]
+    /// trees at a time: one row alone is one dependent-load chain per
+    /// tree, so this gives it the stepper's independent chains. Trees
+    /// past the last whole run of `LANES` walk one at a time. `row` must
+    /// hold at least the ensemble's feature count of values; the public
+    /// entry points assert it holds exactly that.
+    #[inline]
+    fn for_each_tree_leaf<F: FnMut(usize, f32)>(
+        &self,
+        trees: Range<usize>,
+        row: &[f32],
+        mut sink: F,
+    ) {
+        let mut t0 = trees.start;
+        while t0 + LANES <= trees.end {
+            let mut idx: [usize; LANES] = std::array::from_fn(|j| self.roots[t0 + j] as usize);
+            let depth = self.depth[t0..t0 + LANES].iter().copied().max().unwrap_or(0);
+            // SAFETY: lane `j` starts on tree `t0 + j`'s root and runs the
+            // deepest depth of the run; `row` holds every feature.
+            unsafe { self.step_lanes(&mut idx, depth, |_, f| *row.get_unchecked(f)) };
+            for (j, &i) in idx.iter().enumerate() {
+                sink(t0 + j, self.nodes[i].tv);
+            }
+            t0 += LANES;
+        }
+        for t in t0..trees.end {
+            sink(t, self.leaf_value(t, row));
         }
     }
 
     /// Score rows `offset..offset + out.len()` of the `f32` row-major
     /// buffer into `out`, **tree-major**: the outer loop walks trees, the
     /// inner loop rows, so one tree's nodes stay hot in cache across the
-    /// whole chunk. Each row accumulates `init + Σ weight·tree(row)` in
-    /// tree order in `f64` — the identical floating-point sequence to
-    /// [`Self::score_row`].
+    /// whole chunk. The rows past the last whole run of [`LANES`] then
+    /// take [`Self::score_row`]. Each row accumulates
+    /// `init + Σ weight·tree(row)` in tree order in `f64` — the identical
+    /// floating-point sequence either way.
     fn score_chunk(
         &self,
         rows: &[f32],
@@ -397,10 +497,15 @@ impl QNodes {
     ) {
         out.fill(init);
         let n = out.len();
-        for (&root, &depth) in self.roots.iter().zip(&self.depth) {
-            self.for_each_leaf(root, depth, rows, ncols, offset, n, |k, leaf| {
+        let whole = n - n % LANES;
+        for t in 0..self.roots.len() {
+            self.for_each_leaf(t, rows, ncols, offset, whole, |k, leaf| {
                 out[k] += weight * leaf as f64
             });
+        }
+        for (k, o) in out.iter_mut().enumerate().skip(whole) {
+            let row = &rows[(offset + k) * ncols..(offset + k + 1) * ncols];
+            *o = self.score_row(row, init, weight);
         }
     }
 
@@ -457,12 +562,19 @@ impl QNodes {
                 let rows = block.min(n - start);
                 let leaves = &mut s.leaves[..t * rows];
                 let xrows: &[f32] = &s.rows;
+                let whole = rows - rows % LANES;
                 parallel::par_chunks_mut(leaves, rows, |offset, chunk| {
+                    let t0 = offset / rows;
                     for (b, tree_leaves) in chunk.chunks_mut(rows).enumerate() {
-                        let t = offset / rows + b;
-                        let (root, depth) = (self.roots[t], self.depth[t]);
-                        self.for_each_leaf(root, depth, xrows, ncols, start, rows, |k, leaf| {
+                        self.for_each_leaf(t0 + b, xrows, ncols, start, whole, |k, leaf| {
                             tree_leaves[k] = leaf
+                        });
+                    }
+                    for k in whole..rows {
+                        let row = &xrows[(start + k) * ncols..(start + k + 1) * ncols];
+                        let trees = t0..t0 + chunk.len() / rows;
+                        self.for_each_tree_leaf(trees, row, |t, leaf| {
+                            chunk[(t - t0) * rows + k] = leaf
                         });
                     }
                 });
@@ -497,6 +609,7 @@ impl QNodes {
         weight: f64,
     ) -> Vec<f64> {
         let (no, ni) = (outer.values.len(), inner.values.len());
+        let fbits = self.fbits;
         let mut out = vec![init; no * ni];
         // Pending rectangles: (node, [o_lo, o_hi, i_lo, i_hi]), never empty.
         let mut stack: Vec<(usize, [usize; 4])> = Vec::new();
@@ -505,22 +618,23 @@ impl QNodes {
             while let Some((mut i, mut rect)) = stack.pop() {
                 loop {
                     let n = self.nodes[i];
-                    let [left, right] = n.children.map(|c| c as usize);
-                    // Leaves are the self-loop nodes (see `QNodes`).
-                    if left == i {
-                        fill_rect(&mut out, ni, rect, weight * self.value[i] as f64);
+                    // A leaf is the node of right offset 0 (see `QNode`).
+                    let off = n.offset(fbits);
+                    if off == 0 {
+                        fill_rect(&mut out, ni, rect, weight * n.tv as f64);
                         break;
                     }
-                    let f = n.feature as usize;
+                    let (left, right) = (i + 1, i + off);
+                    let f = n.feature(fbits);
                     let (axis, lo) = match f {
                         _ if f == col_o => (outer, 0),
                         _ if f == col_i => (inner, 2),
                         _ => {
-                            i = if !(base[f] <= n.threshold) { right } else { left };
+                            i = if !(base[f] <= n.tv) { right } else { left };
                             continue;
                         }
                     };
-                    let cut = axis.split(rect[lo], rect[lo + 1], n.threshold);
+                    let cut = axis.split(rect[lo], rect[lo + 1], n.tv);
                     if cut == rect[lo] {
                         i = right;
                     } else if cut == rect[lo + 1] {
@@ -646,15 +760,16 @@ impl FlatGbt {
     pub(crate) fn tree(&self, t: usize) -> impl ExactSizeIterator<Item = FlatNode> + '_ {
         let start = self.q.roots[t];
         let end = self.q.roots.get(t + 1).map_or(self.q.nodes.len() as u32, |&r| r);
+        let fbits = self.q.fbits;
         (start..end).map(move |i| {
             let (n, exact) = (self.q.nodes[i as usize], self.exact[i as usize]);
-            // Leaves are the self-loop nodes: a split's children lie
-            // ahead of it.
-            if n.children[0] == i {
+            // A leaf's link is 0; a split's left child is the next node.
+            if n.link == 0 {
                 FlatNode { feature: LEAF, threshold: 0.0, left: 0, right: 0, value: exact }
             } else {
-                let [left, right] = n.children.map(|c| c - start);
-                FlatNode { feature: n.feature, threshold: exact, left, right, value: 0.0 }
+                let (left, right) = (i + 1 - start, i + n.offset(fbits) as u32 - start);
+                let feature = n.feature(fbits) as u32;
+                FlatNode { feature, threshold: exact, left, right, value: 0.0 }
             }
         })
     }
@@ -836,6 +951,55 @@ mod tests {
             assert_eq!(flat.predict_row(x.row(i)), b);
         }
         assert_eq!(flat.predict_batch_serial(&x), batch);
+    }
+
+    #[test]
+    fn every_batch_size_sums_each_tree_in_order() {
+        // 21 comb trees of depths 0..=6 over 3 features, each split's
+        // left child a leaf: two whole lock-step groups of trees of mixed
+        // depths and a partial one. Batches of 1..=19 rows mix whole runs
+        // of LANES rows with leftover rows, and a batch past PAR_MIN_ROWS
+        // splits over trees on a multi-core host; each row must equal its
+        // trees walked one at a time and summed in order.
+        let leaf =
+            |value: f64| FlatNode { feature: LEAF, threshold: 0.0, left: 0, right: 0, value };
+        let trees: Vec<Vec<FlatNode>> = (0..21u32)
+            .map(|t| {
+                let mut nodes = Vec::new();
+                for m in 0..(t * 5) % 7 {
+                    let (i, threshold) = (2 * m, f64::from((7 * t + 3 * m) % 19) * 1.1);
+                    let feature = (t + m) % 3;
+                    nodes.push(FlatNode {
+                        feature,
+                        threshold,
+                        left: i + 1,
+                        right: i + 2,
+                        value: 0.0,
+                    });
+                    nodes.push(leaf(f64::from(t * 10 + m)));
+                }
+                nodes.push(leaf(f64::from(t) - 3.5));
+                nodes
+            })
+            .collect();
+        let flat = FlatGbt::compile(&GradientBoosting::from_export(0.5, 0.1, 3, &trees));
+        let (x, _) = training_data(PAR_MIN_ROWS + 5);
+        let one_tree_at_a_time = |i: usize| {
+            let row: Vec<f32> = x.row(i).iter().map(|&v| v as f32).collect();
+            (0..flat.n_trees()).fold(flat.init, |acc, t| {
+                acc + flat.learning_rate * flat.q.leaf_value(t, &row) as f64
+            })
+        };
+        let want: Vec<f64> = (0..x.nrows()).map(one_tree_at_a_time).collect();
+        for n in 1..=19 {
+            let rows = Matrix::from_fn(n, x.ncols(), |i, j| x[(i, j)]);
+            assert_eq!(flat.predict_batch_serial(&rows), want[..n], "{n} rows");
+        }
+        assert_eq!(flat.predict_batch(&x), want);
+        for (i, &w) in want.iter().enumerate() {
+            assert_eq!(flat.predict_row(x.row(i)), w, "row {i}");
+        }
+        assert_close(&want, &flat.to_gb().predict(&x));
     }
 
     #[test]

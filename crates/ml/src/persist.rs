@@ -39,17 +39,19 @@
 //!
 //! Decoding validates every structural field (magic, version, counts,
 //! split features < n_features, and child indices that point forward
-//! within their tree to a node no other split claims), so arbitrary or
+//! within their tree to a node no other split claims, the left one to
+//! the next node and the right one no further ahead than the image's
+//! link word holds), so arbitrary or
 //! corrupted bytes produce [`DecodeError`], never a panic or a tree
 //! that loops — fuzzed in `tests/properties.rs`. Every count is checked
 //! against the bytes left (for a file, its length from the metadata)
 //! before it sizes an allocation, so a short input that claims a huge
 //! model fails as [`DecodeError::Truncated`] without allocating for the
 //! claim. Trees are written in preorder, so a valid child index is
-//! always greater than its parent's and names a node of its own; a
-//! backward or self link would make every walk of the tree cycle, and a
-//! shared child would make the number of root-to-leaf paths grow
-//! exponentially with depth.
+//! always greater than its parent's and names a node of its own, and a
+//! split's left child is the node after it; a backward or self link
+//! would make every walk of the tree cycle, and a shared child would
+//! make the number of root-to-leaf paths grow exponentially with depth.
 
 use crate::flat::{Builder, FlatGbt};
 use crate::gradient_boosting::GradientBoosting;
@@ -502,6 +504,69 @@ mod tests {
             Err(DecodeError::Corrupt(msg)) => assert!(msg.contains("two splits"), "{msg}"),
             other => panic!("expected Corrupt(two splits), got {other:?}"),
         }
+    }
+
+    /// The image keeps no left link: a split's left child is the next
+    /// node, as in every tree written in preorder. A split whose links
+    /// are swapped sends its left branch elsewhere, so decode refuses it.
+    #[test]
+    fn rejects_swapped_child_links() {
+        let (gb, _) = fitted_gb();
+        let mut bytes = encode_gb(&gb);
+        let root = 32 + 4;
+        assert_ne!(&bytes[root..root + 4], &u32::MAX.to_le_bytes(), "tree 0's root is a split");
+        let (left, right) = (root + 12, root + 16);
+        let links: [u8; 8] = bytes[left..right + 4].try_into().unwrap();
+        bytes[left..left + 4].copy_from_slice(&links[4..]);
+        bytes[right..right + 4].copy_from_slice(&links[..4]);
+        match decode_gb(&bytes) {
+            Err(DecodeError::Corrupt(msg)) => assert!(msg.contains("not the next node"), "{msg}"),
+            other => panic!("expected Corrupt(not the next node), got {other:?}"),
+        }
+    }
+
+    /// A one-tree model over `n_features` features: a root split on
+    /// feature 0 whose right child is node `right`, every other node a
+    /// leaf.
+    fn one_split_file(n_features: u32, right: u32) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC.to_le_bytes());
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&0.0f64.to_le_bytes());
+        bytes.extend_from_slice(&0.1f64.to_le_bytes());
+        bytes.extend_from_slice(&n_features.to_le_bytes());
+        bytes.extend_from_slice(&1u32.to_le_bytes()); // n_trees
+        bytes.extend_from_slice(&(right + 1).to_le_bytes()); // n_nodes
+        for i in 0..=right {
+            let (feature, left, right) = if i == 0 { (0, 1u32, right) } else { (u32::MAX, 0, 0) };
+            bytes.extend_from_slice(&feature.to_le_bytes());
+            bytes.extend_from_slice(&0.5f64.to_le_bytes());
+            bytes.extend_from_slice(&left.to_le_bytes());
+            bytes.extend_from_slice(&right.to_le_bytes());
+            bytes.extend_from_slice(&(i as f64).to_le_bytes());
+        }
+        bytes
+    }
+
+    /// A link word holds a right offset above the feature bits: 20 of
+    /// them for 1,000,000 features, leaving 12, so offsets up to 4,095.
+    /// A right child 4,096 nodes ahead does not fit, and decode refuses
+    /// it instead of wrapping.
+    #[test]
+    fn rejects_a_right_offset_the_link_word_cannot_hold() {
+        let (flat, _) = decode_flat(&one_split_file(1_000_000, 4095)).unwrap();
+        let mut row = vec![0.0; 1_000_000];
+        assert_eq!(flat.predict_row(&row), 0.1);
+        row[0] = 1.0;
+        assert_eq!(flat.predict_row(&row), 0.1 * 4095.0f32 as f64);
+        for right in [4096, 4097, 70_000] {
+            match decode_flat(&one_split_file(1_000_000, right)) {
+                Err(DecodeError::Corrupt(msg)) => assert!(msg.contains("past the"), "{msg}"),
+                other => panic!("right child {right}: expected Corrupt, got {other:?}"),
+            }
+        }
+        // One feature needs no feature bits: the whole word is offset.
+        assert!(decode_flat(&one_split_file(1, 70_000)).is_ok());
     }
 
     #[test]

@@ -257,9 +257,23 @@ fn with_shared_child(valid: &[u8]) -> Vec<u8> {
     bytes
 }
 
+/// `valid` with tree 0's root split's left and right links swapped:
+/// still a tree, but not in preorder, so its left child is not the next
+/// node, where the served image keeps it, and decode must refuse it.
+fn with_swapped_links(valid: &[u8]) -> Vec<u8> {
+    const ROOT: usize = 32 + 4;
+    let mut bytes = valid.to_vec();
+    assert_ne!(&bytes[ROOT..ROOT + 4], &u32::MAX.to_le_bytes(), "tree 0's root is a split");
+    let links: [u8; 8] = bytes[ROOT + 12..ROOT + 20].try_into().unwrap();
+    bytes[ROOT + 12..ROOT + 16].copy_from_slice(&links[4..]);
+    bytes[ROOT + 16..ROOT + 20].copy_from_slice(&links[..4]);
+    bytes
+}
+
 /// A reload of a model file whose child links do not form a tree (a
-/// link back at the root, a child shared by both branches) answers 500,
-/// and the last-good model keeps answering unchanged.
+/// link back at the root, a child shared by both branches) or do not
+/// follow preorder (swapped links) answers 500, and the last-good model
+/// keeps answering unchanged.
 #[test]
 fn backward_child_link_reload_answers_500_and_keeps_last_good() {
     let dir = std::env::temp_dir().join(format!("chemcost-backlink-{}", std::process::id()));
@@ -273,9 +287,11 @@ fn backward_child_link_reload_answers_500_and_keeps_last_good() {
     let before = router.handle(&predict);
     assert_eq!(before.status, 200);
 
-    for (bad, why) in
-        [(with_backward_link(&valid), "links back"), (with_shared_child(&valid), "two splits")]
-    {
+    for (bad, why) in [
+        (with_backward_link(&valid), "links back"),
+        (with_shared_child(&valid), "two splits"),
+        (with_swapped_links(&valid), "not the next node"),
+    ] {
         std::fs::write(&path, bad).unwrap();
         let reload = router.handle(&Request::new("POST", "/v1/models/m/reload", b""));
         let body = String::from_utf8_lossy(reload.body.as_bytes()).into_owned();
