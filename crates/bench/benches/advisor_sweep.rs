@@ -1,7 +1,7 @@
 //! Advisor candidate-sweep inference: recursive vs. flat vs. flat
 //! batched, plus the flat stepper on one predict body.
 //!
-//! Five inference strategies over the same fitted ensemble and the same
+//! Six inference strategies over the same fitted ensemble and the same
 //! ~465-row candidate matrix the advisor sweeps per question, and one
 //! over held-out rows:
 //!
@@ -15,9 +15,13 @@
 //!   trees parallelised over scoped threads. Target: ≥5× over
 //!   `recursive_batched`.
 //! * `flat_grid` — `FlatGbt::predict_grid` over the same `(nodes × tile)`
-//!   grid: one serial region walk per tree, bit-identical to
-//!   `flat_batched`. This is what `Advisor::sweep` and the serving
-//!   daemon's `/v1/advise` run.
+//!   grid: one region walk per tree, the trees split over the cores on a
+//!   multi-core runner (the model is past the walk's work floor),
+//!   bit-identical to `flat_batched`. This is what `Advisor::sweep` and a
+//!   lone `/v1/advise` run.
+//! * `flat_grid_serial` — `FlatGbt::predict_grid_serial`: the same walk
+//!   on the calling thread alone, what a daemon's `/v1/advise` runs while
+//!   other requests keep the cores busy.
 //! * `flat_serial_64` — `FlatGbt::predict_batch_serial` over 64 held-out
 //!   rows: the stepper pass a daemon's `/v1/predict` of 64 rows takes
 //!   while other requests keep the cores busy, bit-identical to
@@ -94,10 +98,13 @@ fn bench_sweep_inference(c: &mut Criterion) {
     for (q, e) in flat.predict_batch(&x).iter().zip(&exact) {
         assert!((q - e).abs() <= QUANT_REL_TOL * (1.0 + e.abs()));
     }
-    // The grid walk must be the stepper, bit for bit.
+    // The grid walk, split and serial, must be the stepper, bit for bit.
     let base = [116.0, 840.0, 0.0, 0.0];
     let (nodes, tiles) = grid_axes();
-    assert_eq!(flat.predict_grid(&base, (2, &nodes), (3, &tiles)), flat.predict_batch(&x));
+    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<u64>>();
+    let stepper = bits(flat.predict_batch(&x));
+    assert_eq!(bits(flat.predict_grid(&base, (2, &nodes), (3, &tiles))), stepper);
+    assert_eq!(bits(flat.predict_grid_serial(&base, (2, &nodes), (3, &tiles))), stepper);
     // So must the serial pass over held-out rows.
     assert_eq!(flat.predict_batch_serial(&rows), flat.predict_batch(&rows));
 
@@ -128,6 +135,9 @@ fn bench_sweep_inference(c: &mut Criterion) {
     });
     group.bench_function("flat_grid", |b| {
         b.iter(|| black_box(flat.predict_grid(black_box(&base), (2, &nodes), (3, &tiles))))
+    });
+    group.bench_function("flat_grid_serial", |b| {
+        b.iter(|| black_box(flat.predict_grid_serial(black_box(&base), (2, &nodes), (3, &tiles))))
     });
     group.throughput(Throughput::Elements(rows.nrows() as u64));
     group.bench_function("flat_serial_64", |b| {

@@ -154,20 +154,35 @@ impl<'a> Advisor<'a> {
     /// [`Advisor::candidates`]' order — and return the reusable
     /// [`Sweep`]. Equal to [`Advisor::sweep_with`] over the model's
     /// `predict`; a model that overrides `predict_grid` (the quantized
-    /// `FlatGbt`) shares its work across the grid.
+    /// `FlatGbt`) shares its work across the grid, and for a large
+    /// enough grid splits its trees over the cores.
     ///
     /// Every question this advisor answers is a reduction over the sweep;
     /// callers with several questions about the same problem should sweep
     /// once and reduce many times.
     pub fn sweep(&self, o: usize, v: usize) -> Sweep {
+        self.sweep_grid(o, v, false)
+    }
+
+    /// [`Advisor::sweep`] through [`Regressor::predict_grid_serial`]: the
+    /// same sweep on the calling thread alone, for a caller whose
+    /// siblings already keep every core busy, such as a server worker
+    /// with other requests in flight.
+    pub fn sweep_serial(&self, o: usize, v: usize) -> Sweep {
+        self.sweep_grid(o, v, true)
+    }
+
+    fn sweep_grid(&self, o: usize, v: usize, serial: bool) -> Sweep {
         let nodes = self.feasible_nodes(o, v);
         let candidates = self.cross_tiles(&nodes);
         let axis = |grid: &[usize]| grid.iter().map(|&k| k as f64).collect::<Vec<f64>>();
-        let seconds = self.model.predict_grid(
-            &[o as f64, v as f64, 0.0, 0.0],
-            (2, &axis(&nodes)),
-            (3, &axis(&self.tiles_grid)),
-        );
+        let (base, nodes, tiles) =
+            ([o as f64, v as f64, 0.0, 0.0], axis(&nodes), axis(&self.tiles_grid));
+        let seconds = if serial {
+            self.model.predict_grid_serial(&base, (2, &nodes), (3, &tiles))
+        } else {
+            self.model.predict_grid(&base, (2, &nodes), (3, &tiles))
+        };
         assert_eq!(seconds.len(), candidates.len(), "predict_grid must score every candidate");
         Sweep { candidates, seconds }
     }
@@ -746,10 +761,11 @@ mod tests {
 
     #[test]
     fn grid_sweep_equals_matrix_sweep() {
-        // `sweep` scores through `predict_grid`: the flat model's region
-        // walk and the recursive model's default (the grid written out as
-        // a matrix) must both equal the matrix path bit for bit, on
-        // feasible problems, unsorted custom grids and an empty sweep.
+        // `sweep` scores through `predict_grid` and `sweep_serial` through
+        // `predict_grid_serial`: the flat model's region walk and the
+        // recursive model's default (the grid written out as a matrix)
+        // must equal the matrix path bit for bit, on feasible problems,
+        // unsorted custom grids and an empty sweep.
         use chemcost_ml::flat::FlatGbt;
         use chemcost_ml::gradient_boosting::GradientBoosting;
         let machine = aurora();
@@ -775,6 +791,7 @@ mod tests {
                     let grid = advisor.sweep(o, v);
                     let matrix = advisor.sweep_with(o, v, |x| model.predict(&x));
                     assert_eq!(grid, matrix, "{} at ({o},{v})", model.name());
+                    assert_eq!(advisor.sweep_serial(o, v), matrix, "{} serial", model.name());
                 }
             }
             assert!(too_small.sweep(400, 3000).is_empty());

@@ -12,6 +12,12 @@
 //!
 //! Thread count defaults to `std::thread::available_parallelism()` and can
 //! be capped per call, which the benchmark ablations use to measure scaling.
+//!
+//! The calling thread takes the first share itself (the first range, the
+//! first chunk, index 0) and spawns one helper per further share, so a
+//! split over `k` shares costs `k − 1` spawns. A callback that runs on
+//! the caller must therefore not borrow a thread-local the caller holds
+//! across the call.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -28,8 +34,8 @@ pub fn default_threads() -> usize {
 }
 
 /// Run `f(start, end)` over a static partition of `0..n` across up to
-/// `threads` workers. `f` must be safe to call concurrently on disjoint
-/// ranges.
+/// `threads` workers, the first range on the calling thread. `f` must be
+/// safe to call concurrently on disjoint ranges.
 pub fn par_for_range<F>(n: usize, threads: usize, f: F)
 where
     F: Fn(usize, usize) + Sync,
@@ -41,7 +47,7 @@ where
     }
     let chunk = n.div_ceil(threads);
     std::thread::scope(|s| {
-        for t in 0..threads {
+        for t in 1..threads {
             let start = t * chunk;
             let end = ((t + 1) * chunk).min(n);
             if start >= end {
@@ -50,12 +56,14 @@ where
             let f = &f;
             s.spawn(move || f(start, end));
         }
+        f(0, chunk);
     });
 }
 
 /// Split `data` into contiguous chunks whose lengths are multiples of
-/// `stride` (except possibly the last) and process them in parallel.
-/// The callback receives the chunk's starting offset within `data`.
+/// `stride` (except possibly the last) and process them in parallel, the
+/// first chunk on the calling thread. The callback receives the chunk's
+/// starting offset within `data`.
 pub fn par_chunks_mut<T, F>(data: &mut [T], stride: usize, f: F)
 where
     T: Send,
@@ -71,8 +79,8 @@ where
     let units_per = units.div_ceil(threads);
     let chunk_len = units_per * stride;
     std::thread::scope(|s| {
-        let mut rest = data;
-        let mut offset = 0;
+        let (first, mut rest) = data.split_at_mut(chunk_len);
+        let mut offset = chunk_len;
         while !rest.is_empty() {
             let take = chunk_len.min(rest.len());
             let (head, tail) = rest.split_at_mut(take);
@@ -82,13 +90,16 @@ where
             offset += take;
             rest = tail;
         }
+        f(0, first);
     });
 }
 
 /// Dynamically scheduled parallel map over `0..n`, preserving order.
 ///
 /// Each worker pulls the next index from an atomic cursor, so uneven task
-/// costs balance automatically. Results are stitched back in index order.
+/// costs balance automatically. The calling thread is one of the workers
+/// and takes index 0 before any helper starts. Results are stitched back
+/// in index order.
 pub fn par_map_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -98,27 +109,27 @@ where
     if threads == 1 || n <= 1 {
         return (0..n).map(f).collect();
     }
-    let cursor = AtomicUsize::new(0);
+    // Index 0 is the caller's; helpers pull from 1 on.
+    let cursor = AtomicUsize::new(1);
     let sink: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let cursor = &cursor;
-            let sink = &sink;
-            let f = &f;
-            s.spawn(move || {
-                let mut local = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    local.push((i, f(i)));
-                }
-                if !local.is_empty() {
-                    sink.lock().append(&mut local);
-                }
-            });
+    let drain = |mut local: Vec<(usize, T)>| {
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            local.push((i, f(i)));
         }
+        if !local.is_empty() {
+            sink.lock().append(&mut local);
+        }
+    };
+    std::thread::scope(|s| {
+        for _ in 1..threads {
+            let drain = &drain;
+            s.spawn(move || drain(Vec::new()));
+        }
+        drain(vec![(0, f(0))]);
     });
     let mut pairs = sink.into_inner();
     pairs.sort_unstable_by_key(|(i, _)| *i);
@@ -207,5 +218,45 @@ mod tests {
     #[test]
     fn default_threads_positive() {
         assert!(default_threads() >= 1);
+    }
+
+    #[test]
+    fn the_calling_thread_takes_the_first_share() {
+        let me = std::thread::current().id();
+
+        let seen = Mutex::new(Vec::new());
+        par_for_range(40, 4, |start, _| seen.lock().push((start, std::thread::current().id())));
+        let seen = seen.into_inner();
+        assert_eq!(seen.len(), 4);
+        for (start, id) in seen {
+            assert_eq!(id == me, start == 0, "range from {start}");
+        }
+
+        let mut data = vec![0u8; 64];
+        let seen = Mutex::new(Vec::new());
+        par_chunks_mut(&mut data, 1, |off, _| seen.lock().push((off, std::thread::current().id())));
+        let seen = seen.into_inner();
+        assert_eq!(seen.len(), default_threads().min(64));
+        for (off, id) in seen {
+            assert_eq!(id == me, off == 0, "chunk at {off}");
+        }
+
+        // Index 0 waits until a helper has run index 1, so index 1 cannot
+        // have run on the caller.
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let ids = par_map_indexed(2, 2, |i| {
+            if i == 0 {
+                let started = std::time::Instant::now();
+                while !done.load(Ordering::Acquire) {
+                    assert!(started.elapsed().as_secs() < 60, "no helper ran index 1");
+                    std::thread::yield_now();
+                }
+            } else {
+                done.store(true, Ordering::Release);
+            }
+            std::thread::current().id()
+        });
+        assert_eq!(ids[0], me);
+        assert_ne!(ids[1], me);
     }
 }

@@ -78,16 +78,26 @@
 //! is bit-identical to [`FlatGbt::predict_batch`] on the grid written out
 //! as a matrix; `tests/flat_equivalence.rs` asserts that with `==`.
 //!
+//! A sweep whose walk can visit [`GRID_PAR_MIN_VISITS`] nodes or more
+//! (see [`FlatGbt::grid_visits`]) splits its trees over the cores: the
+//! calling thread walks the first run straight into the grid, one scoped
+//! helper per further core paints each of its trees' leaf values into a
+//! per-tree `f32` plane of one process-wide buffer, and after the join
+//! the caller adds the planes in tree order. Smaller sweeps, and every
+//! [`Regressor::predict_grid_serial`] call, walk serially; the bits are
+//! the same either way.
+//!
 //! Evaluation is **tree-major** everywhere (trees outer, rows inner): a
 //! deep ensemble's node arrays are far larger than cache, so walking one
 //! tree across all rows before moving to the next keeps its hot nodes
 //! resident instead of re-streaming the whole ensemble per row. Only a
 //! batch's last `n % 8` rows, too few to fill the row lanes, stream it
-//! once each, eight trees at a time. Large
-//! batches additionally parallelise over *trees* — each worker fills leaf
-//! values for its run of trees, streamed once in total, and a serial pass
-//! reduces each row's leaves in tree order so results are independent of
-//! worker count.
+//! once each, eight trees at a time. Large batches and large grid sweeps
+//! additionally parallelise over *trees*, the calling thread taking the
+//! first run: each share fills leaf values for its run of trees,
+//! streamed once in total, and a serial pass reduces each row's (or
+//! cell's) leaves in tree order, so results are independent of worker
+//! count.
 
 use crate::gradient_boosting::GradientBoosting;
 use crate::persist::DecodeError;
@@ -96,6 +106,7 @@ use crate::tree::FlatNode;
 use chemcost_linalg::{parallel, Matrix};
 use std::cell::RefCell;
 use std::ops::Range;
+use std::sync::{Mutex, TryLockError};
 
 /// Sentinel feature index marking a leaf (same encoding as [`FlatNode`]).
 const LEAF: u32 = u32::MAX;
@@ -113,6 +124,20 @@ const PAR_MIN_ROWS: usize = 64;
 /// Rows per block in the parallel batch path; bounds the transient
 /// per-tree leaf buffer (`n_trees × ROW_BLOCK × 4` bytes).
 const ROW_BLOCK: usize = 1024;
+
+/// Below this bound on the nodes a grid sweep visits (see
+/// [`FlatGbt::grid_visits`]) it walks serially: the helper's spawn and
+/// the merge of its planes cost more than the trees it takes off the
+/// caller. A 100- or 150-tree depth-6 model (at most 17,250 nodes) never
+/// reaches it; the 750-tree depth-10 paper-config model passes it on
+/// every grid of a whole tile axis.
+pub const GRID_PAR_MIN_VISITS: usize = 96 * 1024;
+
+/// The helpers' per-tree leaf planes of a split grid sweep: one buffer
+/// for the process, not one per worker thread, so it is resident once
+/// (about 0.7 MB for half the paper-config model over a full advise
+/// grid). A sweep that finds it taken walks serially.
+static PLANES: Mutex<Vec<f32>> = Mutex::new(Vec::new());
 
 /// Documented relative-error bound of the quantized path against the
 /// recursive `f64` model, for feature values representable in `f32`.
@@ -589,48 +614,44 @@ impl QNodes {
         });
     }
 
-    /// Score the grid of `base` × `outer` × `inner` (each a column and
-    /// its sorted axis), `outer`-major in sorted order, walking each tree
-    /// **once** over rectangles of index ranges instead of once per row:
-    /// a split on any other column sends the whole rectangle down the
-    /// branch `base` takes, a split on an axis column cuts the rectangle
-    /// at that axis's partition point, and a leaf adds `weight · value`
-    /// to every cell of its rectangle. The rectangles of one tree tile
-    /// the grid, so each cell still accumulates `init + Σ weight·leaf` in
-    /// tree order with the stepper's own comparison — bit-identical to
-    /// [`Self::score_chunk`] on the grid written out as rows.
+    /// Call `leaf(t, rect, value)` for every leaf rectangle of each tree
+    /// `t` in `trees`, in ascending order, walking the tree **once** over
+    /// rectangles `[o_lo, o_hi, i_lo, i_hi]` of index ranges into the
+    /// grid's sorted axes instead of once per cell: a split on any other
+    /// column sends the whole rectangle down the branch `base` takes, and
+    /// a split on an axis column cuts the rectangle at that axis's
+    /// partition point. The rectangles of one tree tile the grid, and
+    /// each cell's leaf is the one the stepper's own comparison reaches.
     #[allow(clippy::neg_cmp_op_on_partial_ord)] // deliberate: NaN must fall right
-    fn score_grid(
+    fn walk_grid<F: FnMut(usize, [usize; 4], f32)>(
         &self,
-        base: &[f32],
-        (col_o, outer): (usize, &GridAxis),
-        (col_i, inner): (usize, &GridAxis),
-        init: f64,
-        weight: f64,
-    ) -> Vec<f64> {
-        let (no, ni) = (outer.values.len(), inner.values.len());
+        trees: Range<usize>,
+        grid: &Grid,
+        mut leaf: F,
+    ) {
         let fbits = self.fbits;
-        let mut out = vec![init; no * ni];
+        let (col_o, col_i) = (grid.outer.0, grid.inner.0);
+        let (no, ni) = (grid.outer.1.values.len(), grid.inner.1.values.len());
         // Pending rectangles: (node, [o_lo, o_hi, i_lo, i_hi]), never empty.
         let mut stack: Vec<(usize, [usize; 4])> = Vec::new();
-        for &root in &self.roots {
-            stack.push((root as usize, [0, no, 0, ni]));
+        for t in trees {
+            stack.push((self.roots[t] as usize, [0, no, 0, ni]));
             while let Some((mut i, mut rect)) = stack.pop() {
                 loop {
                     let n = self.nodes[i];
                     // A leaf is the node of right offset 0 (see `QNode`).
                     let off = n.offset(fbits);
                     if off == 0 {
-                        fill_rect(&mut out, ni, rect, weight * n.tv as f64);
+                        leaf(t, rect, n.tv);
                         break;
                     }
                     let (left, right) = (i + 1, i + off);
                     let f = n.feature(fbits);
                     let (axis, lo) = match f {
-                        _ if f == col_o => (outer, 0),
-                        _ if f == col_i => (inner, 2),
+                        _ if f == col_o => (&grid.outer.1, 0),
+                        _ if f == col_i => (&grid.inner.1, 2),
                         _ => {
-                            i = if !(base[f] <= n.tv) { right } else { left };
+                            i = if !(grid.base[f] <= n.tv) { right } else { left };
                             continue;
                         }
                     };
@@ -649,6 +670,60 @@ impl QNodes {
                 }
             }
         }
+    }
+
+    /// Score `grid` outer-major in sorted order: every cell sums
+    /// `init + Σ weight·leaf` in tree order, in `f64`, with the stepper's
+    /// own comparison — bit-identical to [`Self::score_chunk`] on the
+    /// grid written out as rows.
+    ///
+    /// With `shares > 1` (see [`grid_shares`]) the trees split into that
+    /// many runs. The caller walks the first run straight into the
+    /// output, as the serial walk does; one scoped helper per further run
+    /// walks it and paints each tree's leaf values into a per-tree `f32`
+    /// plane of [`PLANES`]. After the join the caller adds the planes in
+    /// tree order, so the split changes no bit.
+    fn score_grid(&self, grid: &Grid, init: f64, weight: f64, shares: usize) -> Vec<f64> {
+        let ni = grid.inner.1.values.len();
+        let cells = grid.outer.1.values.len() * ni;
+        let trees = self.roots.len();
+        let mut out = vec![init; cells];
+        let fill =
+            |out: &mut [f64], rect, leaf: f32| fill_rect(out, ni, rect, weight * leaf as f64);
+        let planes = match (shares > 1).then(|| PLANES.try_lock()) {
+            Some(Ok(planes)) => Some(planes),
+            // A helper that panicked left no state a later sweep reads:
+            // every plane is painted in full before it is merged.
+            Some(Err(TryLockError::Poisoned(p))) => Some(p.into_inner()),
+            Some(Err(TryLockError::WouldBlock)) | None => None,
+        };
+        let Some(mut planes) = planes else {
+            self.walk_grid(0..trees, grid, |_, rect, leaf| fill(&mut out, rect, leaf));
+            return out;
+        };
+        let run = trees.div_ceil(shares);
+        let helped = (trees - run) * cells;
+        if planes.len() < helped {
+            planes.resize(helped, 0.0);
+        }
+        let planes = &mut planes[..helped];
+        std::thread::scope(|s| {
+            for (k, share) in planes.chunks_mut(run * cells).enumerate() {
+                let t0 = run * (k + 1);
+                let t1 = t0 + share.len() / cells;
+                s.spawn(move || {
+                    self.walk_grid(t0..t1, grid, |t, rect, leaf| {
+                        paint_rect(&mut share[(t - t0) * cells..][..cells], ni, rect, leaf)
+                    })
+                });
+            }
+            self.walk_grid(0..run, grid, |_, rect, leaf| fill(&mut out, rect, leaf));
+        });
+        for plane in planes.chunks_exact(cells) {
+            for (o, &leaf) in out.iter_mut().zip(plane) {
+                *o += weight * leaf as f64;
+            }
+        }
         out
     }
 
@@ -662,6 +737,26 @@ impl QNodes {
             self.score_row(&s.row, init, weight)
         })
     }
+}
+
+/// How many shares a grid sweep that visits at most `visits` nodes of
+/// `trees` trees splits into on `threads` cores: one, a serial walk,
+/// below [`GRID_PAR_MIN_VISITS`] or on one core; else one per core, at
+/// most one per tree.
+fn grid_shares(visits: usize, trees: usize, threads: usize) -> usize {
+    if visits < GRID_PAR_MIN_VISITS {
+        1
+    } else {
+        threads.min(trees).max(1)
+    }
+}
+
+/// A [`FlatGbt::predict_grid`] grid: the fixed row, `f32`, and its two
+/// axes, each with its column.
+struct Grid {
+    base: Vec<f32>,
+    outer: (usize, GridAxis),
+    inner: (usize, GridAxis),
 }
 
 /// One axis of a [`FlatGbt::predict_grid`] grid, converted to `f32` once
@@ -707,6 +802,14 @@ impl GridAxis {
 fn fill_rect(out: &mut [f64], ni: usize, [o_lo, o_hi, i_lo, i_hi]: [usize; 4], v: f64) {
     for row in out[o_lo * ni..o_hi * ni].chunks_exact_mut(ni) {
         row[i_lo..i_hi].iter_mut().for_each(|o| *o += v);
+    }
+}
+
+/// Set every cell of the rectangle `[o_lo, o_hi) × [i_lo, i_hi)` of an
+/// outer-major plane `ni` cells wide to `v`.
+fn paint_rect(plane: &mut [f32], ni: usize, [o_lo, o_hi, i_lo, i_hi]: [usize; 4], v: f32) {
+    for row in plane[o_lo * ni..o_hi * ni].chunks_exact_mut(ni) {
+        row[i_lo..i_hi].fill(v);
     }
 }
 
@@ -793,6 +896,19 @@ impl FlatGbt {
         assert_eq!(ncols, self.n_features, "FlatGbt::{what}: feature-count mismatch");
     }
 
+    /// At most how many nodes [`Regressor::predict_grid`] visits over a
+    /// grid of `cells` cells: each node at most once, and for each cell
+    /// at most its path of a tree's depth of splits and a leaf. A deep
+    /// ensemble's sweep costs its node visits, a shallow one's the cells
+    /// its leaves fill, so the bound orders sweeps by cost better than
+    /// the grid's size alone. `predict_grid` splits its trees over the
+    /// cores of a multi-core host once this reaches
+    /// [`GRID_PAR_MIN_VISITS`].
+    pub fn grid_visits(&self, cells: usize) -> usize {
+        let paths: usize = self.q.depth.iter().map(|&d| d as usize + 1).sum();
+        self.n_nodes().min(paths.saturating_mul(cells))
+    }
+
     /// Predict one row on the quantized path (allocation-free when warm).
     ///
     /// # Panics
@@ -837,6 +953,45 @@ impl FlatGbt {
         self.q.score_batch_into(x, self.init, self.learning_rate, false, &mut out);
         out
     }
+
+    /// The grid walk behind both [`Regressor::predict_grid`] methods,
+    /// split over trees when `split` allows it; returns the grid in the
+    /// caller's axis order.
+    fn predict_grid_with(
+        &self,
+        base: &[f64],
+        (col_a, a): (usize, &[f64]),
+        (col_b, b): (usize, &[f64]),
+        split: bool,
+    ) -> Vec<f64> {
+        self.check_width(base.len(), "predict_grid");
+        check_grid_columns(base.len(), col_a, col_b);
+        if a.is_empty() || b.is_empty() {
+            return Vec::new();
+        }
+        let grid = Grid {
+            base: base.iter().map(|&v| v as f32).collect(),
+            outer: (col_a, GridAxis::new(a)),
+            inner: (col_b, GridAxis::new(b)),
+        };
+        let (a, b) = (&grid.outer.1, &grid.inner.1);
+        let threads = if split { parallel::default_threads() } else { 1 };
+        let visits = self.grid_visits(a.values.len() * b.values.len());
+        let shares = grid_shares(visits, self.n_trees(), threads);
+        let sorted = self.q.score_grid(&grid, self.init, self.learning_rate, shares);
+        if a.perm.is_none() && b.perm.is_none() {
+            return sorted;
+        }
+        let nb = b.values.len();
+        let mut out = vec![0.0; sorted.len()];
+        for (i, row) in sorted.chunks_exact(nb).enumerate() {
+            let base = a.original(i) * nb;
+            for (j, &s) in row.iter().enumerate() {
+                out[base + b.original(j)] = s;
+            }
+        }
+        out
+    }
 }
 
 impl Regressor for FlatGbt {
@@ -850,40 +1005,31 @@ impl Regressor for FlatGbt {
         self.predict_batch(x)
     }
 
-    /// The quantized path's serial region walk (see the module docs):
+    /// The quantized path's region walk (see the module docs), its
+    /// trees split over the cores for a grid past the work floor:
     /// bit-identical to [`FlatGbt::predict_batch`] on the same grid
     /// written out as a matrix, for any axis values — unsorted,
     /// duplicated, NaN or infinite.
     ///
     /// # Panics
     /// Panics on feature-count mismatch or a bad column pair.
-    fn predict_grid(
+    fn predict_grid(&self, base: &[f64], a: (usize, &[f64]), b: (usize, &[f64])) -> Vec<f64> {
+        self.predict_grid_with(base, a, b, true)
+    }
+
+    /// [`predict_grid`](Regressor::predict_grid) on the calling thread
+    /// alone, whatever the grid's size: for a caller whose siblings
+    /// already keep every core busy. Bit-identical to `predict_grid`.
+    ///
+    /// # Panics
+    /// Panics on feature-count mismatch or a bad column pair.
+    fn predict_grid_serial(
         &self,
         base: &[f64],
-        (col_a, a): (usize, &[f64]),
-        (col_b, b): (usize, &[f64]),
+        a: (usize, &[f64]),
+        b: (usize, &[f64]),
     ) -> Vec<f64> {
-        self.check_width(base.len(), "predict_grid");
-        check_grid_columns(base.len(), col_a, col_b);
-        if a.is_empty() || b.is_empty() {
-            return Vec::new();
-        }
-        let base: Vec<f32> = base.iter().map(|&v| v as f32).collect();
-        let (a, b) = (GridAxis::new(a), GridAxis::new(b));
-        let sorted =
-            self.q.score_grid(&base, (col_a, &a), (col_b, &b), self.init, self.learning_rate);
-        if a.perm.is_none() && b.perm.is_none() {
-            return sorted;
-        }
-        let nb = b.values.len();
-        let mut out = vec![0.0; sorted.len()];
-        for (i, row) in sorted.chunks_exact(nb).enumerate() {
-            let base = a.original(i) * nb;
-            for (j, &s) in row.iter().enumerate() {
-                out[base + b.original(j)] = s;
-            }
-        }
-        out
+        self.predict_grid_with(base, a, b, false)
     }
 
     fn name(&self) -> &'static str {
@@ -1000,6 +1146,92 @@ mod tests {
             assert_eq!(flat.predict_row(x.row(i)), w, "row {i}");
         }
         assert_close(&want, &flat.to_gb().predict(&x));
+    }
+
+    #[test]
+    fn a_grid_splits_only_past_the_work_floor() {
+        // Below the floor a sweep walks serially; at it, one share per
+        // core, never more shares than trees, and no helper on one core.
+        assert_eq!(grid_shares(GRID_PAR_MIN_VISITS - 1, 750, 2), 1);
+        assert_eq!(grid_shares(GRID_PAR_MIN_VISITS, 750, 2), 2);
+        assert_eq!(grid_shares(GRID_PAR_MIN_VISITS, 750, 4), 4);
+        assert_eq!(grid_shares(GRID_PAR_MIN_VISITS, 3, 8), 3);
+        assert_eq!(grid_shares(usize::MAX, 750, 1), 1);
+
+        // The visit bound: each node once, and a path of depth + 1 nodes
+        // per cell. 40 full depth-3 trees (15 nodes each, 600 in all)
+        // over 3 cells visit at most 40 × 4 × 3 = 480 nodes, over 9 cells
+        // all 600.
+        fn full(nodes: &mut Vec<FlatNode>, depth: u32) {
+            let i = nodes.len() as u32;
+            if depth == 0 {
+                nodes.push(FlatNode {
+                    feature: LEAF,
+                    threshold: 0.0,
+                    left: 0,
+                    right: 0,
+                    value: 1.0,
+                });
+                return;
+            }
+            nodes.push(FlatNode {
+                feature: depth % 3,
+                threshold: 2.0,
+                left: i + 1,
+                right: 0,
+                value: 0.0,
+            });
+            full(nodes, depth - 1);
+            nodes[i as usize].right = nodes.len() as u32;
+            full(nodes, depth - 1);
+        }
+        let mut tree = Vec::new();
+        full(&mut tree, 3);
+        let flat = FlatGbt::compile(&GradientBoosting::from_export(0.0, 0.1, 3, &vec![tree; 40]));
+        assert_eq!(flat.n_nodes(), 600);
+        assert_eq!(flat.grid_visits(3), 480);
+        assert_eq!(flat.grid_visits(9), 600);
+        assert_eq!(flat.grid_visits(usize::MAX), 600);
+
+        // A 100-tree depth-6 model has at most 100 × 127 nodes, so even a
+        // full advise grid (31 node counts × 15 tiles) walks serially.
+        const { assert!(100 * 127 < GRID_PAR_MIN_VISITS) };
+        // The paper-config model (750 trees 10 deep, ~650 k nodes) splits
+        // even a grid of one node count: its bound is 750 × 11 × 15.
+        const { assert!(750 * 11 * 15 >= GRID_PAR_MIN_VISITS) };
+    }
+
+    #[test]
+    fn a_split_grid_walk_merges_the_planes_in_tree_order() {
+        // 23 trees in every share count up to more than any test host
+        // has cores, with runs of unequal length, over unsorted axes
+        // with repeats: each gives the serial walk's bits, which are the
+        // stepper's on the grid written out as rows.
+        let (x, y) = training_data(120);
+        let mut gb = GradientBoosting::new(23, 4, 0.3);
+        gb.seed = 5;
+        gb.fit(&x, &y).unwrap();
+        let flat = FlatGbt::compile(&gb);
+        let axis = |n: usize| (0..n).map(|k| ((k * 7) % 20) as f64).collect::<Vec<f64>>();
+        let (a, b, base) = (axis(9), axis(13), [5.0, 0.0, 0.0]);
+        let grid = Grid {
+            base: base.iter().map(|&v| v as f32).collect(),
+            outer: (1, GridAxis::new(&a)),
+            inner: (2, GridAxis::new(&b)),
+        };
+        let serial = flat.q.score_grid(&grid, flat.init, flat.learning_rate, 1);
+        for shares in 2..=9 {
+            let split = flat.q.score_grid(&grid, flat.init, flat.learning_rate, shares);
+            assert_eq!(split, serial, "{shares} shares");
+        }
+        let rows = Matrix::from_fn(a.len() * b.len(), 3, |r, c| match c {
+            1 => a[r / b.len()],
+            2 => b[r % b.len()],
+            _ => base[c],
+        });
+        let stepper = flat.predict_batch_serial(&rows);
+        assert_eq!(flat.predict_grid(&base, (1, &a), (2, &b)), stepper);
+        assert_eq!(flat.predict_grid_serial(&base, (1, &a), (2, &b)), stepper);
     }
 
     #[test]

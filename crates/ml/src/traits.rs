@@ -132,6 +132,23 @@ pub trait Regressor: Send + Sync {
         self.predict(&x)
     }
 
+    /// [`Regressor::predict_grid`] on the calling thread alone, with the
+    /// same results: for a caller whose siblings already keep every core
+    /// busy, such as a server worker with other requests in flight. The
+    /// default is `predict_grid` itself; a model whose grid method
+    /// splits over the cores overrides both.
+    ///
+    /// # Panics
+    /// As [`Regressor::predict_grid`].
+    fn predict_grid_serial(
+        &self,
+        base: &[f64],
+        a: (usize, &[f64]),
+        b: (usize, &[f64]),
+    ) -> Vec<f64> {
+        self.predict_grid(base, a, b)
+    }
+
     /// A short human-readable name ("GB", "KR", …) used in reports.
     fn name(&self) -> &'static str;
 }

@@ -12,15 +12,17 @@
 //!   preserved exactly, and the only error is one `f64 → f32` rounding
 //!   per leaf value. Covered on proptest-generated models and on the
 //!   750-tree paper-config ensemble.
-//! * **Grid tier** — `FlatGbt::predict_grid` (the advisor's sweep path)
-//!   must equal `predict_batch` on the same grid written out as a matrix,
-//!   bit for bit, for any axis values and on every sweep the paper-config
-//!   model serves.
+//! * **Grid tier** — `FlatGbt::predict_grid` (the advisor's sweep path,
+//!   its trees split over the cores past `GRID_PAR_MIN_VISITS`), its
+//!   serial twin `predict_grid_serial`, and `predict_batch` on the same
+//!   grid written out as a matrix must agree bit for bit, for any axis
+//!   values and on every sweep the paper-config model serves.
 
 use chemcost_linalg::Matrix;
-use chemcost_ml::flat::{FlatGbt, QUANT_REL_TOL};
+use chemcost_ml::flat::{FlatGbt, GRID_PAR_MIN_VISITS, QUANT_REL_TOL};
 use chemcost_ml::gradient_boosting::{GbLoss, GradientBoosting};
 use chemcost_ml::persist::encode_gb;
+use chemcost_ml::tree::FlatNode;
 use chemcost_ml::Regressor;
 use chemcost_sim::ccsd::Problem;
 use chemcost_sim::datagen::{
@@ -268,7 +270,7 @@ fn grid_walk_matches_the_stepper_on_every_served_sweep() {
     questions.push((1000, 20_000, frontier()));
 
     let tiles: Vec<f64> = tile_candidates().into_iter().map(|t| t as f64).collect();
-    let mut empty = 0;
+    let (mut empty, mut past_floor) = (0, 0);
     for (o, v, m) in &questions {
         let p = Problem::new(*o, *v);
         let nodes: Vec<f64> = node_candidates()
@@ -279,11 +281,15 @@ fn grid_walk_matches_the_stepper_on_every_served_sweep() {
         empty += nodes.is_empty() as usize;
         let base = [*o as f64, *v as f64, 0.0, 0.0];
         let grid = flat.predict_grid(&base, (2, &nodes), (3, &tiles));
+        let serial = flat.predict_grid_serial(&base, (2, &nodes), (3, &tiles));
         let matrix = flat.predict_batch(&grid_matrix(&base, (2, &nodes), (3, &tiles)));
         assert_eq!(grid.len(), nodes.len() * tiles.len());
+        past_floor += (flat.grid_visits(grid.len()) >= GRID_PAR_MIN_VISITS) as usize;
         assert_eq!(bits(&grid), bits(&matrix), "sweep ({o}, {v}) on {}", m.name);
+        assert_eq!(bits(&serial), bits(&matrix), "serial sweep ({o}, {v}) on {}", m.name);
     }
     assert_eq!(empty, 2, "only the oversized problems should have empty sweeps");
+    assert!(past_floor * 2 > questions.len(), "most sweeps must be large enough to split");
 }
 
 proptest! {
@@ -322,10 +328,87 @@ proptest! {
         let m = grid_matrix(&base, (col_a, &a), (col_b, &b));
         let grid = flat.predict_grid(&base, (col_a, &a), (col_b, &b));
         prop_assert_eq!(bits(&grid), bits(&flat.predict_batch(&m)));
+        prop_assert_eq!(bits(&flat.predict_grid_serial(&base, (col_a, &a), (col_b, &b))), bits(&grid));
         prop_assert_eq!(
             bits(&gb.predict_grid(&base, (col_a, &a), (col_b, &b))),
             bits(&gb.predict(&m))
         );
+    }
+}
+
+/// A random ensemble over `d` features, built node by node instead of
+/// fitted, so it can be past the grid walk's work floor at no training
+/// cost: `n_trees` preorder trees, each full down to depth 7 and then
+/// ending in a leaf with chance 1/3 per level, at depth 10 at the latest
+/// (so at least 255 nodes a tree). Half the thresholds sit exactly on an
+/// [`axis_value`], where `x ≤ t` ties route left.
+fn random_ensemble(seed: u64, n_trees: usize, d: usize) -> FlatGbt {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    fn grow(nodes: &mut Vec<FlatNode>, depth: u32, d: u64, next: &mut impl FnMut() -> u64) {
+        if depth == 10 || (depth >= 7 && next().is_multiple_of(3)) {
+            let value = (next() % 2000) as f64 / 10.0 - 100.0;
+            nodes.push(FlatNode { feature: u32::MAX, threshold: 0.0, left: 0, right: 0, value });
+            return;
+        }
+        let i = nodes.len();
+        let feature = (next() % d) as u32;
+        let threshold = match next() % 2 {
+            0 => axis_value(4 + next() % 36),
+            _ => (next() % 10_100) as f64 / 100.0 - 0.5,
+        };
+        let left = i as u32 + 1;
+        nodes.push(FlatNode { feature, threshold, left, right: 0, value: 0.0 });
+        grow(nodes, depth + 1, d, next);
+        nodes[i].right = nodes.len() as u32;
+        grow(nodes, depth + 1, d, next);
+    }
+    let trees: Vec<Vec<FlatNode>> = (0..n_trees)
+        .map(|_| {
+            let mut nodes = Vec::new();
+            grow(&mut nodes, 0, d as u64, &mut next);
+            nodes
+        })
+        .collect();
+    FlatGbt::compile(&GradientBoosting::from_export(12.5, 0.1, d, &trees))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Random ensembles over random grids past the work floor, so
+    /// `predict_grid` splits its trees over the cores of a multi-core
+    /// host: axes of 20–47 values, unsorted, duplicated, NaN and ±∞, a
+    /// NaN in `base`, either column order. The split walk, the serial
+    /// twin and the stepper on the written-out matrix agree bit for bit.
+    #[test]
+    fn prop_split_grid_matches_serial_and_matrix(
+        d in 2usize..5,
+        n_trees in 390usize..440,
+        seed in 0u64..1000,
+        a_codes in collection::vec(0u64..40, 20..48),
+        b_codes in collection::vec(0u64..40, 20..48),
+        cols in 0usize..12,
+        nan_at in 0usize..8,
+    ) {
+        let flat = random_ensemble(seed, n_trees, d);
+        let col_a = cols % d;
+        let col_b = (col_a + 1 + cols / d % (d - 1)) % d;
+        let a: Vec<f64> = a_codes.iter().map(|&c| axis_value(c)).collect();
+        let b: Vec<f64> = b_codes.iter().map(|&c| axis_value(c)).collect();
+        let mut base = queries(1, d).row(0).to_vec();
+        if nan_at < d {
+            base[nan_at] = f64::NAN;
+        }
+        prop_assert!(flat.grid_visits(a.len() * b.len()) >= GRID_PAR_MIN_VISITS);
+        let split = flat.predict_grid(&base, (col_a, &a), (col_b, &b));
+        let serial = flat.predict_grid_serial(&base, (col_a, &a), (col_b, &b));
+        let matrix = flat.predict_batch(&grid_matrix(&base, (col_a, &a), (col_b, &b)));
+        prop_assert_eq!(bits(&split), bits(&serial));
+        prop_assert_eq!(bits(&split), bits(&matrix));
     }
 }
 

@@ -9,12 +9,14 @@
 //! [`chemcost_ml::flat::FlatGbt`] (quantized traversal, within the
 //! documented `QUANT_REL_TOL` of the recursive ensemble), inline on
 //! the worker that parsed the request. `/v1/predict` scores its rows in
-//! one batch call, split over the cores only while it is the sole
-//! request in flight (see `Router::alone`); otherwise the other workers
-//! already use those cores and it scores serially. `/v1/advise` runs
-//! **one** candidate sweep per request via [`Advisor::sweep`] no matter
-//! how many questions the body asks: the sweep is one grid walk per
-//! tree (`FlatGbt`'s `predict_grid`).
+//! one batch call and `/v1/advise` runs **one** candidate sweep per
+//! request no matter how many questions the body asks: one grid walk
+//! per tree (`FlatGbt`'s `predict_grid`). One rule, `Router::alone`,
+//! decides for both: while the request is the sole one in flight the
+//! model call may split its trees over the cores (`predict_batch`,
+//! [`Advisor::sweep`]); otherwise the other workers already use those
+//! cores and it runs serially (`predict_batch_serial`,
+//! [`Advisor::sweep_serial`]). Both ways give the same bits.
 //! Fully-answered advise responses are replayed from a keyed, sharded LRU
 //! [`AdviseCache`] until the model is reloaded — a warm hit probes with a
 //! borrowed key and replays the `Arc<str>` body without copying it. The
@@ -799,7 +801,9 @@ impl Router {
         // One sweep answers every question in the request: the flat model
         // scores the whole (nodes × tile) grid in one walk per tree, on
         // this worker, and the per-goal answers are reductions over that
-        // shared sweep.
+        // shared sweep. As for a predict, the walk splits its trees over
+        // the cores only while this request is alone; both ways give the
+        // same bits.
         let sweep_started = Instant::now();
         let sweep = {
             let _span = obs::span!(
@@ -812,7 +816,12 @@ impl Router {
                 model_version = resolved.version,
             );
             let machine = by_name(machine_name).expect("advise_probe validated the machine");
-            Advisor::new(resolved.flat.as_ref(), machine).sweep(o, v)
+            let advisor = Advisor::new(resolved.flat.as_ref(), machine);
+            if self.alone() {
+                advisor.sweep(o, v)
+            } else {
+                advisor.sweep_serial(o, v)
+            }
         };
         self.metrics.observe(ADVISE_STAGES[AdviseStage::Sweep as usize], sweep_started.elapsed());
 
@@ -1829,6 +1838,39 @@ mod tests {
         m.gauge_add(IN_FLIGHT, -1);
         assert_eq!(split.status, 200, "{:?}", String::from_utf8_lossy(&split.body));
         assert_eq!(split.body, serial.body);
+    }
+
+    #[test]
+    fn an_advise_splits_only_while_it_is_the_sole_request() {
+        // 200 trees over the full (nodes × tile) grid of a mid-sized
+        // problem: past the grid walk's work floor, so the lone sweep
+        // splits its trees over the cores on a multi-core host. Each
+        // question is cold on both routers.
+        let samples = generate_dataset_sized(&by_name("aurora").unwrap(), 80, 7);
+        let x = Matrix::from_fn(samples.len(), 4, |i, j| samples[i].features()[j]);
+        let y: Vec<f64> = samples.iter().map(|s| s.seconds).collect();
+        let mut gb = GradientBoosting::new(200, 4, 0.1);
+        gb.seed = 3;
+        gb.fit(&x, &y).unwrap();
+        let router = || {
+            let registry = Arc::new(ModelRegistry::new());
+            registry.insert("gb", "aurora", gb.clone());
+            Router::new(registry)
+        };
+        let (alone, busy) = (router(), router());
+        for body in [
+            r#"{"o": 120, "v": 900, "goal": "stq", "budget": 2.5, "deadline": 40.0}"#,
+            r#"{"o": 60, "v": 500, "goal": "pareto"}"#,
+        ] {
+            let split = post(&alone, "/v1/advise", body);
+            busy.metrics.gauge_add(IN_FLIGHT, 1); // a second request in a handler
+            let serial = post(&busy, "/v1/advise", body);
+            busy.metrics.gauge_add(IN_FLIGHT, -1);
+            assert_eq!(split.status, 200, "{:?}", String::from_utf8_lossy(&split.body));
+            assert_eq!(split.body, serial.body, "{body}");
+        }
+        assert_eq!(scrape(&alone, "chemcost_advise_cache_misses_total"), 2);
+        assert_eq!(scrape(&busy, "chemcost_advise_cache_misses_total"), 2);
     }
 
     #[test]
