@@ -27,15 +27,18 @@
 //!   while other requests keep the cores busy, bit-identical to
 //!   `predict_batch`.
 //!
-//! Plus an end-to-end group timing `Advisor::answer` (which now sweeps
-//! once through whatever `Regressor` it wraps) with the recursive vs.
-//! the flat model behind it.
+//! Plus `persist/decode_flat`, decoding the same model's `.ccgb` bytes
+//! straight into its image, as a daemon loads a model (the threshold
+//! tables' build included), and an end-to-end group timing
+//! `Advisor::answer` (which now sweeps once through whatever `Regressor`
+//! it wraps) with the recursive vs. the flat model behind it.
 
 use chemcost_core::advisor::{Advisor, Goal};
 use chemcost_core::data::{MachineData, Target};
 use chemcost_linalg::Matrix;
 use chemcost_ml::flat::{FlatGbt, QUANT_REL_TOL};
 use chemcost_ml::gradient_boosting::GradientBoosting;
+use chemcost_ml::persist::{decode_flat, encode_gb};
 use chemcost_ml::Regressor;
 use chemcost_sim::datagen::{node_candidates, tile_candidates};
 use chemcost_sim::machine::aurora;
@@ -143,6 +146,18 @@ fn bench_sweep_inference(c: &mut Criterion) {
     group.bench_function("flat_serial_64", |b| {
         b.iter(|| black_box(flat.predict_batch_serial(black_box(&rows))))
     });
+    group.finish();
+
+    // The decoded image must be the compiled one: the same answers, bit
+    // for bit, on the sweep grid and on held-out rows.
+    let bytes = encode_gb(&gb);
+    let (decoded, _) = decode_flat(&bytes).expect("the encoder's bytes decode");
+    assert_eq!(bits(decoded.predict_batch(&x)), stepper);
+    assert_eq!(bits(decoded.predict_batch(&rows)), bits(flat.predict_batch(&rows)));
+    let mut group = c.benchmark_group("persist");
+    group.sample_size(10);
+    group.throughput(Throughput::Bytes(bytes.len() as u64));
+    group.bench_function("decode_flat", |b| b.iter(|| black_box(decode_flat(black_box(&bytes)))));
     group.finish();
 }
 

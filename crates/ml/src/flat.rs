@@ -7,37 +7,47 @@
 //! where one `/v1/advise` request sweeps hundreds of candidate
 //! configurations through an ensemble of hundreds of trees.
 //!
-//! [`FlatGbt`] is the one in-memory form of a served model. Per node it
-//! holds:
+//! [`FlatGbt`] is the one in-memory form of a served model. It holds:
 //!
 //! * the **hot** quantized layout: one 8-byte node, trees concatenated
-//!   in preorder and addressed by root offset. A split holds its `f32`
-//!   threshold and one link word: its right child's offset above the
-//!   low bits that name its feature. Its left child is the next node,
-//!   so it needs no link. A leaf holds its `f32` value where a split
-//!   holds its threshold, and a zero link. Every prediction walks only
-//!   this. Rows are converted to `f32` once per batch. A walk moves by
-//!   the right offset when the row falls right and by `min(offset, 1)`
-//!   when it falls left, so a leaf, offset 0, stays put either way and
-//!   the 8-lane interleaved stepper needs no leaf test at all: it runs a
-//!   fixed, per-tree-depth count of uniform load→compare→step moves
-//!   (bounds checks hoisted to build-time validation), giving the core
-//!   eight independent dependent-load chains to overlap while a deep
-//!   ensemble streams through cache. Its lanes are eight rows of one
-//!   tree, or, for a single row and the rows a batch has past its last
-//!   whole eight, eight trees of one row;
-//! * one **cold** `f64`: a split's exact threshold or a leaf's exact
-//!   value. No prediction reads it. It makes the image lossless:
-//!   [`FlatGbt::to_gb`] rebuilds the source [`GradientBoosting`] exactly,
-//!   and `crate::persist` re-encodes the image byte for byte.
+//!   in preorder and addressed by root offset. A split holds its
+//!   threshold's rank (below) and one link word: its right child's
+//!   offset above the low bits that name its feature. Its left child is
+//!   the next node, so it needs no link. A leaf holds its `f32` value
+//!   where a split holds its rank, and a zero link. Every prediction
+//!   walks only this. Rows are binned (below) once per batch. A walk
+//!   moves by the right offset when the row falls right and by
+//!   `min(offset, 1)` when it falls left, so a leaf, offset 0, stays put
+//!   either way and the 8-lane interleaved stepper needs no leaf test at
+//!   all: it runs a fixed, per-tree-depth count of uniform
+//!   load→compare→step moves (bounds checks hoisted to build-time
+//!   validation), giving the core eight independent dependent-load
+//!   chains to overlap while a deep ensemble streams through cache. Its
+//!   lanes are eight rows of one tree, or, for a single row and the rows
+//!   a batch has past its last whole eight, eight trees of one row;
+//! * per feature that some split names, one **table** of its distinct
+//!   exact thresholds, deduplicated by bits and sorted NaN first, then
+//!   ascending, each beside its quantized `f32`. A split's rank is its
+//!   threshold's index in its feature's table, held as an `f32` value.
+//!   The served 750-tree model's 324,084 splits name 290 thresholds;
+//! * one **cold** exact `f64` per leaf, found through a per-tree offset
+//!   of its first leaf. No prediction reads it or a table's exact
+//!   values. They make the image lossless: [`FlatGbt::to_gb`] rebuilds
+//!   the source [`GradientBoosting`] exactly, and `crate::persist`
+//!   re-encodes the image byte for byte.
 //!
-//! That is 16 bytes per node in all. One builder fills the image, from a
-//! fitted model ([`FlatGbt::compile`]) or straight from a model file
+//! That is 8 bytes a node and 8 more a leaf, about 12 bytes a node as a
+//! tree holds one leaf more than splits, plus 12 bytes a distinct
+//! threshold. One builder fills the image, from a fitted model
+//! ([`FlatGbt::compile`]) or straight from a model file
 //! (`crate::persist`), one tree at a time. It checks each tree as it
 //! pushes it — split features below the feature count, child links
 //! forward, inside the tree and claimed by one split only, each left
 //! child the next node and each right offset small enough for the link
-//! word — and records the tree's depth on the way.
+//! word — and records the tree's depth on the way. It collects each
+//! feature's distinct thresholds as they stream in, and once the last
+//! tree is in it sorts each table and rewrites every split's rank in
+//! place.
 //!
 //! # Quantization contract
 //!
@@ -59,6 +69,18 @@
 //! input perturbation ≤ 2⁻²⁴, which only matters for rows engineered to
 //! sit within one `f32` ulp of a split threshold.
 //!
+//! The walks compare ranks, not thresholds. A rounded value `x` is
+//! binned against its feature's quantized table `q`:
+//! `bin(x) = #{r : !(x ≤ q_r)}`. The table's order makes those `r` a
+//! prefix — no value is `≤` a NaN threshold, so NaN sorts first, and
+//! quantizing keeps the rest ascending — so `x ≤ q_r ⟺ bin(x) ≤ r`.
+//! Comparing a bin with a rank therefore routes every row exactly as
+//! comparing `x` with the quantized threshold does: a NaN threshold
+//! still sends every row right, and a NaN value falls right of every
+//! threshold. Bins and ranks are small integers that `f32` holds
+//! exactly (an image holds at most [`MAX_RANKS`] thresholds), so the
+//! stepper's compare is the same `f32` compare.
+//!
 //! Within the quantized path, batched, blocked-parallel and single-row
 //! evaluation remain bit-for-bit identical to each other (same comparison,
 //! same `f64` accumulation order over trees), so serve-side batching
@@ -70,8 +92,10 @@
 //! [`FlatGbt`]'s [`Regressor::predict_grid`] walks each quantized tree
 //! once over *rectangles* of that grid rather than once per row: splits
 //! on `O` or `V` send the whole rectangle one way, splits on a grid axis
-//! cut it at the axis's partition point, and a leaf adds its value to
-//! every cell it covers. A deep tree cuts a sweep grid into a few dozen
+//! cut it, and a leaf adds its value to every cell it covers. Each axis
+//! is binned once per sweep and sorted by bin, and its cut at every rank
+//! of its column's table is counted up front, so a split's cut is one
+//! table lookup clamped to the rectangle. A deep tree cuts a sweep grid into a few dozen
 //! rectangles, so one walk visits about a hundred nodes where the lane
 //! stepper takes thousands of steps. Every cell still sums the same
 //! leaves in the same tree order with the same comparison, so the result
@@ -104,12 +128,22 @@ use crate::persist::DecodeError;
 use crate::traits::{check_grid_columns, FitError, Regressor};
 use crate::tree::FlatNode;
 use chemcost_linalg::{parallel, Matrix};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::{Mutex, TryLockError};
 
 /// Sentinel feature index marking a leaf (same encoding as [`FlatNode`]).
 const LEAF: u32 = u32::MAX;
+
+/// Most distinct split thresholds an image may hold, over all its
+/// features, so that no feature's table holds more: a value's bin runs
+/// up to its table's length and is compared as an `f32` value, which
+/// counts exactly up to 2²⁴. A model file past it is refused as
+/// [`DecodeError::Corrupt`].
+pub const MAX_RANKS: usize = 1 << 24;
 
 /// Cursors the interleaved stepper walks in lock-step: rows of one
 /// tree ([`QNodes::for_each_leaf`]) or trees of one row
@@ -169,8 +203,9 @@ fn quantize_threshold(t: f64) -> f32 {
 #[derive(Debug, Clone, Copy)]
 #[repr(C)]
 struct QNode {
-    /// A split's threshold, quantized (see [`quantize_threshold`]), or a
-    /// leaf's value rounded to the nearest `f32`.
+    /// A split's rank in its feature's [`Thresholds`] table, as an `f32`
+    /// value, compared with a row's bin; or a leaf's value rounded to the
+    /// nearest `f32`.
     tv: f32,
     /// `right offset << fbits | feature` for a split, 0 for a leaf.
     link: u32,
@@ -191,10 +226,10 @@ impl QNode {
         (self.link >> fbits) as usize
     }
 
-    /// How far a walk moves from this node on feature value `x`: the
-    /// right child's offset if `x` falls right (NaN does), else
-    /// `min(offset, 1)`, the next node for a split. A leaf's offset is 0,
-    /// so it stays put either way.
+    /// How far a walk moves from this node on a row's bin `x` of its
+    /// feature: the right child's offset if `x` falls right of the rank,
+    /// else `min(offset, 1)`, the next node for a split. A leaf's offset
+    /// is 0, so it stays put either way.
     #[inline(always)]
     #[allow(clippy::neg_cmp_op_on_partial_ord)] // deliberate: NaN must fall right
     fn step(self, x: f32, fbits: u32) -> usize {
@@ -227,9 +262,11 @@ struct QNodes {
     /// Low bits of a split's link that hold its feature: as many as
     /// `n_features − 1` needs, at most 31.
     fbits: u32,
+    /// The tables a split's rank indexes and rows are binned against.
+    thresholds: Thresholds,
 }
 
-/// Reusable per-thread scratch for the quantized batch path: the `f32`
+/// Reusable per-thread scratch for the quantized batch path: the binned
 /// row-major copy of the input and the per-tree leaf buffer. Thread-local
 /// so warm steady-state batches allocate nothing.
 #[derive(Default)]
@@ -241,22 +278,149 @@ struct QScratch {
 
 thread_local! {
     static Q_SCRATCH: RefCell<QScratch> = RefCell::new(QScratch::default());
+    /// Whether a [`NoModelWork`] guard lives on this thread.
+    static BARRED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Bars [`FlatGbt`]'s scoring on the thread that holds it: while it
+/// lives, `predict_row`, `predict_batch*` and `predict_grid*` fail a
+/// `debug_assert!` on that thread. A serving event loop holds one for its
+/// whole run, so every test that drives a daemon in a debug build checks
+/// that the loop hands all model work to its workers.
+pub struct NoModelWork {
+    /// The bar the thread had before, restored on drop.
+    was: bool,
+    /// The bar is this thread's, so the guard stays on it.
+    _thread: PhantomData<*const ()>,
+}
+
+impl NoModelWork {
+    /// Bar model work on the calling thread until the guard drops.
+    pub fn on_this_thread() -> NoModelWork {
+        NoModelWork { was: BARRED.with(|b| b.replace(true)), _thread: PhantomData }
+    }
+}
+
+impl Drop for NoModelWork {
+    fn drop(&mut self) {
+        BARRED.with(|b| b.set(self.was));
+    }
+}
+
+/// Each feature's distinct split thresholds, one sorted table per
+/// feature that some split names: NaN first, then ascending (`-0.0`
+/// before `+0.0`), so the thresholds a value falls right of are a prefix
+/// of its table (see the module docs). A split's rank is its threshold's
+/// index in its feature's table.
+#[derive(Debug, Clone, Default)]
+struct Thresholds {
+    /// The features some split names, ascending.
+    features: Vec<usize>,
+    /// Feature `features[k]`'s table is `bounds[k]..bounds[k + 1]` of
+    /// `exact` and `quant`.
+    bounds: Vec<usize>,
+    /// The exact thresholds, which only [`FlatGbt::tree`] reads.
+    exact: Vec<f64>,
+    /// Each exact threshold quantized toward −∞ (see
+    /// [`quantize_threshold`]): what values are binned against.
+    quant: Vec<f32>,
+}
+
+/// How many of a table's quantized thresholds `x` falls right of
+/// (`!(x <= q)`, true for NaN on either side): a prefix of the table.
+#[allow(clippy::neg_cmp_op_on_partial_ord)] // deliberate: NaN must fall right
+fn bin(quant: &[f32], x: f32) -> usize {
+    quant.partition_point(|&q| !(x <= q))
+}
+
+impl Thresholds {
+    /// Sort the distinct `(feature, threshold)`s the splits named, given
+    /// first seen first, into tables. Returns them and, for each, its
+    /// rank in its feature's table as an `f32` value.
+    fn sort(named: &[(u32, f64)]) -> (Thresholds, Vec<f32>) {
+        let mut order: Vec<usize> = (0..named.len()).collect();
+        order.sort_unstable_by(|&i, &j| {
+            let ((f, s), (g, t)) = (named[i], named[j]);
+            (f, !s.is_nan()).cmp(&(g, !t.is_nan())).then(s.total_cmp(&t))
+        });
+        let mut tables = Thresholds::default();
+        let mut rank = vec![0.0; named.len()];
+        let mut start = 0;
+        for (at, i) in order.into_iter().enumerate() {
+            let (f, t) = named[i];
+            if tables.features.last() != Some(&(f as usize)) {
+                tables.features.push(f as usize);
+                tables.bounds.push(at);
+                start = at;
+            }
+            tables.exact.push(t);
+            tables.quant.push(quantize_threshold(t));
+            rank[i] = (at - start) as f32;
+        }
+        tables.bounds.push(named.len());
+        (tables, rank)
+    }
+
+    /// Each feature's table, ascending by feature.
+    fn tables(&self) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+        self.features.iter().zip(self.bounds.windows(2)).map(|(&f, b)| (f, b[0]..b[1]))
+    }
+
+    /// Feature `f`'s table, empty when no split names `f`.
+    fn table(&self, f: usize) -> Range<usize> {
+        match self.features.binary_search(&f) {
+            Ok(k) => self.bounds[k]..self.bounds[k + 1],
+            Err(_) => 0..0,
+        }
+    }
+
+    /// Bin the `f64` row `x` into `out`, as wide: each feature some split
+    /// names gets its value's bin, as an `f32` value; any other gets 0,
+    /// which no split compares.
+    fn bin_row(&self, x: &[f64], out: &mut [f32]) {
+        out.fill(0.0);
+        for (f, table) in self.tables() {
+            out[f] = bin(&self.quant[table], x[f] as f32) as f32;
+        }
+    }
 }
 
 /// Marks a node of the tree being pushed that no split has claimed as a
 /// child (yet).
 const UNCLAIMED: u32 = u32::MAX;
 
+/// Slots in [`Builder::recent`], at most: enough that most of a served
+/// model's few hundred distinct thresholds get a slot of their own. A
+/// power of two, as the slot count is, so a slot is a mask away.
+const RECENT: usize = 4096;
+
 /// Fills a [`FlatGbt`] one tree at a time: [`FlatGbt::compile`] feeds it
 /// a fitted model's trees, `crate::persist` a model file's trees as it
 /// reads them.
 pub(crate) struct Builder {
     q: QNodes,
-    exact: Vec<f64>,
+    leaves: Vec<f64>,
+    leaf_start: Vec<u32>,
     n_features: usize,
     /// Per node of the tree being pushed: its depth once a split has
     /// claimed it, else [`UNCLAIMED`]. Reused across trees.
     depth_of: Vec<u32>,
+    /// Each distinct `(feature, threshold bits)` a split has named, and
+    /// its index in `named`. A pushed split's `tv` holds that index until
+    /// [`Builder::finish`] replaces it with the threshold's rank.
+    seen: HashMap<(u32, u64), u32>,
+    /// A direct-mapped cache of `seen`'s entries, `(feature, bits,
+    /// index)` with feature [`LEAF`] when empty. Most splits repeat a
+    /// threshold, and a hit skips `seen`'s keyed hash, which would double
+    /// a model's decode time. A miss, which a crafted file can force on
+    /// every split, falls through to `seen`, whose hash resists crafted
+    /// keys.
+    recent: Vec<(u32, u64, u32)>,
+    /// The distinct `(feature, threshold)`s, first seen first.
+    named: Vec<(u32, f64)>,
+    /// Most distinct thresholds the image may hold: [`MAX_RANKS`], which
+    /// a unit test lowers to reach the refusal.
+    max_ranks: usize,
 }
 
 impl Builder {
@@ -275,18 +439,27 @@ impl Builder {
                 roots: Vec::with_capacity(trees),
                 depth: Vec::with_capacity(trees),
                 fbits,
+                thresholds: Thresholds::default(),
             },
-            exact: Vec::with_capacity(nodes),
+            // A tree whose every node but its root is a split's child
+            // holds one leaf more than splits.
+            leaves: Vec::with_capacity(nodes.saturating_add(trees) / 2),
+            leaf_start: Vec::with_capacity(trees),
             n_features,
             depth_of: Vec::new(),
+            seen: HashMap::new(),
+            recent: vec![(LEAF, 0, 0); nodes.clamp(1, RECENT).next_power_of_two()],
+            named: Vec::new(),
+            max_ranks: MAX_RANKS,
         }
     }
 
     /// Append one tree, given in preorder with tree-local child links.
     ///
-    /// Thresholds round toward −∞ (see [`quantize_threshold`]) and leaf
-    /// values to the nearest `f32`. A leaf's link is 0, so the traversal
-    /// loops never tell it apart from a split (see [`QNode::step`]).
+    /// Leaf values round to the nearest `f32`; a split's threshold joins
+    /// its feature's table (see [`Thresholds`]). A leaf's link is 0, so
+    /// the traversal loops never tell it apart from a split (see
+    /// [`QNode::step`]).
     ///
     /// Every split must name a feature below the feature count, and two
     /// children that lie ahead of it inside the tree and that no other
@@ -296,7 +469,8 @@ impl Builder {
     /// recorded depth of steps, and a node's depth is known before the
     /// node is pushed. These checks back the unchecked loads in
     /// [`QNodes::for_each_leaf`]. A node no split names starts a walk of
-    /// its own at depth 0, which can only raise the recorded depth.
+    /// its own at depth 0, which can only raise the recorded depth. The
+    /// splits may name at most [`MAX_RANKS`] distinct thresholds in all.
     pub(crate) fn push_tree(&mut self, tree: &[FlatNode]) -> Result<(), DecodeError> {
         let n = tree.len();
         if n == 0 {
@@ -311,6 +485,7 @@ impl Builder {
         let max_offset = u32::MAX >> self.q.fbits;
         self.depth_of.clear();
         self.depth_of.resize(n, UNCLAIMED);
+        self.leaf_start.push(self.leaves.len() as u32);
         let mut depth = 0;
         for (i, node) in tree.iter().enumerate() {
             let d = match self.depth_of[i] {
@@ -320,7 +495,7 @@ impl Builder {
             depth = depth.max(d);
             if node.feature == LEAF {
                 self.q.nodes.push(QNode { tv: node.value as f32, link: 0 });
-                self.exact.push(node.value);
+                self.leaves.push(node.value);
                 continue;
             }
             if node.feature as usize >= self.n_features {
@@ -358,26 +533,61 @@ impl Builder {
                     "node {i}'s right child is {offset} nodes ahead, past the {max_offset} a link holds"
                 )));
             }
-            self.q.nodes.push(QNode {
-                tv: quantize_threshold(node.threshold),
-                link: offset << self.q.fbits | node.feature,
-            });
-            self.exact.push(node.threshold);
+            let index = self.threshold_index(node.feature, node.threshold)?;
+            self.q
+                .nodes
+                .push(QNode { tv: index as f32, link: offset << self.q.fbits | node.feature });
         }
         self.q.roots.push(base);
         self.q.depth.push(depth);
         Ok(())
     }
 
-    /// The finished image.
+    /// The index of `(feature, threshold)` among the distinct ones named,
+    /// adding it if it is new. An index is below [`MAX_RANKS`], so `f32`
+    /// holds it exactly.
+    fn threshold_index(&mut self, feature: u32, threshold: f64) -> Result<u32, DecodeError> {
+        let bits = threshold.to_bits();
+        // A product's high bits depend on every bit of the key; a round
+        // threshold's low bits are all zero.
+        let mix = (bits ^ (u64::from(feature) << 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let slot = (mix >> 48) as usize & (self.recent.len() - 1);
+        let (f, b, index) = self.recent[slot];
+        if (f, b) == (feature, bits) {
+            return Ok(index);
+        }
+        let index = match self.seen.entry((feature, bits)) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                if self.named.len() >= self.max_ranks {
+                    return Err(DecodeError::Corrupt(format!(
+                        "more than {} distinct split thresholds",
+                        self.max_ranks
+                    )));
+                }
+                self.named.push((feature, threshold));
+                *e.insert(self.named.len() as u32 - 1)
+            }
+        };
+        self.recent[slot] = (feature, bits, index);
+        Ok(index)
+    }
+
+    /// The finished image: each feature's thresholds sorted into its
+    /// table, and each split's index in `named` rewritten as its rank.
     pub(crate) fn finish(self, init: f64, learning_rate: f64) -> FlatGbt {
-        let Builder { q, exact, n_features, .. } = self;
-        FlatGbt { q, exact, init, learning_rate, n_features }
+        let Builder { mut q, leaves, leaf_start, n_features, named, .. } = self;
+        let rank;
+        (q.thresholds, rank) = Thresholds::sort(&named);
+        for n in q.nodes.iter_mut().filter(|n| n.link != 0) {
+            n.tv = rank[n.tv as usize];
+        }
+        FlatGbt { q, leaves, leaf_start, init, learning_rate, n_features }
     }
 }
 
 impl QNodes {
-    /// Walk tree `t` for one `f32` row; returns the leaf's value. Runs
+    /// Walk tree `t` for one binned row; returns the leaf's value. Runs
     /// exactly the tree's depth of uniform steps — a leaf moves by 0, so
     /// landing early just stays put (see [`QNodes`]).
     #[inline]
@@ -439,7 +649,7 @@ impl QNodes {
     }
 
     /// Call `sink(k, leaf)` with tree `t`'s leaf value for each row
-    /// `start + k`, `k < n`, of the `f32` row-major buffer, walking
+    /// `start + k`, `k < n`, of the binned row-major buffer, walking
     /// [`LANES`] rows at a time through the tree. `n` must be a multiple
     /// of `LANES`; a batch's last `n % LANES` rows take
     /// [`Self::for_each_tree_leaf`] instead.
@@ -504,7 +714,7 @@ impl QNodes {
         }
     }
 
-    /// Score rows `offset..offset + out.len()` of the `f32` row-major
+    /// Score rows `offset..offset + out.len()` of the binned row-major
     /// buffer into `out`, **tree-major**: the outer loop walks trees, the
     /// inner loop rows, so one tree's nodes stay hot in cache across the
     /// whole chunk. The rows past the last whole run of [`LANES`] then
@@ -545,8 +755,8 @@ impl QNodes {
     /// floating-point sequence to [`Self::score_row`], so results are
     /// independent of worker count.
     ///
-    /// All scratch (the `f32` row conversion, the per-tree leaf buffer)
-    /// is thread-local and reused, and `out` is resized in place: a warm
+    /// All scratch (the binned rows, the per-tree leaf buffer) is
+    /// thread-local and reused, and `out` is resized in place: a warm
     /// steady-state caller that holds on to `out` allocates nothing here.
     fn score_batch_into(
         &self,
@@ -563,9 +773,9 @@ impl QNodes {
         Q_SCRATCH.with(|s| {
             let s = &mut *s.borrow_mut();
             s.rows.clear();
-            s.rows.reserve(n * ncols);
-            for i in 0..n {
-                s.rows.extend(x.row(i).iter().map(|&v| v as f32));
+            s.rows.resize(n * ncols, 0.0);
+            for (i, row) in s.rows.chunks_exact_mut(ncols).enumerate() {
+                self.thresholds.bin_row(x.row(i), row);
             }
             // Small batches, callers that asked for no split, and any
             // batch on a single-core host, where the tree-split buys
@@ -617,11 +827,12 @@ impl QNodes {
     /// Call `leaf(t, rect, value)` for every leaf rectangle of each tree
     /// `t` in `trees`, in ascending order, walking the tree **once** over
     /// rectangles `[o_lo, o_hi, i_lo, i_hi]` of index ranges into the
-    /// grid's sorted axes instead of once per cell: a split on any other
-    /// column sends the whole rectangle down the branch `base` takes, and
-    /// a split on an axis column cuts the rectangle at that axis's
-    /// partition point. The rectangles of one tree tile the grid, and
-    /// each cell's leaf is the one the stepper's own comparison reaches.
+    /// grid's axes, sorted by bin, instead of once per cell: a split on
+    /// any other column sends the whole rectangle down the branch `base`
+    /// takes, and a split on an axis column cuts the rectangle at that
+    /// axis's cut for the split's rank. The rectangles of one tree tile
+    /// the grid, and each cell's leaf is the one the stepper's own
+    /// comparison reaches.
     #[allow(clippy::neg_cmp_op_on_partial_ord)] // deliberate: NaN must fall right
     fn walk_grid<F: FnMut(usize, [usize; 4], f32)>(
         &self,
@@ -631,7 +842,7 @@ impl QNodes {
     ) {
         let fbits = self.fbits;
         let (col_o, col_i) = (grid.outer.0, grid.inner.0);
-        let (no, ni) = (grid.outer.1.values.len(), grid.inner.1.values.len());
+        let (no, ni) = (grid.outer.1.len, grid.inner.1.len);
         // Pending rectangles: (node, [o_lo, o_hi, i_lo, i_hi]), never empty.
         let mut stack: Vec<(usize, [usize; 4])> = Vec::new();
         for t in trees {
@@ -655,7 +866,7 @@ impl QNodes {
                             continue;
                         }
                     };
-                    let cut = axis.split(rect[lo], rect[lo + 1], n.tv);
+                    let cut = axis.cut[n.tv as usize].clamp(rect[lo], rect[lo + 1]);
                     if cut == rect[lo] {
                         i = right;
                     } else if cut == rect[lo + 1] {
@@ -684,8 +895,8 @@ impl QNodes {
     /// plane of [`PLANES`]. After the join the caller adds the planes in
     /// tree order, so the split changes no bit.
     fn score_grid(&self, grid: &Grid, init: f64, weight: f64, shares: usize) -> Vec<f64> {
-        let ni = grid.inner.1.values.len();
-        let cells = grid.outer.1.values.len() * ni;
+        let ni = grid.inner.1.len;
+        let cells = grid.outer.1.len * ni;
         let trees = self.roots.len();
         let mut out = vec![init; cells];
         let fill =
@@ -727,13 +938,14 @@ impl QNodes {
         out
     }
 
-    /// Score one `f64` row through the quantized ensemble, converting it
+    /// Score one `f64` row through the quantized ensemble, binning it
     /// into thread-local scratch (allocation-free when warm).
     fn score_row_f64(&self, row: &[f64], init: f64, weight: f64) -> f64 {
         Q_SCRATCH.with(|s| {
             let s = &mut *s.borrow_mut();
             s.row.clear();
-            s.row.extend(row.iter().map(|&v| v as f32));
+            s.row.resize(row.len(), 0.0);
+            self.thresholds.bin_row(row, &mut s.row);
             self.score_row(&s.row, init, weight)
         })
     }
@@ -751,7 +963,7 @@ fn grid_shares(visits: usize, trees: usize, threads: usize) -> usize {
     }
 }
 
-/// A [`FlatGbt::predict_grid`] grid: the fixed row, `f32`, and its two
+/// A [`FlatGbt::predict_grid`] grid: the fixed row, binned, and its two
 /// axes, each with its column.
 struct Grid {
     base: Vec<f32>,
@@ -759,36 +971,43 @@ struct Grid {
     inner: (usize, GridAxis),
 }
 
-/// One axis of a [`FlatGbt::predict_grid`] grid, converted to `f32` once
-/// and sorted ascending with NaNs last: the order in which every split's
-/// `x <= t` holds for a prefix, so a split cuts an index range in two.
+/// One axis of a [`FlatGbt::predict_grid`] grid, binned once against its
+/// column's table and sorted by bin: the order in which every split's
+/// `bin <= rank` holds for a prefix, so a split cuts an index range in
+/// two.
 struct GridAxis {
-    values: Vec<f32>,
+    len: usize,
+    /// `cut[r]`: how many of the axis's values lie at or below rank `r`
+    /// (`bin ≤ r`), the first sorted index that falls right of it. One
+    /// entry per rank of the column's table.
+    cut: Vec<usize>,
     /// `perm[k]` is the caller's index of the `k`-th sorted value; `None`
     /// when the axis was already in order (the advisor's grids are).
     perm: Option<Vec<usize>>,
 }
 
 impl GridAxis {
-    fn new(axis: &[f64]) -> GridAxis {
-        let values: Vec<f32> = axis.iter().map(|&v| v as f32).collect();
-        // NaN fails every `x <= t`, so it sorts after every number.
-        let order = |x: &f32, y: &f32| match (x.is_nan(), y.is_nan()) {
-            (false, false) => x.partial_cmp(y).unwrap(),
-            (nan_x, nan_y) => nan_x.cmp(&nan_y),
-        };
-        if values.windows(2).all(|w| order(&w[0], &w[1]).is_le()) {
-            return GridAxis { values, perm: None };
+    /// Bin `axis` against `quant`, its column's quantized table.
+    fn new(axis: &[f64], quant: &[f32]) -> GridAxis {
+        let bins: Vec<usize> = axis.iter().map(|&v| bin(quant, v as f32)).collect();
+        let mut cut = vec![0; quant.len()];
+        for &b in &bins {
+            // A bin past the last rank falls right of every threshold.
+            if let Some(c) = cut.get_mut(b) {
+                *c += 1;
+            }
         }
-        let mut perm: Vec<usize> = (0..values.len()).collect();
-        perm.sort_by(|&i, &j| order(&values[i], &values[j]));
-        let values = perm.iter().map(|&i| values[i]).collect();
-        GridAxis { values, perm: Some(perm) }
-    }
-
-    /// First index in `lo..hi` whose value routes right at threshold `t`.
-    fn split(&self, lo: usize, hi: usize, t: f32) -> usize {
-        lo + self.values[lo..hi].partition_point(|&x| x <= t)
+        let mut below = 0;
+        for c in &mut cut {
+            below += *c;
+            *c = below;
+        }
+        let perm = (!bins.is_sorted()).then(|| {
+            let mut perm: Vec<usize> = (0..bins.len()).collect();
+            perm.sort_by_key(|&i| bins[i]);
+            perm
+        });
+        GridAxis { len: axis.len(), cut, perm }
     }
 
     /// The caller's index of sorted position `k`.
@@ -815,13 +1034,15 @@ fn paint_rect(plane: &mut [f32], ni: usize, [o_lo, o_hi, i_lo, i_hi]: [usize; 4]
 
 /// A fitted [`GradientBoosting`] ensemble as one flat image: the
 /// quantized nodes every prediction walks, within the module-level
-/// tolerance contract, plus the exact `f64` per node that
-/// [`FlatGbt::to_gb`] rebuilds the source model from.
+/// tolerance contract, plus the exact `f64` per distinct threshold and
+/// per leaf that [`FlatGbt::to_gb`] rebuilds the source model from.
 #[derive(Debug, Clone)]
 pub struct FlatGbt {
     q: QNodes,
-    /// Cold, per node: a split's exact threshold or a leaf's exact value.
-    exact: Vec<f64>,
+    /// Cold: each leaf's exact value, trees in order, each in preorder.
+    leaves: Vec<f64>,
+    /// Per tree: the index in `leaves` of its first leaf.
+    leaf_start: Vec<u32>,
     pub(crate) init: f64,
     pub(crate) learning_rate: f64,
     n_features: usize,
@@ -849,9 +1070,10 @@ impl FlatGbt {
         builder.finish(init, learning_rate)
     }
 
-    /// Rebuild the source model from the exact values: its recursive
-    /// predictions are bit-identical to the model this image was built
-    /// from, and `crate::persist` encodes it to the same bytes.
+    /// Rebuild the source model from the exact values, the thresholds'
+    /// tables and the leaves: its recursive predictions are bit-identical
+    /// to the model this image was built from, and `crate::persist`
+    /// encodes it to the same bytes.
     pub fn to_gb(&self) -> GradientBoosting {
         let trees: Vec<Vec<FlatNode>> =
             (0..self.n_trees()).map(|t| self.tree(t).collect()).collect();
@@ -864,15 +1086,19 @@ impl FlatGbt {
         let start = self.q.roots[t];
         let end = self.q.roots.get(t + 1).map_or(self.q.nodes.len() as u32, |&r| r);
         let fbits = self.q.fbits;
+        let mut leaves = self.leaves[self.leaf_start[t] as usize..].iter();
         (start..end).map(move |i| {
-            let (n, exact) = (self.q.nodes[i as usize], self.exact[i as usize]);
+            let n = self.q.nodes[i as usize];
             // A leaf's link is 0; a split's left child is the next node.
             if n.link == 0 {
-                FlatNode { feature: LEAF, threshold: 0.0, left: 0, right: 0, value: exact }
+                let value = *leaves.next().expect("the builder kept every leaf's value");
+                FlatNode { feature: LEAF, threshold: 0.0, left: 0, right: 0, value }
             } else {
                 let (left, right) = (i + 1 - start, i + n.offset(fbits) as u32 - start);
-                let feature = n.feature(fbits) as u32;
-                FlatNode { feature, threshold: exact, left, right, value: 0.0 }
+                let feature = n.feature(fbits);
+                let tables = &self.q.thresholds;
+                let threshold = tables.exact[tables.table(feature)][n.tv as usize];
+                FlatNode { feature: feature as u32, threshold, left, right, value: 0.0 }
             }
         })
     }
@@ -892,8 +1118,11 @@ impl FlatGbt {
         self.n_features
     }
 
+    /// Every scoring entry point's check of its input width, and of the
+    /// thread it runs on (see [`NoModelWork`]).
     fn check_width(&self, ncols: usize, what: &str) {
         assert_eq!(ncols, self.n_features, "FlatGbt::{what}: feature-count mismatch");
+        debug_assert!(!BARRED.with(Cell::get), "FlatGbt::{what} on a thread that bars model work");
     }
 
     /// At most how many nodes [`Regressor::predict_grid`] visits over a
@@ -954,35 +1183,40 @@ impl FlatGbt {
         out
     }
 
+    /// `base` and its axes binned against their columns' tables.
+    fn grid(&self, base: &[f64], (col_a, a): (usize, &[f64]), (col_b, b): (usize, &[f64])) -> Grid {
+        let tables = &self.q.thresholds;
+        let mut binned = vec![0.0; base.len()];
+        tables.bin_row(base, &mut binned);
+        let axis = |col: usize, values| GridAxis::new(values, &tables.quant[tables.table(col)]);
+        Grid { base: binned, outer: (col_a, axis(col_a, a)), inner: (col_b, axis(col_b, b)) }
+    }
+
     /// The grid walk behind both [`Regressor::predict_grid`] methods,
     /// split over trees when `split` allows it; returns the grid in the
     /// caller's axis order.
     fn predict_grid_with(
         &self,
         base: &[f64],
-        (col_a, a): (usize, &[f64]),
-        (col_b, b): (usize, &[f64]),
+        a: (usize, &[f64]),
+        b: (usize, &[f64]),
         split: bool,
     ) -> Vec<f64> {
         self.check_width(base.len(), "predict_grid");
-        check_grid_columns(base.len(), col_a, col_b);
-        if a.is_empty() || b.is_empty() {
+        check_grid_columns(base.len(), a.0, b.0);
+        if a.1.is_empty() || b.1.is_empty() {
             return Vec::new();
         }
-        let grid = Grid {
-            base: base.iter().map(|&v| v as f32).collect(),
-            outer: (col_a, GridAxis::new(a)),
-            inner: (col_b, GridAxis::new(b)),
-        };
+        let grid = self.grid(base, a, b);
         let (a, b) = (&grid.outer.1, &grid.inner.1);
         let threads = if split { parallel::default_threads() } else { 1 };
-        let visits = self.grid_visits(a.values.len() * b.values.len());
+        let visits = self.grid_visits(a.len * b.len);
         let shares = grid_shares(visits, self.n_trees(), threads);
         let sorted = self.q.score_grid(&grid, self.init, self.learning_rate, shares);
         if a.perm.is_none() && b.perm.is_none() {
             return sorted;
         }
-        let nb = b.values.len();
+        let nb = b.len;
         let mut out = vec![0.0; sorted.len()];
         for (i, row) in sorted.chunks_exact(nb).enumerate() {
             let base = a.original(i) * nb;
@@ -1131,7 +1365,8 @@ mod tests {
         let flat = FlatGbt::compile(&GradientBoosting::from_export(0.5, 0.1, 3, &trees));
         let (x, _) = training_data(PAR_MIN_ROWS + 5);
         let one_tree_at_a_time = |i: usize| {
-            let row: Vec<f32> = x.row(i).iter().map(|&v| v as f32).collect();
+            let mut row = vec![0.0; x.ncols()];
+            flat.q.thresholds.bin_row(x.row(i), &mut row);
             (0..flat.n_trees()).fold(flat.init, |acc, t| {
                 acc + flat.learning_rate * flat.q.leaf_value(t, &row) as f64
             })
@@ -1214,11 +1449,7 @@ mod tests {
         let flat = FlatGbt::compile(&gb);
         let axis = |n: usize| (0..n).map(|k| ((k * 7) % 20) as f64).collect::<Vec<f64>>();
         let (a, b, base) = (axis(9), axis(13), [5.0, 0.0, 0.0]);
-        let grid = Grid {
-            base: base.iter().map(|&v| v as f32).collect(),
-            outer: (1, GridAxis::new(&a)),
-            inner: (2, GridAxis::new(&b)),
-        };
+        let grid = flat.grid(&base, (1, &a), (2, &b));
         let serial = flat.q.score_grid(&grid, flat.init, flat.learning_rate, 1);
         for shares in 2..=9 {
             let split = flat.q.score_grid(&grid, flat.init, flat.learning_rate, shares);
@@ -1302,6 +1533,76 @@ mod tests {
         let split = FlatNode { feature: 0, threshold: 1.0, left: 1, right: 0, value: 0.0 };
         let leaf = FlatNode { feature: LEAF, threshold: 0.0, left: 0, right: 0, value: 2.0 };
         let _ = FlatGbt::compile(&GradientBoosting::from_export(0.0, 0.1, 1, &[vec![split, leaf]]));
+    }
+
+    /// A split on `feature` at `threshold` whose children are the next
+    /// two nodes, both leaves.
+    fn stump(feature: u32, threshold: f64) -> Vec<FlatNode> {
+        let leaf =
+            |value: f64| FlatNode { feature: LEAF, threshold: 0.0, left: 0, right: 0, value };
+        let split = FlatNode { feature, threshold, left: 1, right: 2, value: 0.0 };
+        vec![split, leaf(-1.0), leaf(1.0)]
+    }
+
+    #[test]
+    fn each_feature_ranks_its_distinct_thresholds_nan_first() {
+        // Feature 2 names 3.0 twice, NaN, +0.0 and -0.0 (distinct bits),
+        // and two `f64`s that quantize to one `f32`; feature 1 names none;
+        // feature 0 names one.
+        let near = 1.0 + f64::EPSILON;
+        let named = [3.0, f64::NAN, 0.0, 3.0, near, -0.0, 1.0];
+        let mut trees: Vec<Vec<FlatNode>> = named.iter().map(|&t| stump(2, t)).collect();
+        trees.push(stump(0, 7.5));
+        let flat = FlatGbt::compile(&GradientBoosting::from_export(0.0, 0.1, 3, &trees));
+        let t = &flat.q.thresholds;
+        assert_eq!(t.features, [0, 2]);
+        assert_eq!(t.bounds, [0, 1, 7]);
+        let bits: Vec<u64> = t.exact.iter().map(|x| x.to_bits()).collect();
+        let want = [7.5, f64::NAN, -0.0, 0.0, 1.0, near, 3.0];
+        assert_eq!(bits, want.map(f64::to_bits));
+        assert_eq!(t.quant[4], t.quant[5], "1 and 1 + ε share an f32");
+        // Each split's word is its threshold's rank in its own table.
+        let ranks: Vec<f32> = (0..flat.n_trees()).map(|k| flat.q.nodes[3 * k].tv).collect();
+        assert_eq!(ranks, [5.0, 0.0, 2.0, 5.0, 4.0, 1.0, 3.0, 0.0]);
+        // A value's bin counts the thresholds it falls right of.
+        let cases = [(f32::NAN, 6), (f32::NEG_INFINITY, 1), (-0.0, 1), (0.5, 3), (1.0, 3)];
+        for (x, want) in cases {
+            assert_eq!(bin(&t.quant[t.table(2)], x), want, "bin({x})");
+        }
+        // Each split reads its exact threshold, bits and all, back.
+        for (k, tree) in trees.iter().enumerate() {
+            let back: Vec<u64> = flat.tree(k).map(|n| n.threshold.to_bits()).collect();
+            assert_eq!(back, tree.iter().map(|n| n.threshold.to_bits()).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn thresholds_past_the_rank_limit_are_refused() {
+        let mut builder = Builder::new(2, 4, 12);
+        builder.max_ranks = 3;
+        for tree in [stump(0, 1.0), stump(0, 2.0), stump(1, 1.0), stump(0, 1.0)] {
+            builder.push_tree(&tree).unwrap();
+        }
+        match builder.push_tree(&stump(1, 2.0)) {
+            Err(DecodeError::Corrupt(msg)) => {
+                assert!(msg.contains("more than 3 distinct split thresholds"), "{msg}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        // `f32` counts every bin of a full table exactly, and no further.
+        assert_eq!(MAX_RANKS as f32 as usize, MAX_RANKS);
+        assert_ne!((MAX_RANKS + 1) as f32 as usize, MAX_RANKS + 1);
+    }
+
+    #[test]
+    fn model_work_is_barred_only_while_the_guard_lives() {
+        let flat = FlatGbt::compile(&GradientBoosting::from_export(0.5, 0.1, 1, &[stump(0, 1.0)]));
+        let barred = std::panic::catch_unwind(|| {
+            let _guard = NoModelWork::on_this_thread();
+            flat.predict_row(&[0.0])
+        });
+        assert_eq!(barred.is_err(), cfg!(debug_assertions));
+        assert_eq!(flat.predict_row(&[0.0]), 0.5 - 0.1);
     }
 
     #[test]

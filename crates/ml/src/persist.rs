@@ -26,32 +26,39 @@
 //! versions decode with [`decode_flat`].
 //!
 //! The in-memory form of a file is the [`FlatGbt`] image. One decoder
-//! reads a file tree by tree, through a bounded buffer, straight into the
-//! image's builder: [`load_flat`] reads a regular file through a 64 KiB
+//! reads a file tree by tree, through a bounded buffer and up to 256
+//! nodes a read, straight into the image's builder: [`load_flat`] reads a regular file through a 64 KiB
 //! `BufReader` and never holds it whole (a pipe, which has no length up
 //! front, is read whole first). One encoder writes the image back. The
-//! image keeps one exact `f64` per node — a split's threshold or a leaf's
-//! value — and a node's unused fields are written as zeros, as
+//! image keeps one exact `f64` per leaf and one per distinct split
+//! threshold, in its feature's sorted table, where a split finds it by
+//! its rank. The decoder builds the tables as the trees stream in,
+//! deduplicated by bits, so a NaN or `-0.0` threshold keeps its exact
+//! bits. A node's unused fields are written as zeros, as
 //! `DecisionTree::export_nodes` writes them, so a file this module wrote
 //! decodes and re-encodes to the same bytes. The [`GradientBoosting`]
 //! entry points go through the image: [`encode_gb`] compiles the model,
 //! and [`decode_gb`] rebuilds it with [`FlatGbt::to_gb`].
 //!
 //! Decoding validates every structural field (magic, version, counts,
-//! split features < n_features, and child indices that point forward
-//! within their tree to a node no other split claims, the left one to
-//! the next node and the right one no further ahead than the image's
-//! link word holds), so arbitrary or
-//! corrupted bytes produce [`DecodeError`], never a panic or a tree
-//! that loops — fuzzed in `tests/properties.rs`. Every count is checked
-//! against the bytes left (for a file, its length from the metadata)
-//! before it sizes an allocation, so a short input that claims a huge
-//! model fails as [`DecodeError::Truncated`] without allocating for the
-//! claim. Trees are written in preorder, so a valid child index is
-//! always greater than its parent's and names a node of its own, and a
-//! split's left child is the node after it; a backward or self link
-//! would make every walk of the tree cycle, and a shared child would
-//! make the number of root-to-leaf paths grow exponentially with depth.
+//! split features < n_features, at most [`MAX_RANKS`] distinct split
+//! thresholds in all, and child indices that point forward within
+//! their tree to a node no other split claims, the left one to the next
+//! node and the right one no further ahead than the image's link word
+//! holds), so arbitrary or corrupted bytes produce [`DecodeError`], never
+//! a panic or a tree that loops — fuzzed in `tests/properties.rs`. Every
+//! count is checked against the bytes left (for a file, its length from
+//! the metadata) before it sizes an allocation, so a short input that
+//! claims a huge model fails as [`DecodeError::Truncated`] without
+//! allocating for the claim, and the threshold tables grow with the
+//! splits read, never with the feature count a header claims. Trees are
+//! written in preorder, so a valid child index is always greater than its
+//! parent's and names a node of its own, and a split's left child is the
+//! node after it; a backward or self link would make every walk of the
+//! tree cycle, and a shared child would make the number of root-to-leaf
+//! paths grow exponentially with depth.
+//!
+//! [`MAX_RANKS`]: crate::flat::MAX_RANKS
 
 use crate::flat::{Builder, FlatGbt};
 use crate::gradient_boosting::GradientBoosting;
@@ -73,6 +80,9 @@ const NODE_BYTES: u64 = 28;
 const TRAILER_BYTES: u64 = 32;
 /// Buffer between a model file and the decoder or encoder.
 const FILE_BUFFER: usize = 64 << 10;
+/// Nodes the decoder reads at a time: one read per run of them instead
+/// of one per node, through a 7 KiB stack buffer.
+const NODES_PER_READ: usize = 256;
 
 /// Provenance of a retrained model: where it came from and what data and
 /// effort produced it. Persisted as a fixed 32-byte trailer in version-2
@@ -185,13 +195,19 @@ impl<R: Read> Input<R> {
         }
     }
 
-    fn take<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
-        self.need(N as u64)?;
-        let mut b = [0; N];
+    /// Fill `buf` from the input.
+    fn fill(&mut self, buf: &mut [u8]) -> Result<(), DecodeError> {
+        self.need(buf.len() as u64)?;
         // A reader that falls short of the length it was given lost its
         // tail since (a file cut while it was read): truncated too.
-        self.r.read_exact(&mut b).map_err(|_| DecodeError::Truncated)?;
-        self.left -= N as u64;
+        self.r.read_exact(buf).map_err(|_| DecodeError::Truncated)?;
+        self.left -= buf.len() as u64;
+        Ok(())
+    }
+
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let mut b = [0; N];
+        self.fill(&mut b)?;
         Ok(b)
     }
 
@@ -238,21 +254,27 @@ fn read_flat(r: impl Read, len: u64) -> Result<(FlatGbt, Option<Lineage>), Decod
     let nodes = (input.left - framing) / NODE_BYTES;
     let mut builder = Builder::new(n_features, n_trees as usize, nodes as usize);
     let mut tree = Vec::new();
+    let mut run = [0u8; NODE_BYTES as usize * NODES_PER_READ];
     for _ in 0..n_trees {
-        let n_nodes = input.u32()?;
-        input.need(NODE_BYTES * u64::from(n_nodes))?;
+        let n_nodes = input.u32()? as usize;
+        input.need(NODE_BYTES * n_nodes as u64)?;
         tree.clear();
-        for _ in 0..n_nodes {
-            let b: [u8; NODE_BYTES as usize] = input.take()?;
-            let u32_at = |i: usize| u32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
-            let f64_at = |i: usize| f64::from_le_bytes(b[i..i + 8].try_into().expect("8 bytes"));
-            tree.push(FlatNode {
-                feature: u32_at(0),
-                threshold: f64_at(4),
-                left: u32_at(12),
-                right: u32_at(16),
-                value: f64_at(20),
-            });
+        while tree.len() < n_nodes {
+            let k = (n_nodes - tree.len()).min(NODES_PER_READ);
+            let bytes = &mut run[..k * NODE_BYTES as usize];
+            input.fill(bytes)?;
+            for b in bytes.chunks_exact(NODE_BYTES as usize) {
+                let u32_at = |i: usize| u32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
+                let f64_at =
+                    |i: usize| f64::from_le_bytes(b[i..i + 8].try_into().expect("8 bytes"));
+                tree.push(FlatNode {
+                    feature: u32_at(0),
+                    threshold: f64_at(4),
+                    left: u32_at(12),
+                    right: u32_at(16),
+                    value: f64_at(20),
+                });
+            }
         }
         builder.push_tree(&tree)?;
     }

@@ -17,11 +17,15 @@
 //!   serial twin `predict_grid_serial`, and `predict_batch` on the same
 //!   grid written out as a matrix must agree bit for bit, for any axis
 //!   values and on every sweep the paper-config model serves.
+//! * **Contract tier** — every walk equals, bit for bit, a reference
+//!   that applies the quantization contract straight to `to_gb()`'s
+//!   nodes, on node-built ensembles whose thresholds repeat across trees
+//!   and include ±0, ±∞, NaNs and two `f64`s that share an `f32`.
 
 use chemcost_linalg::Matrix;
 use chemcost_ml::flat::{FlatGbt, GRID_PAR_MIN_VISITS, QUANT_REL_TOL};
 use chemcost_ml::gradient_boosting::{GbLoss, GradientBoosting};
-use chemcost_ml::persist::encode_gb;
+use chemcost_ml::persist::{decode_flat, encode_flat, encode_gb};
 use chemcost_ml::tree::FlatNode;
 use chemcost_ml::Regressor;
 use chemcost_sim::ccsd::Problem;
@@ -340,15 +344,26 @@ proptest! {
 /// fitted, so it can be past the grid walk's work floor at no training
 /// cost: `n_trees` preorder trees, each full down to depth 7 and then
 /// ending in a leaf with chance 1/3 per level, at depth 10 at the latest
-/// (so at least 255 nodes a tree). Half the thresholds sit exactly on an
-/// [`axis_value`], where `x ≤ t` ties route left.
-fn random_ensemble(seed: u64, n_trees: usize, d: usize) -> FlatGbt {
+/// (so at least 255 nodes a tree). Each split's threshold is
+/// `threshold(r, s)` of two fresh random numbers.
+fn node_built_ensemble(
+    seed: u64,
+    n_trees: usize,
+    d: usize,
+    threshold: fn(u64, u64) -> f64,
+) -> FlatGbt {
     let mut state = seed;
     let mut next = move || {
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         state >> 33
     };
-    fn grow(nodes: &mut Vec<FlatNode>, depth: u32, d: u64, next: &mut impl FnMut() -> u64) {
+    fn grow(
+        nodes: &mut Vec<FlatNode>,
+        depth: u32,
+        d: u64,
+        threshold: fn(u64, u64) -> f64,
+        next: &mut impl FnMut() -> u64,
+    ) {
         if depth == 10 || (depth >= 7 && next().is_multiple_of(3)) {
             let value = (next() % 2000) as f64 / 10.0 - 100.0;
             nodes.push(FlatNode { feature: u32::MAX, threshold: 0.0, left: 0, right: 0, value });
@@ -356,24 +371,30 @@ fn random_ensemble(seed: u64, n_trees: usize, d: usize) -> FlatGbt {
         }
         let i = nodes.len();
         let feature = (next() % d) as u32;
-        let threshold = match next() % 2 {
-            0 => axis_value(4 + next() % 36),
-            _ => (next() % 10_100) as f64 / 100.0 - 0.5,
-        };
+        let t = threshold(next(), next());
         let left = i as u32 + 1;
-        nodes.push(FlatNode { feature, threshold, left, right: 0, value: 0.0 });
-        grow(nodes, depth + 1, d, next);
+        nodes.push(FlatNode { feature, threshold: t, left, right: 0, value: 0.0 });
+        grow(nodes, depth + 1, d, threshold, next);
         nodes[i].right = nodes.len() as u32;
-        grow(nodes, depth + 1, d, next);
+        grow(nodes, depth + 1, d, threshold, next);
     }
     let trees: Vec<Vec<FlatNode>> = (0..n_trees)
         .map(|_| {
             let mut nodes = Vec::new();
-            grow(&mut nodes, 0, d as u64, &mut next);
+            grow(&mut nodes, 0, d as u64, threshold, &mut next);
             nodes
         })
         .collect();
     FlatGbt::compile(&GradientBoosting::from_export(12.5, 0.1, d, &trees))
+}
+
+/// [`node_built_ensemble`] with half its thresholds exactly on an
+/// [`axis_value`], where `x ≤ t` ties route left.
+fn random_ensemble(seed: u64, n_trees: usize, d: usize) -> FlatGbt {
+    node_built_ensemble(seed, n_trees, d, |r, s| match r % 2 {
+        0 => axis_value(4 + s % 36),
+        _ => (s % 10_100) as f64 / 100.0 - 0.5,
+    })
 }
 
 proptest! {
@@ -442,5 +463,125 @@ proptest! {
                 "gbt row {} quantized {} vs exact {}", i, qv, e
             );
         }
+    }
+}
+
+/// Thresholds a contract-tier ensemble draws from, so each repeats across
+/// trees: both zeros, both infinities, NaNs of three bit patterns, two
+/// pairs of distinct `f64`s that round down to one `f32`, values past
+/// `f32`'s range, and plain ones.
+const CONTRACT_THRESHOLDS: [f64; 18] = [
+    -0.0,
+    0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    f64::from_bits(0x7FF8_0000_0000_0001),
+    f64::from_bits(0xFFF8_0000_0000_0000),
+    1.0,
+    1.0 + f64::EPSILON,
+    0.1,
+    0.1 + 1e-12,
+    2.5,
+    7.0,
+    -3.0,
+    40.0,
+    1e300,
+    -1e300,
+    3.4e38,
+];
+
+/// Row and axis values for the contract tier: every threshold, and
+/// values that round onto one (`1 + 2⁻³⁰`), sit just beside one, or
+/// leave `f32`'s range.
+fn contract_value(code: u64) -> f64 {
+    const MORE: [f64; 8] =
+        [1.0 + 1.0 / (1u64 << 30) as f64, 0.099_999_994, 2.499_999, 2.6, 5e38, -5e38, 39.5, 1e-3];
+    let k = code as usize % (CONTRACT_THRESHOLDS.len() + MORE.len());
+    CONTRACT_THRESHOLDS.get(k).copied().unwrap_or_else(|| MORE[k - CONTRACT_THRESHOLDS.len()])
+}
+
+/// The largest `f32` ≤ `t`: the contract's threshold rounding.
+fn round_down(t: f64) -> f32 {
+    let q = t as f32;
+    if q as f64 <= t {
+        q
+    } else {
+        q.next_down()
+    }
+}
+
+/// The quantization contract applied straight to `to_gb()`'s nodes, the
+/// reference every quantized walk must equal bit for bit: a split sends
+/// the row right unless its value rounded to nearest `f32` is `≤` the
+/// threshold rounded toward −∞ (so a NaN on either side sends it right),
+/// and the prediction is `init + Σ lr · leaf`, each leaf rounded to
+/// nearest `f32`, summed in `f64` in tree order.
+struct ContractWalk {
+    init: f64,
+    lr: f64,
+    trees: Vec<Vec<FlatNode>>,
+}
+
+impl ContractWalk {
+    fn of(flat: &FlatGbt) -> ContractWalk {
+        let (init, lr, _, trees) = flat.to_gb().export();
+        ContractWalk { init, lr, trees }
+    }
+
+    fn predict(&self, row: &[f64]) -> f64 {
+        let mut acc = self.init;
+        for tree in &self.trees {
+            let mut n = &tree[0];
+            while n.feature != u32::MAX {
+                let x = row[n.feature as usize] as f32;
+                n = &tree[if x <= round_down(n.threshold) { n.left } else { n.right } as usize];
+            }
+            acc += self.lr * (n.value as f32) as f64;
+        }
+        acc
+    }
+
+    fn predict_matrix(&self, x: &Matrix) -> Vec<f64> {
+        (0..x.nrows()).map(|i| self.predict(x.row(i))).collect()
+    }
+}
+
+#[test]
+fn every_walk_is_the_quantization_contract_on_to_gb_nodes() {
+    for seed in 0..4 {
+        let d = 2 + seed as usize % 3;
+        let flat = node_built_ensemble(seed, 400, d, |r, _| {
+            CONTRACT_THRESHOLDS[r as usize % CONTRACT_THRESHOLDS.len()]
+        });
+        let contract = ContractWalk::of(&flat);
+        let mut state = seed + 99;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        // 71 rows: past the batch's split floor, with a ragged tail.
+        let rows = Matrix::from_fn(71, d, |_, _| contract_value(next()));
+        let want = contract.predict_matrix(&rows);
+        assert_eq!(bits(&flat.predict_batch(&rows)), bits(&want), "seed {seed}: predict_batch");
+        assert_eq!(bits(&flat.predict_batch_serial(&rows)), bits(&want), "seed {seed}: serial");
+        for (i, &w) in want.iter().enumerate() {
+            assert_eq!(flat.predict_row(rows.row(i)).to_bits(), w.to_bits(), "seed {seed} row {i}");
+        }
+        // Unsorted axes with repeats, past the grid walk's split floor.
+        let a: Vec<f64> = (0..24).map(|_| contract_value(next())).collect();
+        let b: Vec<f64> = (0..20).map(|_| contract_value(next())).collect();
+        let base = rows.row(seed as usize).to_vec();
+        let (col_a, col_b) = (seed as usize % d, (seed as usize + 1) % d);
+        assert!(flat.grid_visits(a.len() * b.len()) >= GRID_PAR_MIN_VISITS);
+        let want = contract.predict_matrix(&grid_matrix(&base, (col_a, &a), (col_b, &b)));
+        let grid = flat.predict_grid(&base, (col_a, &a), (col_b, &b));
+        assert_eq!(bits(&grid), bits(&want), "seed {seed}: predict_grid");
+        let serial = flat.predict_grid_serial(&base, (col_a, &a), (col_b, &b));
+        assert_eq!(bits(&serial), bits(&want), "seed {seed}: predict_grid_serial");
+        // The file keeps every threshold's bits.
+        let file = encode_flat(&flat, None);
+        let (decoded, _) = decode_flat(&file).expect("the encoder's bytes decode");
+        assert!(encode_flat(&decoded, None) == file, "seed {seed}: re-encode differs");
     }
 }

@@ -84,6 +84,60 @@ fn huge_claims_in_a_short_input_fail_without_allocating_for_them() {
     }
 }
 
+/// A version-1 model file of `init` 1.0 and learning rate 0.1 over
+/// `n_features` features: each tree a split on `feature` at `threshold`
+/// whose left leaf is -1 and right leaf +1.
+fn stump_file(n_features: u32, stumps: &[(u32, f64)]) -> Vec<u8> {
+    let mut b = header(stumps.len() as u32);
+    b[24..28].copy_from_slice(&n_features.to_le_bytes());
+    for &(feature, threshold) in stumps {
+        b.extend_from_slice(&3u32.to_le_bytes());
+        for (f, t, left, right, value) in [
+            (feature, threshold, 1u32, 2u32, 0.0f64),
+            (u32::MAX, 0.0, 0, 0, -1.0),
+            (u32::MAX, 0.0, 0, 0, 1.0),
+        ] {
+            b.extend_from_slice(&f.to_le_bytes());
+            b.extend_from_slice(&t.to_le_bytes());
+            b.extend_from_slice(&left.to_le_bytes());
+            b.extend_from_slice(&right.to_le_bytes());
+            b.extend_from_slice(&value.to_le_bytes());
+        }
+    }
+    b
+}
+
+/// The threshold tables are sized by the splits a file holds: a valid
+/// one-tree file whose header claims 1,000,000 features decodes without
+/// an allocation sized by that claim.
+#[test]
+fn a_claimed_million_features_size_no_allocation() {
+    let bytes = stump_file(1_000_000, &[(7, 2.5)]);
+    let (result, largest) = largest_allocation_in(|| decode_flat(&bytes).map(|_| ()));
+    assert_eq!(result, Ok(()));
+    assert!(largest <= 1024, "decoding a 3-node model allocated {largest} bytes at once");
+}
+
+/// No value is `≤` a NaN threshold: a version-1 file with NaN split
+/// thresholds (two bit patterns) loads, sends every row right on the row
+/// path and in the grid walk, and re-encodes to its own bytes.
+#[test]
+fn a_nan_split_threshold_loads_routes_right_and_reencodes() {
+    let bytes = stump_file(2, &[(0, f64::NAN), (1, f64::from_bits(0xFFF8_0000_0000_0001))]);
+    let (flat, lineage) = decode_flat(&bytes).unwrap();
+    assert_eq!(lineage, None);
+    let both_right = 1.0 + 0.1 + 0.1;
+    let values = [f64::NAN, f64::NEG_INFINITY, -1e300, -0.0, 0.0, 3.0, f64::INFINITY];
+    for &x in &values {
+        for &y in &values {
+            assert_eq!(flat.predict_row(&[x, y]), both_right, "row ({x}, {y})");
+        }
+    }
+    let grid = flat.predict_grid(&[0.0, 0.0], (0, &values), (1, &values));
+    assert_eq!(grid, vec![both_right; values.len() * values.len()]);
+    assert!(encode_flat(&flat, None) == bytes);
+}
+
 /// A fitted model over two features, and its training rows.
 fn small_model(rows: usize, seed: u64, stages: usize, depth: usize) -> (GradientBoosting, Matrix) {
     let x = Matrix::from_fn(rows, 2, |i, j| (((i + 1) * (j + 3)) as u64 * (seed + 5) % 71) as f64);

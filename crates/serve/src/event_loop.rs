@@ -76,6 +76,7 @@ use crate::metrics::{
 use crate::pool::ThreadPool;
 use crate::routes::Router;
 use crate::timeline::TimelineBuilder;
+use chemcost_ml::flat::NoModelWork;
 use polling::{Event, Interest, Poller, Waker};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs::File;
@@ -320,7 +321,8 @@ struct Loop<'a> {
 
 /// Run the event loop until graceful drain completes. Owns the
 /// listener; the worker `pool` stays alive for the caller to join
-/// afterwards.
+/// afterwards. The loop runs no model work (a cache hit is the most it
+/// answers itself): a debug build asserts that.
 pub(crate) fn run(
     listener: TcpListener,
     router: Router,
@@ -328,6 +330,7 @@ pub(crate) fn run(
     faults: Option<Arc<FaultPlane>>,
     config: EventLoopConfig,
 ) -> io::Result<()> {
+    let _no_model_work = NoModelWork::on_this_thread();
     let mut lp = Loop::new(listener, router, pool, faults, config)?;
     let mut events: Vec<Event> = Vec::new();
     let mut parked: Vec<usize> = Vec::new();
