@@ -36,10 +36,8 @@ pub fn parse_duration(s: &str) -> Result<Duration, String> {
         "h" => value * 3600.0,
         u => return Err(format!("bad duration unit `{u}` in `{s}`")),
     };
-    if !secs.is_finite() || secs < 0.0 {
-        return Err(format!("bad duration `{s}`"));
-    }
-    Ok(Duration::from_secs_f64(secs))
+    // Negative, non-finite and past-`Duration::MAX` values all fail here.
+    Duration::try_from_secs_f64(secs).map_err(|_| format!("bad duration `{s}`"))
 }
 
 /// Parse an SLO rules file. Returns every `[slo.<name>]` section as a
@@ -245,6 +243,16 @@ mod tests {
         assert_eq!(parse_duration("45").unwrap(), Duration::from_secs(45));
         assert!(parse_duration("5 fortnights").is_err());
         assert!(parse_duration("").is_err());
+    }
+
+    #[test]
+    fn durations_past_duration_max_are_errors_not_panics() {
+        for huge in ["20000000000000000000", "99999999999999999999h"] {
+            assert_eq!(parse_duration(huge), Err(format!("bad duration `{huge}`")));
+        }
+        let text = "[slo.x]\nsignal = \"delta\"\nprefix = \"a\"\nmax = 1\nfast_window = \"99999999999999999999h\"\n";
+        let err = parse_slo_file(text).unwrap_err();
+        assert!(err.contains("bad duration"), "{err}");
     }
 
     #[test]

@@ -5,10 +5,11 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 use crate::alert::{AlertState, Transition};
-use crate::json::{json_escape, json_num};
+use crate::json::json_num;
 use crate::ring::{Ring, RingStats};
 use crate::schema::{Sample, Schema};
 use crate::slo::{SloEngine, SloSpec};
+use chemcost_obs::write_json_string;
 
 /// Observer invoked on every alert transition (metrics, obs events).
 pub type TransitionObserver = Box<dyn Fn(&Transition) + Send + Sync>;
@@ -258,7 +259,9 @@ impl HealthHub {
                 out.push(',');
             }
             out.push('{');
-            out.push_str(&format!("\"name\":\"{}\",", json_escape(&s.name)));
+            out.push_str("\"name\":");
+            write_json_string(&mut out, &s.name);
+            out.push(',');
             out.push_str(&format!("\"state\":\"{}\",", s.state.label()));
             out.push_str(&format!("\"critical\":{},", s.critical));
             out.push_str(&format!("\"value\":{},", json_num(s.value)));
@@ -293,7 +296,9 @@ impl HealthHub {
                 out.push(',');
             }
             out.push('{');
-            out.push_str(&format!("\"name\":\"{}\",", json_escape(&spec.name)));
+            out.push_str("\"name\":");
+            write_json_string(&mut out, &spec.name);
+            out.push(',');
             out.push_str(&format!("\"state\":\"{}\",", engine.state(i).label()));
             out.push_str(&format!("\"threshold\":{},", json_num(spec.threshold)));
             out.push_str("\"history\":[");

@@ -2,6 +2,7 @@
 //! struct every sink consumes.
 
 use std::fmt;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Verbosity level, ordered from most to least severe.
@@ -296,8 +297,11 @@ impl Event {
     }
 }
 
-/// Append `s` to `out` as a quoted, escaped JSON string.
-pub(crate) fn write_json_string(out: &mut String, s: &str) {
+/// Append `s` to `out` as a quoted JSON string: `"`, `\` and every
+/// control character below U+0020 escaped, everything else as is. This
+/// is the workspace's one JSON string writer: the serve crate's JSON
+/// encoder and the health surfaces call it too.
+pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -306,7 +310,9 @@ pub(crate) fn write_json_string(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
@@ -337,9 +343,18 @@ mod tests {
 
     #[test]
     fn json_string_escaping() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
         let mut out = String::new();
-        write_json_string(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, r#""a\"b\\c\nd\u0001""#);
+        write_json_string(&mut out, &format!("a\"b\\c{controls}π"));
+        let expected = concat!(
+            r#""a\"b\\c"#,
+            r"\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007",
+            r"\u0008\t\n\u000b\u000c\r\u000e\u000f",
+            r"\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017",
+            r"\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f",
+            r#"π""#,
+        );
+        assert_eq!(out, expected);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use dispatch::{
     add_sink, dispatch_event, enabled, flush, global, init_from_env, next_trace_id, remove_sink,
     set_level, Dispatcher, SinkHandle,
 };
-pub use event::{Event, Field, Level, Value};
+pub use event::{write_json_string, Event, Field, Level, Value};
 pub use sink::{JsonlSink, RingSink, Sink, TextSink};
 pub use span::{current_trace, Span, TraceScope};
 pub use timeline::Timeline;

@@ -443,7 +443,7 @@ mod tests {
         assert_eq!(cache.get_owned(&key("m", 2, 100)), None);
     }
 
-    /// The event loop probes every canonical advise; a miss must leave
+    /// The event loop probes every short advise; a miss must leave
     /// the cache exactly as it was for the worker that answers it.
     #[test]
     fn a_miss_leaves_the_shard_untouched() {

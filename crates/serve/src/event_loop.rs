@@ -8,14 +8,14 @@
 //! model: each parsed request is dispatched to the bounded worker pool,
 //! and the finished response comes back over a channel (plus an eventfd
 //! [`Waker`] nudge) — except an advise cache hit, which needs none. For
-//! a `POST /v1/advise` with a canonical body the loop asks the router
-//! for a probe that records nothing on a miss (fast scan, registry
-//! resolve, key build, cache lookup); on a hit it answers through the
+//! a `POST /v1/advise` with a body of at most 1 KiB the loop asks the
+//! router for a probe that records nothing on a miss (one-pass body
+//! read, registry resolve, key build, cache lookup); on a hit it answers through the
 //! same replay a worker runs and slots the response straight into the
 //! connection's reorder buffer — no pool hand-off, no channel, no wake.
 //! The replay's quality-journal entry leaves the GP σ and the shadow
 //! score to `/v1/observe`, which runs on a worker.
-//! Misses, predicts, non-canonical bodies, stale serves, every other
+//! Misses, predicts, longer or invalid bodies, stale serves, every other
 //! route, and any request the chaos plane rolled `slow-io` for still
 //! ride a worker. An inline hit holds no pipeline slot, so the loop
 //! answers at most `INLINE_PER_PASS` of them per connection per pass;

@@ -1,13 +1,11 @@
-//! Minimal HTTP/1.1 framing: blocking streams and incremental buffers.
+//! Minimal HTTP/1.1 framing over byte buffers.
 //!
 //! Supports exactly what the service needs: request line + headers +
 //! `Content-Length` bodies, keep-alive, pipelining, and plain responses.
 //! Chunked transfer encoding is rejected; bodies and header sections are
 //! size-limited so a misbehaving client cannot balloon memory.
 //!
-//! Two entry points share one grammar: [`read_request`] parses off a
-//! blocking `BufRead` (tests, the retrying client's server stub), and
-//! [`parse_request`] parses incrementally out of a byte buffer — the
+//! [`parse_request`] parses incrementally out of a byte buffer: the
 //! event loop's per-connection state machine feeds it whatever bytes
 //! have arrived and gets back either a complete request plus how many
 //! bytes it consumed, or "need more". Size limits are enforced *while*
@@ -17,7 +15,6 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
-use std::io::{BufRead, Write};
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -221,36 +218,6 @@ impl fmt::Display for HttpError {
     }
 }
 
-fn read_line<R: BufRead>(reader: &mut R) -> Result<Option<String>, HttpError> {
-    let mut line = Vec::new();
-    let mut byte = [0u8; 1];
-    loop {
-        match reader.read(&mut byte) {
-            Ok(0) => {
-                if line.is_empty() {
-                    return Ok(None); // clean EOF between requests
-                }
-                return Err(HttpError::Malformed("unexpected EOF mid-line".into()));
-            }
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    let text = String::from_utf8(line)
-                        .map_err(|_| HttpError::Malformed("non-UTF-8 header line".into()))?;
-                    return Ok(Some(text));
-                }
-                line.push(byte[0]);
-                if line.len() > MAX_LINE {
-                    return Err(HttpError::Unsupported(431, "header line too long".into()));
-                }
-            }
-            Err(e) => return Err(HttpError::Io(e)),
-        }
-    }
-}
-
 /// Parse an HTTP/1.x request line into `(method, path, query)`. The
 /// query string is split off the target (the debug endpoints filter by
 /// it); a non-1.x version is a 505.
@@ -315,38 +282,6 @@ fn body_length(headers: &HashMap<String, String>) -> Result<usize, HttpError> {
     }
 }
 
-/// Read one request off the stream. `Ok(None)` means the client closed
-/// the connection cleanly before sending another request.
-pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, HttpError> {
-    let Some(request_line) = read_line(reader)? else {
-        return Ok(None);
-    };
-    let (method, path, query) = parse_request_line(&request_line)?;
-
-    let mut headers = HashMap::new();
-    loop {
-        let line =
-            read_line(reader)?.ok_or_else(|| HttpError::Malformed("EOF inside headers".into()))?;
-        if line.is_empty() {
-            break;
-        }
-        insert_header(&mut headers, &line)?;
-    }
-
-    let len = body_length(&headers)?;
-    let mut body = vec![0u8; len];
-    let mut filled = 0;
-    while filled < len {
-        match reader.read(&mut body[filled..]) {
-            Ok(0) => return Err(HttpError::Malformed("EOF inside body".into())),
-            Ok(n) => filled += n,
-            Err(e) => return Err(HttpError::Io(e)),
-        }
-    }
-
-    Ok(Some(Request { method, path, query, headers, body }))
-}
-
 /// Try to parse one complete request out of the front of `buf`.
 ///
 /// Returns `Ok(Some((request, consumed)))` when `buf` holds a complete
@@ -356,8 +291,7 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, HttpE
 /// beyond 8 KiB (`MAX_LINE`), more than 100 headers (`MAX_HEADERS`), or
 /// a declared body beyond [`MAX_BODY`] are rejected as soon as the
 /// offending bytes arrive, even mid-request. This is the parser behind
-/// the event loop's per-connection state machine; the grammar is shared
-/// with [`read_request`].
+/// the event loop's per-connection state machine.
 pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, HttpError> {
     let mut line_start = 0usize;
     let mut request_line: Option<(String, String, String)> = None;
@@ -365,8 +299,7 @@ pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, HttpError> 
     let mut head_len: Option<usize> = None;
     for (i, &b) in buf.iter().enumerate() {
         if b != b'\n' {
-            // `+ 1` mirrors read_line, which counts the not-yet-stripped
-            // `\r` against the limit as well.
+            // `+ 1`: a not-yet-stripped `\r` counts against the limit.
             if i - line_start + 1 > MAX_LINE {
                 return Err(HttpError::Unsupported(431, "header line too long".into()));
             }
@@ -465,23 +398,12 @@ impl fmt::Write for ByteWriter<'_> {
     }
 }
 
-/// Serialize a response onto the stream (does not flush-close).
-pub fn write_response<W: Write>(
-    writer: &mut W,
-    response: &Response,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    writer.write_all(&encode_response(response, keep_alive))?;
-    writer.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
     fn parse(raw: &str) -> Result<Option<Request>, HttpError> {
-        read_request(&mut BufReader::new(raw.as_bytes()))
+        parse_request(raw.as_bytes()).map(|r| r.map(|(req, _)| req))
     }
 
     #[test]
@@ -514,9 +436,9 @@ mod tests {
     }
 
     #[test]
-    fn truncated_body_is_malformed() {
-        let e = parse("POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort").unwrap_err();
-        assert!(matches!(e, HttpError::Malformed(_)), "{e}");
+    fn truncated_body_is_incomplete() {
+        // More bytes may still arrive; the event loop handles an EOF.
+        assert!(parse("POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort").unwrap().is_none());
     }
 
     #[test]
@@ -535,9 +457,7 @@ mod tests {
 
     #[test]
     fn gateway_timeout_has_a_reason_phrase() {
-        let mut out = Vec::new();
-        write_response(&mut out, &Response::json(504, "{}"), false).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = String::from_utf8(encode_response(&Response::json(504, "{}"), false)).unwrap();
         assert!(text.starts_with("HTTP/1.1 504 Gateway Timeout\r\n"), "{text}");
     }
 
@@ -571,26 +491,12 @@ mod tests {
 
     #[test]
     fn response_serialization_round_trips() {
-        let mut out = Vec::new();
-        write_response(&mut out, &Response::json(200, "{\"ok\":true}"), true).unwrap();
+        let out = encode_response(&Response::json(200, "{\"ok\":true}"), true);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("Content-Length: 11\r\n"));
         assert!(text.contains("Connection: keep-alive\r\n"));
         assert!(text.ends_with("{\"ok\":true}"));
-    }
-
-    #[test]
-    fn incremental_parse_matches_streaming_parse() {
-        let raw =
-            "POST /v1/predict HTTP/1.1\r\nX-Request-Id: r1\r\nContent-Length: 7\r\n\r\n{\"a\":1}";
-        let (inc, consumed) = parse_request(raw.as_bytes()).unwrap().unwrap();
-        let streamed = parse(raw).unwrap().unwrap();
-        assert_eq!(consumed, raw.len());
-        assert_eq!(inc.method, streamed.method);
-        assert_eq!(inc.path, streamed.path);
-        assert_eq!(inc.headers, streamed.headers);
-        assert_eq!(inc.body, streamed.body);
     }
 
     #[test]
@@ -625,28 +531,10 @@ mod tests {
     }
 
     #[test]
-    fn incremental_parse_folds_duplicate_headers_like_streaming() {
-        let raw = "GET / HTTP/1.1\r\nX-Deadline-Ms: 500\r\nX-Deadline-Ms: 9000\r\n\r\n";
-        let (req, _) = parse_request(raw.as_bytes()).unwrap().unwrap();
-        assert_eq!(req.headers.get("x-deadline-ms").map(String::as_str), Some("500, 9000"));
-    }
-
-    #[test]
-    fn encode_response_matches_write_response() {
-        let mut resp = Response::json(200, "{}");
-        resp.headers.push(("X-Request-Id", "abc".into()));
-        let mut streamed = Vec::new();
-        write_response(&mut streamed, &resp, true).unwrap();
-        assert_eq!(encode_response(&resp, true), streamed);
-    }
-
-    #[test]
     fn extra_headers_are_written_before_the_body() {
         let mut resp = Response::json(200, "{}");
         resp.headers.push(("X-Request-Id", "abc123".into()));
-        let mut out = Vec::new();
-        write_response(&mut out, &resp, false).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = String::from_utf8(encode_response(&resp, false)).unwrap();
         assert!(text.contains("X-Request-Id: abc123\r\n"), "{text}");
         let (head, body) = text.split_once("\r\n\r\n").unwrap();
         assert!(head.contains("X-Request-Id"));

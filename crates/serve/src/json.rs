@@ -2,20 +2,21 @@
 //! types of the advisor service only need objects, arrays, numbers,
 //! strings, booleans and null.
 //!
-//! Parsing is a plain recursive-descent pass with a depth limit; every
-//! error carries the byte offset it occurred at. Encoding writes the
-//! minimal text form (no pretty-printing): non-finite numbers encode as
-//! `null`, since JSON has no representation for them.
+//! One recursive-descent lexer reads all JSON text, with a depth limit;
+//! every error carries the byte offset it occurred at. Its strings
+//! borrow from the text unless they hold an escape, its numbers come
+//! back as `f64`s, and its objects and arrays hand each member to a
+//! callback. [`Json::parse`] builds a tree with those calls, and the
+//! `/v1/predict` and `/v1/advise` handlers read the fields they need with
+//! the same calls in one pass, without a tree. So both see one grammar,
+//! one set of error messages and one set of byte offsets.
 //!
-//! For the serving hot paths there is also a borrowing `Scanner`: a
-//! flat cursor over the request text that yields `&str` slices and
-//! `f64`s without building a [`Json`] tree — the predict/advise handlers
-//! scan the canonical body shapes allocation-free and fall back to the
-//! general parser (identical errors, identical semantics) on anything
-//! unusual. The scanner deliberately recognises only a strict subset
-//! (no escapes in strings, for instance); returning `None` always means
-//! "let the general parser decide", never a verdict of its own.
+//! Encoding writes the minimal text form (no pretty-printing):
+//! non-finite numbers encode as `null`, since JSON has no representation
+//! for them.
 
+use chemcost_obs::write_json_string;
+use std::borrow::Cow;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -60,14 +61,7 @@ impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
-        p.skip_ws();
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after JSON value"));
-        }
-        Ok(v)
+        Parser::document(input, |p| p.value(0))
     }
 
     /// Object field lookup (first match); `None` on non-objects.
@@ -138,7 +132,7 @@ impl Json {
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
             Json::Num(n) => write_num(*n, out),
-            Json::Str(s) => write_escaped(s, out),
+            Json::Str(s) => write_json_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -155,7 +149,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(k, out);
+                    write_json_string(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -219,38 +213,36 @@ pub(crate) fn write_num(n: f64, out: &mut String) {
     }
 }
 
-/// Append one string exactly as [`Json::Str`] encodes it (quoted and
-/// escaped). `pub(crate)` for the same reason as [`write_num`].
-pub(crate) fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// The lexer behind [`Json::parse`] and the request readers in
+/// `routes`: a cursor over the text that reads one value at a time.
+pub(crate) struct Parser<'a> {
+    text: &'a str,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    /// Read a whole document: `read` starts at its first non-whitespace
+    /// byte, and only whitespace may follow what it consumed.
+    pub(crate) fn document<T>(
+        text: &'a str,
+        read: impl FnOnce(&mut Parser<'a>) -> Result<T, JsonError>,
+    ) -> Result<T, JsonError> {
+        let mut p = Parser { text, pos: 0 };
+        p.skip_ws();
+        let v = read(&mut p)?;
+        p.skip_ws();
+        if p.pos != text.len() {
+            return Err(p.err("trailing characters after JSON value"));
+        }
+        Ok(v)
+    }
+
     fn err(&self, msg: &str) -> JsonError {
         JsonError { msg: msg.to_string(), offset: self.pos }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    pub(crate) fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -268,25 +260,58 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
+    /// One value at nesting `depth`, as a tree.
+    pub(crate) fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
         match self.peek() {
             None => Err(self.err("unexpected end of input")),
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.object(|p, key| {
+                    fields.push((key.into_owned(), p.value(depth + 1)?));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(fields))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|p| {
+                    items.push(p.value(depth + 1)?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
+            }
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'-' | b'0'..=b'9') => Ok(Json::Num(self.number()?)),
             Some(c) => Err(self.err(&format!("unexpected character '{}'", c as char))),
         }
     }
 
+    /// A value at nesting `depth` that counts only if it is a number:
+    /// anything else is parsed and dropped as `None`.
+    pub(crate) fn maybe_number(&mut self, depth: usize) -> Result<Option<f64>, JsonError> {
+        match self.peek() {
+            Some(b'-' | b'0'..=b'9') if depth <= MAX_DEPTH => self.number().map(Some),
+            _ => self.value(depth).map(|_| None),
+        }
+    }
+
+    /// A value at nesting `depth` that counts only if it is a string:
+    /// anything else is parsed and dropped as `None`.
+    pub(crate) fn maybe_string(&mut self, depth: usize) -> Result<Option<Cow<'a, str>>, JsonError> {
+        match self.peek() {
+            Some(b'"') if depth <= MAX_DEPTH => self.string().map(Some),
+            _ => self.value(depth).map(|_| None),
+        }
+    }
+
     fn literal(&mut self, text: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -294,7 +319,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// A finite number.
+    fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -302,9 +328,8 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        match text.parse::<f64>() {
-            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+        match self.text[start..self.pos].parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(n),
             _ => {
                 self.pos = start;
                 Err(self.err("invalid number"))
@@ -312,113 +337,133 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string, borrowed from the text unless it holds an escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        // Unescaped text is copied a run at a time, into a string that
+        // exists from the first escape on.
+        let mut owned: Option<String> = None;
+        let mut run = self.pos;
         loop {
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
             self.pos += 1;
             match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let cp = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by \uXXXX low surrogate.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.expect(b'u')?;
-                                    let lo = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(self.err("invalid low surrogate"));
-                                    }
-                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            match c {
-                                Some(c) => out.push(c),
-                                None => return Err(self.err("invalid unicode escape")),
-                            }
+                b'"' => {
+                    let tail = &self.text[run..self.pos - 1];
+                    return Ok(match owned {
+                        None => Cow::Borrowed(tail),
+                        Some(mut out) => {
+                            out.push_str(tail);
+                            Cow::Owned(out)
                         }
-                        _ => return Err(self.err("invalid escape character")),
-                    }
+                    });
+                }
+                b'\\' => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(&self.text[run..self.pos - 1]);
+                    out.push(self.escape()?);
+                    run = self.pos;
                 }
                 b if b < 0x20 => return Err(self.err("raw control character in string")),
-                _ => {
-                    // Re-decode the UTF-8 sequence starting at pos-1.
-                    let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos = start + c.len_utf8();
-                }
+                // Every byte of a multi-byte character is >= 0x80, so a
+                // run never ends inside one.
+                _ => {}
             }
         }
     }
 
+    /// The character an escape stands for, read from just past its `\`.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let Some(esc) = self.peek() else {
+            return Err(self.err("unterminated escape"));
+        };
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{0008}',
+            b'f' => '\u{000C}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let cp = self.hex4()?;
+                // Surrogate pairs: a high surrogate must be followed by
+                // a \uXXXX low surrogate.
+                let c = if (0xD800..0xDC00).contains(&cp) {
+                    if self.peek() == Some(b'\\') {
+                        self.pos += 1;
+                        self.expect(b'u')?;
+                        let lo = self.hex4()?;
+                        if !(0xDC00..0xE000).contains(&lo) {
+                            return Err(self.err("invalid low surrogate"));
+                        }
+                        char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00))
+                    } else {
+                        None
+                    }
+                } else {
+                    char::from_u32(cp)
+                };
+                c.ok_or_else(|| self.err("invalid unicode escape"))?
+            }
+            _ => return Err(self.err("invalid escape character")),
+        })
+    }
+
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
+        let bytes = self.text.as_bytes();
+        if self.pos + 4 > bytes.len() {
             return Err(self.err("truncated unicode escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
+        let hex = std::str::from_utf8(&bytes[self.pos..self.pos + 4])
             .map_err(|_| self.err("invalid unicode escape"))?;
         let cp = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid unicode escape"))?;
         self.pos += 4;
         Ok(cp)
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
+    /// An array: `element` reads each element, starting at its first
+    /// byte.
+    pub(crate) fn array(
+        &mut self,
+        mut element: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            element(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or ']' in array")),
             }
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
+    /// An object: `member` is handed each member's key and reads its
+    /// value, starting at the value's first byte.
+    fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(fields));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -426,114 +471,42 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value(depth + 1)?;
-            fields.push((key, value));
+            member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(fields));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
     }
-}
 
-/// Borrowing cursor over request text for the serving fast paths.
-///
-/// Yields `&str` slices (escape-free strings only) and `f64`s without
-/// building a [`Json`] tree. Every method returns `Option`: `None`
-/// means "this body is outside the strict subset I recognise" and the
-/// caller must fall back to [`Json::parse`], which then reproduces the
-/// general semantics (including every error message) byte-for-byte.
-///
-/// Number scanning is an exact replica of the tree parser's grammar —
-/// optional `-`, then the maximal run of `[0-9.eE+-]`, then
-/// `str::parse::<f64>` with a finiteness check — so any number the
-/// scanner accepts produces the *identical* `f64` the tree parser
-/// would.
-pub(crate) struct Scanner<'a> {
-    src: &'a str,
-    pos: usize,
-}
-
-impl<'a> Scanner<'a> {
-    pub(crate) fn new(src: &'a str) -> Self {
-        Scanner { src, pos: 0 }
-    }
-
-    fn bytes(&self) -> &'a [u8] {
-        self.src.as_bytes()
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes().get(self.pos).copied()
-    }
-
-    pub(crate) fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
+    /// Read an object at nesting `depth` in one pass, as [`Json::get`]
+    /// sees it: `first` reads the value of the first member named
+    /// `keys[i]`, given `i`; every other member's value is parsed and
+    /// dropped. Anything but an object is parsed and dropped too, and
+    /// reads as an object without members.
+    pub(crate) fn first_members(
+        &mut self,
+        depth: usize,
+        keys: &[&str],
+        mut first: impl FnMut(&mut Self, usize) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        debug_assert!(keys.len() <= 64, "one bit per key");
+        if self.peek() != Some(b'{') || depth > MAX_DEPTH {
+            return self.value(depth).map(drop);
         }
-    }
-
-    /// Consume `b` if it is the next byte; report whether it was.
-    pub(crate) fn eat(&mut self, b: u8) -> bool {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// True once every remaining byte is whitespace (the tree parser's
-    /// "trailing characters" check passes).
-    pub(crate) fn at_end(&mut self) -> bool {
-        self.skip_ws();
-        self.pos == self.src.len()
-    }
-
-    /// A quoted string with no escapes and no control bytes, returned
-    /// as a borrowed slice. Escaped or malformed strings yield `None`
-    /// (fall back to the tree parser).
-    pub(crate) fn string(&mut self) -> Option<&'a str> {
-        if !self.eat(b'"') {
-            return None;
-        }
-        let start = self.pos;
-        loop {
-            match self.peek()? {
-                b'"' => {
-                    let s = &self.src[start..self.pos];
-                    self.pos += 1;
-                    return Some(s);
-                }
-                b'\\' => return None,
-                b if b < 0x20 => return None,
-                _ => self.pos += 1,
+        let mut seen = 0u64;
+        self.object(|p, key| match keys.iter().position(|k| *k == key) {
+            Some(i) if seen & (1 << i) == 0 => {
+                seen |= 1 << i;
+                first(p, i)
             }
-        }
-    }
-
-    /// A finite JSON number, scanned and parsed exactly like the tree
-    /// parser. `None` for anything else (fall back).
-    pub(crate) fn number(&mut self) -> Option<f64> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return None;
-        }
-        match self.src[start..self.pos].parse::<f64>() {
-            Ok(n) if n.is_finite() => Some(n),
-            _ => None,
-        }
+            _ => p.value(depth + 1).map(drop),
+        })
     }
 }
 
@@ -631,6 +604,21 @@ mod tests {
     fn duplicate_keys_first_wins_on_get() {
         let v = Json::parse(r#"{"a": 1, "a": 2}"#).unwrap();
         assert_eq!(v.get("a").and_then(Json::as_f64), Some(1.0));
+    }
+
+    #[test]
+    fn strings_borrow_unless_escaped() {
+        let mut got = Vec::new();
+        Parser::document(r#"["plain", "esc\"aped", 7]"#, |p| {
+            p.array(|p| {
+                got.push(p.maybe_string(1)?);
+                Ok(())
+            })
+        })
+        .unwrap();
+        assert!(matches!(got[0], Some(Cow::Borrowed("plain"))), "{got:?}");
+        assert!(matches!(&got[1], Some(Cow::Owned(s)) if s == "esc\"aped"), "{got:?}");
+        assert_eq!(got[2], None, "a number is not a string");
     }
 
     #[test]

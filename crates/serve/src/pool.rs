@@ -1,11 +1,13 @@
 //! Bounded worker threadpool.
 //!
 //! Connections are handed to a fixed set of worker threads through a
-//! bounded channel; when the queue is full the caller gets the job back
-//! and can shed load (the server answers 503) instead of buffering
-//! unboundedly.
+//! bounded channel (`std::sync::mpsc::sync_channel`, its receiver
+//! shared behind a mutex); when the queue is full the caller gets the
+//! job back and can shed load (the server answers 503) instead of
+//! buffering unboundedly.
 
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Work item: a closure executed once on a worker thread.
@@ -13,7 +15,7 @@ pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// A fixed-size pool of named worker threads fed by a bounded queue.
 pub struct ThreadPool {
-    sender: Option<Sender<Job>>,
+    sender: Option<SyncSender<Job>>,
     workers: Vec<JoinHandle<()>>,
     queue_cap: usize,
 }
@@ -22,18 +24,24 @@ impl ThreadPool {
     /// Spawn `workers` threads sharing a queue of capacity `queue_cap`.
     pub fn new(workers: usize, queue_cap: usize) -> ThreadPool {
         assert!(workers > 0, "need at least one worker");
-        let (sender, receiver): (Sender<Job>, Receiver<Job>) = bounded(queue_cap);
+        // At least one slot: a zero-capacity `sync_channel` would hand a
+        // job over only to a worker already waiting for one.
+        let (sender, receiver) = sync_channel::<Job>(queue_cap.max(1));
+        let receiver = Arc::new(Mutex::new(receiver));
         let handles = (0..workers)
             .map(|i| {
-                let rx = receiver.clone();
+                let rx = Arc::clone(&receiver);
                 std::thread::Builder::new()
                     .name(format!("chemcost-serve-{i}"))
-                    .spawn(move || {
-                        // recv() errs only once all senders are dropped
-                        // AND the queue is drained, so in-flight work
-                        // always completes before shutdown.
-                        while let Ok(job) = rx.recv() {
-                            job();
+                    .spawn(move || loop {
+                        // The lock is held only while waiting, never while
+                        // a job runs. recv() errs only once the sender is
+                        // dropped AND the queue is drained, so in-flight
+                        // work always completes before shutdown.
+                        let job = rx.lock().expect("only recv() runs under the lock").recv();
+                        match job {
+                            Ok(job) => job(),
+                            Err(_) => break,
                         }
                     })
                     .expect("spawn worker thread")
@@ -116,8 +124,8 @@ mod tests {
         // One worker blocked on a long job; capacity-1 queue fills after
         // a single extra submission.
         let pool = ThreadPool::new(1, 1);
-        let (block_tx, block_rx) = crossbeam::channel::bounded::<()>(1);
-        let (started_tx, started_rx) = crossbeam::channel::bounded::<()>(1);
+        let (block_tx, block_rx) = std::sync::mpsc::sync_channel::<()>(1);
+        let (started_tx, started_rx) = std::sync::mpsc::sync_channel::<()>(1);
         pool.execute(Box::new(move || {
             let _ = started_tx.send(());
             let _ = block_rx.recv();

@@ -26,7 +26,7 @@
 
 use crate::cache::{AdviseCache, AdviseKeyRef, CachedRec};
 use crate::http::{Body, Request, Response};
-use crate::json::{self, Json, Scanner};
+use crate::json::{self, Json, JsonError, Parser};
 use crate::metrics::{
     build_info, AdviseStage, DeadlineStage, Intake, LifecycleMetricsBridge, Metrics, Route,
     ADVISE_STAGES, CACHE_ENTRIES, CACHE_HITS, CACHE_MISSES, DEADLINE_EXCEEDED, IN_FLIGHT,
@@ -42,14 +42,20 @@ use chemcost_lifecycle::{
 };
 use chemcost_linalg::Matrix;
 use chemcost_ml::persist::save_flat;
-use chemcost_obs::{self as obs, Level};
+use chemcost_obs::{self as obs, write_json_string, Level};
 use chemcost_sim::machine::{by_name, is_known};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Most rows accepted in one `/v1/predict` batch.
 const MAX_PREDICT_ROWS: usize = 10_000;
+
+/// Longest `/v1/advise` body the event loop reads itself; a longer one
+/// goes to a worker unread, so the loop never builds a large tree out of
+/// an unknown key's value. A question is about 30 bytes.
+const INLINE_BODY_MAX: usize = 1024;
 
 /// Default capacity of the advise recommendation cache.
 const DEFAULT_CACHE_CAPACITY: usize = 512;
@@ -265,19 +271,19 @@ impl Router {
         self.respond(req, arrived, None)
     }
 
-    /// The event loop's answer to a `POST /v1/advise` with a canonical
-    /// body whose answer is cached: the same wrapper, deadline gates and
-    /// replay a worker runs, fed the probe's cache entry so the cache is
-    /// probed once. Everything else — misses, non-canonical bodies,
-    /// invalid questions, every other route — is `None` and goes to a
+    /// The event loop's answer to a `POST /v1/advise` whose answer is
+    /// cached: the same wrapper, deadline gates and replay a worker runs,
+    /// fed the probe's cache entry so the cache is probed once.
+    /// Everything else — misses, bodies over `INLINE_BODY_MAX`, invalid
+    /// bodies and questions, every other route — is `None` and goes to a
     /// worker, which probes again and counts: a probe that misses
     /// records nothing and leaves the cache as it was.
     pub(crate) fn answer_if_cached(&self, req: &Request, arrived: Instant) -> Option<Response> {
-        if req.method != "POST" || req.path != "/v1/advise" {
+        if req.method != "POST" || req.path != "/v1/advise" || req.body.len() > INLINE_BODY_MAX {
             return None;
         }
-        let fields = std::str::from_utf8(&req.body).ok().and_then(scan_advise)?;
-        let probe = self.advise_probe(fields).ok()?;
+        let fields = std::str::from_utf8(&req.body).ok().and_then(|t| read_advise(t).ok())?;
+        let probe = self.advise_probe(&fields).ok()?;
         probe.cached.as_ref()?;
         Some(self.respond(req, arrived, Some(probe)))
     }
@@ -527,30 +533,15 @@ impl Router {
     }
 
     fn predict(&self, body: &[u8]) -> Response {
-        // Fast scan of the canonical body shape: borrowed strings, no
-        // Json tree. Anything unusual (escapes, extra keys, bad values)
-        // falls back to the tree parser, which owns every error message.
-        if let Some((features, model, machine)) =
-            std::str::from_utf8(body).ok().and_then(scan_predict)
-        {
-            let resolved = match self.registry.resolve(model, machine) {
-                Ok(r) => r,
-                Err(e) => return error(404, &e),
-            };
-            return self.finish_predict(resolved, features);
-        }
-        let body = match parse_body(body) {
-            Ok(v) => v,
+        let body = match read_body(body, read_predict) {
+            Ok(b) => b,
             Err(resp) => return resp,
         };
-        let resolved = match self.registry.resolve(
-            body.get("model").and_then(Json::as_str),
-            body.get("machine").and_then(Json::as_str),
-        ) {
+        let resolved = match self.registry.resolve(body.model.as_deref(), body.machine.as_deref()) {
             Ok(r) => r,
             Err(e) => return error(404, &e),
         };
-        let Some(rows) = body.get("rows").and_then(Json::as_array) else {
+        let Some(rows) = body.rows else {
             return error(400, "missing \"rows\" array");
         };
         if rows.is_empty() {
@@ -559,20 +550,14 @@ impl Router {
         if rows.len() > MAX_PREDICT_ROWS {
             return error(400, &format!("too many rows (max {MAX_PREDICT_ROWS})"));
         }
-        let mut features = Vec::with_capacity(rows.len());
         for (i, row) in rows.iter().enumerate() {
-            let mut parsed = [0.0f64; 4];
-            for (slot, key) in parsed.iter_mut().zip(["o", "v", "nodes", "tile"]) {
-                match row.get(key).and_then(Json::as_f64) {
-                    Some(n) if n > 0.0 && n.is_finite() => *slot = n,
-                    _ => {
-                        return error(400, &format!("rows[{i}]: missing or non-positive \"{key}\""))
-                    }
-                }
+            // NaN marks a key that is missing or not a number.
+            if let Some((key, _)) = ROW_KEYS.iter().zip(row).find(|(_, &n)| n.is_nan() || n <= 0.0)
+            {
+                return error(400, &format!("rows[{i}]: missing or non-positive \"{key}\""));
             }
-            features.push(parsed);
         }
-        self.finish_predict(resolved, features)
+        self.finish_predict(resolved, rows)
     }
 
     /// Is the calling request the only one in a handler, with none
@@ -586,8 +571,7 @@ impl Router {
         self.metrics.gauge(IN_FLIGHT) <= 1 && self.metrics.gauge(POOL_QUEUE_DEPTH) == 0
     }
 
-    /// Inference + response encoding shared by the fast-scanned and
-    /// tree-parsed predict paths. Features are already validated.
+    /// Inference and response encoding for validated feature rows.
     fn finish_predict(&self, resolved: ResolvedModel, features: Vec<[f64; 4]>) -> Response {
         // Shadow-score the request's first row so a candidate in Shadow
         // sees live /v1/predict traffic (and poison candidates are caught)
@@ -603,11 +587,11 @@ impl Router {
             resolved.flat.predict_batch_serial(&x)
         };
         // Direct-write the response: byte-identical to encoding a Json
-        // tree (write_num/write_escaped are the tree encoder's own
-        // writers) without allocating per-row objects.
+        // tree (write_num and write_json_string are the tree encoder's
+        // own writers) without allocating per-row objects.
         let mut out = String::with_capacity(64 + resolved.name.len() + seconds.len() * 48);
         out.push_str("{\"model\":");
-        json::write_escaped(&resolved.name, &mut out);
+        write_json_string(&mut out, &resolved.name);
         out.push_str(",\"model_version\":");
         json::write_num(resolved.version as f64, &mut out);
         out.push_str(",\"predictions\":[");
@@ -650,35 +634,13 @@ impl Router {
     // "budget"/"deadline" fields are the user's node-hour and
     // job-walltime questions. Distinct concepts.
     fn advise(&self, body: &[u8], wall_budget: Option<Deadline>) -> Response {
-        // Fast scan of the canonical body shape: borrowed strings, no
-        // Json tree, nothing allocated before the cache probe. Anything
-        // unusual falls back to the tree parser, which owns every error
-        // message.
-        if let Some(f) = std::str::from_utf8(body).ok().and_then(scan_advise) {
-            return self.advise_fields(f, wall_budget);
-        }
-        let tree = match parse_body(body) {
-            Ok(v) => v,
+        // Strings borrow from the body unless escaped: a canonical
+        // question allocates nothing before the cache probe.
+        let fields = match read_body(body, read_advise) {
+            Ok(f) => f,
             Err(resp) => return resp,
         };
-        self.advise_fields(
-            AdviseFields {
-                model: tree.get("model").and_then(Json::as_str),
-                machine: tree.get("machine").and_then(Json::as_str),
-                o: tree.get("o").and_then(Json::as_usize),
-                v: tree.get("v").and_then(Json::as_usize),
-                goal: tree.get("goal").and_then(Json::as_str),
-                budget: tree.get("budget").and_then(Json::as_f64),
-                deadline: tree.get("deadline").and_then(Json::as_f64),
-            },
-            wall_budget,
-        )
-    }
-
-    /// Validation, cache probe, sweep and encode shared by the
-    /// fast-scanned and tree-parsed advise paths.
-    fn advise_fields(&self, f: AdviseFields<'_>, wall_budget: Option<Deadline>) -> Response {
-        match self.advise_probe(f) {
+        match self.advise_probe(&fields) {
             Ok(probe) => self.advise_answer(probe, wall_budget),
             Err(resp) => resp,
         }
@@ -688,9 +650,11 @@ impl Router {
     /// answer up in the cache. Records nothing — the answer counts the
     /// hit or miss — so the event loop can probe a request and still
     /// hand a miss to a worker untouched.
-    fn advise_probe<'a>(&self, f: AdviseFields<'a>) -> Result<AdviseProbe<'a>, Response> {
-        let resolved = self.registry.resolve(f.model, f.machine).map_err(|e| error(404, &e))?;
-        let machine_name = f.machine.unwrap_or(&resolved.machine);
+    fn advise_probe<'a>(&self, f: &'a AdviseFields<'_>) -> Result<AdviseProbe<'a>, Response> {
+        let machine = f.machine.as_deref();
+        let resolved =
+            self.registry.resolve(f.model.as_deref(), machine).map_err(|e| error(404, &e))?;
+        let machine_name = machine.unwrap_or(&resolved.machine);
         if !is_known(machine_name) {
             return Err(error(400, &format!("unknown machine {machine_name:?} (aurora|frontier)")));
         }
@@ -698,13 +662,13 @@ impl Router {
             (Some(o), Some(v)) if o > 0 && v > 0 => (o, v),
             _ => return Err(error(400, "\"o\" and \"v\" must be positive integers")),
         };
-        let goal = f.goal.unwrap_or("stq");
+        let goal = f.goal.as_deref().unwrap_or("stq");
         if !matches!(goal, "stq" | "bq" | "pareto") {
             return Err(error(400, &format!("unknown goal {goal:?} (stq|bq|pareto)")));
         }
         let mut probe = AdviseProbe {
             resolved,
-            machine_field: f.machine,
+            machine_field: machine,
             o,
             v,
             goal,
@@ -931,7 +895,7 @@ impl Router {
             metrics.inc(OBSERVATIONS[Intake::Rejected as usize]);
             error(status, msg)
         };
-        let parsed = match parse_body(body) {
+        let parsed = match read_body(body, Json::parse) {
             Ok(v) => v,
             Err(resp) => {
                 self.metrics.inc(OBSERVATIONS[Intake::Rejected as usize]);
@@ -1255,7 +1219,7 @@ impl Router {
         if body.is_empty() {
             return Ok(Json::Obj(Vec::new()));
         }
-        parse_body(body)
+        read_body(body, Json::parse)
     }
 
     /// `GET /v1/lifecycle`: every group's retrain/shadow/promote state,
@@ -1436,10 +1400,15 @@ impl Router {
     }
 }
 
-fn parse_body(body: &[u8]) -> Result<Json, Response> {
+/// Read a request body with `read`: a body that is not UTF-8 or not
+/// JSON is a 400.
+fn read_body<'a, T>(
+    body: &'a [u8],
+    read: impl FnOnce(&'a str) -> Result<T, JsonError>,
+) -> Result<T, Response> {
     let text =
         std::str::from_utf8(body).map_err(|_| error(400, "request body is not valid UTF-8"))?;
-    Json::parse(text).map_err(|e| error(400, &format!("invalid JSON: {e}")))
+    read(text).map_err(|e| error(400, &format!("invalid JSON: {e}")))
 }
 
 fn rec_json(r: Recommendation) -> Json {
@@ -1455,15 +1424,15 @@ fn error(status: u16, message: &str) -> Response {
     Response::json(status, Json::obj([("error", message.into())]).encode())
 }
 
-/// The fields an advise request can carry, extracted either by the
-/// zero-alloc fast scanner or from a parsed [`Json`] tree. Strings
-/// borrow from the request body (fast path) or the tree (fallback).
+/// The fields an advise request can carry, read by [`read_advise`].
+/// Strings borrow from the request body unless they hold an escape.
+#[derive(Default)]
 struct AdviseFields<'a> {
-    model: Option<&'a str>,
-    machine: Option<&'a str>,
+    model: Option<Cow<'a, str>>,
+    machine: Option<Cow<'a, str>>,
     o: Option<usize>,
     v: Option<usize>,
-    goal: Option<&'a str>,
+    goal: Option<Cow<'a, str>>,
     budget: Option<f64>,
     deadline: Option<f64>,
 }
@@ -1508,222 +1477,82 @@ impl AdviseProbe<'_> {
     }
 }
 
-/// [`Json::as_usize`] semantics applied to an already-scanned number.
+/// [`Json::as_usize`] semantics applied to an already-read number.
 fn num_as_usize(n: f64) -> Option<usize> {
     (n >= 0.0 && n.fract() == 0.0 && n <= u32::MAX as f64).then_some(n as usize)
 }
 
-/// Zero-alloc scan of the canonical advise body: a flat object whose
-/// keys are a subset of `{o, v, goal, budget, deadline, model, machine}`
-/// with escape-free string values. `None` ("fall back to the tree
-/// parser") for anything else — unknown keys, duplicates, escapes,
-/// wrongly-typed values — so every error path is decided by the parser
-/// whose messages the API contract pins.
-fn scan_advise(text: &str) -> Option<AdviseFields<'_>> {
-    let mut sc = Scanner::new(text);
-    sc.skip_ws();
-    if !sc.eat(b'{') {
-        return None;
-    }
-    let mut f = AdviseFields {
-        model: None,
-        machine: None,
-        o: None,
-        v: None,
-        goal: None,
-        budget: None,
-        deadline: None,
-    };
-    let mut seen = 0u8;
-    sc.skip_ws();
-    if sc.eat(b'}') {
-        return sc.at_end().then_some(f);
-    }
-    loop {
-        sc.skip_ws();
-        let key = sc.string()?;
-        sc.skip_ws();
-        if !sc.eat(b':') {
-            return None;
-        }
-        sc.skip_ws();
-        let bit: u8 = match key {
-            "o" => 1,
-            "v" => 2,
-            "goal" => 4,
-            "budget" => 8,
-            "deadline" => 16,
-            "model" => 32,
-            "machine" => 64,
-            _ => return None,
-        };
-        if seen & bit != 0 {
-            // Duplicate keys: first-match semantics live in the tree parser.
-            return None;
-        }
-        seen |= bit;
-        match key {
-            // A number that fails the `as_usize` contract leaves the
-            // field `None`, exactly like the tree path's
-            // `get("o").and_then(Json::as_usize)`.
-            "o" => f.o = num_as_usize(sc.number()?),
-            "v" => f.v = num_as_usize(sc.number()?),
-            "goal" => f.goal = Some(sc.string()?),
-            "budget" => f.budget = Some(sc.number()?),
-            "deadline" => f.deadline = Some(sc.number()?),
-            "model" => f.model = Some(sc.string()?),
-            "machine" => f.machine = Some(sc.string()?),
-            _ => unreachable!("key already matched above"),
-        }
-        sc.skip_ws();
-        if sc.eat(b',') {
-            continue;
-        }
-        if sc.eat(b'}') {
-            break;
-        }
-        return None;
-    }
-    sc.at_end().then_some(f)
+/// The keys a `/v1/advise` body may carry.
+const ADVISE_KEYS: [&str; 7] = ["o", "v", "goal", "budget", "deadline", "model", "machine"];
+
+/// The keys of one `/v1/predict` row, in feature order.
+const ROW_KEYS: [&str; 4] = ["o", "v", "nodes", "tile"];
+
+/// Read an advise body in one pass, with the field semantics of
+/// [`Json::parse`] plus [`Json::get`]: the first of duplicate keys
+/// wins, and unknown keys, values of the wrong type and every field of
+/// a non-object read as absent.
+fn read_advise(text: &str) -> Result<AdviseFields<'_>, JsonError> {
+    let mut f = AdviseFields::default();
+    Parser::document(text, |p| {
+        p.first_members(0, &ADVISE_KEYS, |p, i| {
+            match ADVISE_KEYS[i] {
+                "o" => f.o = p.maybe_number(1)?.and_then(num_as_usize),
+                "v" => f.v = p.maybe_number(1)?.and_then(num_as_usize),
+                "goal" => f.goal = p.maybe_string(1)?,
+                "budget" => f.budget = p.maybe_number(1)?,
+                "deadline" => f.deadline = p.maybe_number(1)?,
+                "model" => f.model = p.maybe_string(1)?,
+                _ => f.machine = p.maybe_string(1)?,
+            }
+            Ok(())
+        })
+    })?;
+    Ok(f)
 }
 
-/// Zero-tree scan of the canonical predict body:
-/// `{"rows": [{o, v, nodes, tile}, ...]}` with optional escape-free
-/// `"model"`/`"machine"` strings. Returns the validated feature rows,
-/// or `None` to fall back to the tree parser (which owns every error
-/// message, including the rows-shape 400s).
-type ScannedPredict<'a> = (Vec<[f64; 4]>, Option<&'a str>, Option<&'a str>);
-
-fn scan_predict(text: &str) -> Option<ScannedPredict<'_>> {
-    let mut sc = Scanner::new(text);
-    sc.skip_ws();
-    if !sc.eat(b'{') {
-        return None;
-    }
-    let mut rows = None;
-    let mut model = None;
-    let mut machine = None;
-    let mut seen = 0u8;
-    sc.skip_ws();
-    if sc.eat(b'}') {
-        return None;
-    }
-    loop {
-        sc.skip_ws();
-        let key = sc.string()?;
-        sc.skip_ws();
-        if !sc.eat(b':') {
-            return None;
-        }
-        sc.skip_ws();
-        let bit: u8 = match key {
-            "rows" => 1,
-            "model" => 2,
-            "machine" => 4,
-            _ => return None,
-        };
-        if seen & bit != 0 {
-            return None;
-        }
-        seen |= bit;
-        match key {
-            "rows" => rows = Some(scan_rows(&mut sc)?),
-            "model" => model = Some(sc.string()?),
-            "machine" => machine = Some(sc.string()?),
-            _ => unreachable!("key already matched above"),
-        }
-        sc.skip_ws();
-        if sc.eat(b',') {
-            continue;
-        }
-        if sc.eat(b'}') {
-            break;
-        }
-        return None;
-    }
-    if !sc.at_end() {
-        return None;
-    }
-    let rows = rows?;
-    if rows.is_empty() || rows.len() > MAX_PREDICT_ROWS {
-        return None;
-    }
-    Some((rows, model, machine))
+/// A `/v1/predict` body, read by [`read_predict`].
+struct PredictFields<'a> {
+    model: Option<Cow<'a, str>>,
+    machine: Option<Cow<'a, str>>,
+    /// The elements of the `rows` array, if there is one: each row's
+    /// `ROW_KEYS` values, NaN where a key is missing or not a number.
+    /// Past `MAX_PREDICT_ROWS + 1` rows are counted out, not kept.
+    rows: Option<Vec<[f64; 4]>>,
 }
 
-fn scan_rows(sc: &mut Scanner<'_>) -> Option<Vec<[f64; 4]>> {
-    if !sc.eat(b'[') {
-        return None;
-    }
-    let mut rows = Vec::new();
-    sc.skip_ws();
-    if sc.eat(b']') {
-        return Some(rows);
-    }
-    loop {
-        sc.skip_ws();
-        rows.push(scan_row(sc)?);
-        if rows.len() > MAX_PREDICT_ROWS {
-            return None;
-        }
-        sc.skip_ws();
-        if sc.eat(b',') {
-            continue;
-        }
-        if sc.eat(b']') {
-            return Some(rows);
-        }
-        return None;
-    }
-}
-
-/// One feature object with exactly the keys `o`, `v`, `nodes`, `tile`
-/// (any order, each once) and positive finite number values — the shape
-/// the tree path accepts without a 400. Anything else falls back.
-fn scan_row(sc: &mut Scanner<'_>) -> Option<[f64; 4]> {
-    if !sc.eat(b'{') {
-        return None;
-    }
-    let mut row = [0.0f64; 4];
-    let mut seen = 0u8;
-    sc.skip_ws();
-    if sc.eat(b'}') {
-        return None;
-    }
-    loop {
-        sc.skip_ws();
-        let key = sc.string()?;
-        sc.skip_ws();
-        if !sc.eat(b':') {
-            return None;
-        }
-        sc.skip_ws();
-        let idx = match key {
-            "o" => 0,
-            "v" => 1,
-            "nodes" => 2,
-            "tile" => 3,
-            _ => return None,
-        };
-        if seen & (1 << idx) != 0 {
-            return None;
-        }
-        seen |= 1 << idx;
-        let n = sc.number()?;
-        if n <= 0.0 {
-            return None;
-        }
-        row[idx] = n;
-        sc.skip_ws();
-        if sc.eat(b',') {
-            continue;
-        }
-        if sc.eat(b'}') {
-            break;
-        }
-        return None;
-    }
-    (seen == 0b1111).then_some(row)
+/// Read a predict body in one pass, with the semantics of
+/// [`read_advise`] at the top level and in each row. A syntax error
+/// anywhere is this read's error; everything else is checked by
+/// `Router::predict`, in order.
+fn read_predict(text: &str) -> Result<PredictFields<'_>, JsonError> {
+    let mut f = PredictFields { model: None, machine: None, rows: None };
+    Parser::document(text, |p| {
+        p.first_members(0, &["rows", "model", "machine"], |p, i| {
+            match i {
+                0 if p.peek() == Some(b'[') => {
+                    let mut rows = Vec::new();
+                    p.array(|p| {
+                        let mut row = [f64::NAN; 4];
+                        p.first_members(2, &ROW_KEYS, |p, j| {
+                            row[j] = p.maybe_number(3)?.unwrap_or(f64::NAN);
+                            Ok(())
+                        })?;
+                        if rows.len() <= MAX_PREDICT_ROWS {
+                            rows.push(row);
+                        }
+                        Ok(())
+                    })?;
+                    f.rows = Some(rows);
+                }
+                0 => drop(p.value(1)?),
+                1 => f.model = p.maybe_string(1)?,
+                _ => f.machine = p.maybe_string(1)?,
+            }
+            Ok(())
+        })
+    })?;
+    Ok(f)
 }
 
 /// NaN-safe JSON number: JSON has no NaN literal, so a statistic that is
@@ -1873,84 +1702,145 @@ mod tests {
         assert_eq!(scrape(&busy, "chemcost_advise_cache_misses_total"), 2);
     }
 
-    #[test]
-    fn predict_fast_scan_and_tree_path_agree_byte_for_byte() {
-        let router = test_router();
-        // Canonical body: taken by the fast scanner.
-        let fast = post(
-            &router,
-            "/v1/predict",
-            r#"{"rows":[{"o":120,"v":900,"nodes":64,"tile":24},{"o":60,"v":500,"nodes":16,"tile":30}]}"#,
-        );
-        // Same request with an extra (ignored) key in a row: the scanner
-        // rejects it, so this one rides the tree parser.
-        let slow = post(
-            &router,
-            "/v1/predict",
-            r#"{"rows":[{"o":120,"v":900,"nodes":64,"tile":24,"note":1},{"o":60,"v":500,"nodes":16,"tile":30}]}"#,
-        );
-        assert_eq!(fast.status, 200);
-        assert_eq!(slow.status, 200);
-        assert_eq!(fast.body.as_bytes(), slow.body.as_bytes());
-    }
+    /// Object keys for [`body_from`]: every key a reader looks for, an
+    /// unknown one, and escaped spellings of two known ones.
+    const KEYS: [&str; 13] = [
+        r#""o""#,
+        r#""v""#,
+        r#""goal""#,
+        r#""budget""#,
+        r#""deadline""#,
+        r#""model""#,
+        r#""machine""#,
+        r#""rows""#,
+        r#""nodes""#,
+        r#""tile""#,
+        r#""x""#,
+        r#""\u006f""#,
+        r#""ro\u0077s""#,
+    ];
 
-    #[test]
-    fn advise_fast_scan_and_tree_path_agree() {
-        let router = test_router();
-        let fast = post(&router, "/v1/advise", r#"{"o":120,"v":900,"goal":"bq"}"#);
-        // An ignored extra key forces the tree parser; the answer (modulo
-        // the per-round-trip prediction id header) must match the cached
-        // body the fast path produced.
-        let slow = post(&router, "/v1/advise", r#"{"o":120,"v":900,"goal":"bq","x":1}"#);
-        assert_eq!(fast.status, 200);
-        assert_eq!(slow.status, 200);
-        assert_eq!(fast.body.as_bytes(), slow.body.as_bytes());
-    }
+    /// Values for [`body_from`]: numbers (integral, fractional,
+    /// non-positive, out of range), strings (plain, escaped, with a raw
+    /// control byte, a lone surrogate), literals, and predict rows.
+    const VALUES: [&str; 18] = [
+        "120",
+        "900",
+        "0",
+        "-3",
+        "1.5",
+        "2e3",
+        "1e999",
+        "null",
+        "true",
+        r#""stq""#,
+        r#""b\u0071""#,
+        r#""gb""#,
+        "\"a\nb\"",
+        r#""\ud834""#,
+        r#"{"o":1,"v":2,"nodes":3,"tile":4}"#,
+        r#"[{"o":120,"v":900,"nodes":64,"tile":24}]"#,
+        r#"[{"tile":24,"nodes":64,"v":900,"o":120,"o":0},{"o":1,"v":2,"nodes":3}]"#,
+        r#"[[120,900,64,24],{"o":120,"v":900,"nodes":64,"tile":24,"x":[{}]}]"#,
+    ];
 
-    #[test]
-    fn fast_scanners_reject_noncanonical_shapes() {
-        // Every one of these must fall back (None) so the tree parser
-        // decides the semantics.
-        for body in [
-            "{\"o\": 1, \"v\": 2, \"goal\": \"st\\u0071\"}", // escaped string
-            r#"{"o": 1, "o": 2, "v": 3}"#,                   // duplicate key
-            r#"{"o": 1, "v": 2, "extra": true}"#,            // unknown key
-            r#"{"o": "1", "v": 2}"#,                         // wrong type
-            r#"[1, 2]"#,                                     // not an object
-            r#"{"o": 1, "v": 2} trailing"#,                  // trailing garbage
-            r#"{"o": 1e999, "v": 2}"#,                       // non-finite number
-        ] {
-            assert!(scan_advise(body).is_none(), "{body}");
+    /// Tokens that break the syntax when one stands in for a value.
+    const RAW: [&str; 10] = [",", "}", "]", ":", "\"", " ", "{", "[", "-", "tru"];
+
+    /// A body built from `picks`: objects and arrays of `KEYS` and
+    /// `VALUES` up to depth 3, with an occasional `RAW` token in place of
+    /// a value. Most top levels are an object, most members a value.
+    fn body_from(picks: &mut impl Iterator<Item = usize>, depth: usize, out: &mut String) {
+        let pick = picks.next().unwrap_or(0);
+        let len = picks.next().unwrap_or(0) % 4;
+        let kind = pick % 10;
+        let (open, close) = match kind {
+            _ if depth >= 3 => ("", ""),
+            0 | 1 => ("{", "}"),
+            2 => ("[", "]"),
+            3..=7 if depth == 0 => ("{", "}"),
+            8 if depth == 0 => ("[", "]"),
+            _ => ("", ""),
+        };
+        if open.is_empty() {
+            let token = pick / 10;
+            out.push_str(if kind == 3 {
+                RAW[token % RAW.len()]
+            } else {
+                VALUES[token % VALUES.len()]
+            });
+            return;
         }
-        for body in [
-            r#"{"rows": []}"#,                                               // empty rows
-            r#"{"rows": [{"o":1,"v":2,"nodes":3}]}"#,                        // missing tile
-            r#"{"rows": [{"o":1,"v":2,"nodes":3,"tile":0}]}"#,               // non-positive
-            r#"{"rows": [{"o":1,"v":2,"nodes":3,"tile":4,"tile":5}]}"#,      // duplicate
-            r#"{"rows": [{"o":1,"v":2,"nodes":3,"tile":4}], "goal":"stq"}"#, // unknown key
-        ] {
-            assert!(scan_predict(body).is_none(), "{body}");
+        out.push_str(open);
+        for i in 0..len {
+            if i > 0 {
+                out.push(',');
+            }
+            if open == "{" {
+                out.push_str(KEYS[picks.next().unwrap_or(0) % KEYS.len()]);
+                out.push(':');
+            }
+            body_from(picks, depth + 1, out);
         }
+        out.push_str(close);
     }
 
-    #[test]
-    fn fast_scan_extracts_same_fields_as_tree() {
-        let body = r#" {"model":"gb","machine":"aurora","o":116,"v":840,"goal":"pareto","budget":12.5,"deadline":3600} "#;
-        let f = scan_advise(body).expect("canonical body should fast-scan");
-        let tree = Json::parse(body).unwrap();
-        assert_eq!(f.model, tree.get("model").and_then(Json::as_str));
-        assert_eq!(f.machine, tree.get("machine").and_then(Json::as_str));
-        assert_eq!(f.o, tree.get("o").and_then(Json::as_usize));
-        assert_eq!(f.v, tree.get("v").and_then(Json::as_usize));
-        assert_eq!(f.goal, tree.get("goal").and_then(Json::as_str));
-        assert_eq!(f.budget, tree.get("budget").and_then(Json::as_f64));
-        assert_eq!(f.deadline, tree.get("deadline").and_then(Json::as_f64));
+    /// A body's `model` and `machine`.
+    type Names = (Option<String>, Option<String>);
+    /// An advise body's fields: the names; `o`, `v`, `budget` and
+    /// `deadline`; and `goal`.
+    type Advise = (Names, [Option<f64>; 4], Option<String>);
+    /// A predict body's fields: the names and each row's features.
+    type Predict = (Names, Option<Vec<[Option<f64>; 4]>>);
 
-        // Fractional o: key present but not a usize — same as the tree's
-        // as_usize returning None.
-        let f = scan_advise(r#"{"o": 1.5, "v": 2}"#).unwrap();
-        assert_eq!(f.o, None);
-        assert_eq!(f.v, Some(2));
+    /// The advise fields as `Json::parse` plus `get` read them.
+    fn advise_by_tree(text: &str) -> Result<Advise, JsonError> {
+        let tree = Json::parse(text)?;
+        let s = |k| tree.get(k).and_then(Json::as_str).map(str::to_string);
+        let o = |k| tree.get(k).and_then(Json::as_usize).map(|n| n as f64);
+        let f = |k| tree.get(k).and_then(Json::as_f64);
+        Ok(((s("model"), s("machine")), [o("o"), o("v"), f("budget"), f("deadline")], s("goal")))
+    }
+
+    /// The predict fields as `Json::parse` plus `get` read them.
+    fn predict_by_tree(text: &str) -> Result<Predict, JsonError> {
+        let tree = Json::parse(text)?;
+        let s = |k| tree.get(k).and_then(Json::as_str).map(str::to_string);
+        let rows = tree.get("rows").and_then(Json::as_array).map(|rows| {
+            rows.iter().map(|r| ROW_KEYS.map(|k| r.get(k).and_then(Json::as_f64))).collect()
+        });
+        Ok(((s("model"), s("machine")), rows))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8192))]
+
+        /// The one-pass readers give the fields `Json::parse` plus `get`
+        /// give, or the same error, on bodies built from JSON tokens.
+        #[test]
+        fn one_pass_readers_match_the_tree(picks in proptest::collection::vec(0usize..1000, 1..48)) {
+            let mut text = String::new();
+            body_from(&mut picks.iter().copied(), 0, &mut text);
+            let owned = |s: Option<Cow<'_, str>>| s.map(Cow::into_owned);
+            let advise = read_advise(&text).map(|f| {
+                let n = |x: Option<usize>| x.map(|n| n as f64);
+                (
+                    (owned(f.model), owned(f.machine)),
+                    [n(f.o), n(f.v), f.budget, f.deadline],
+                    owned(f.goal),
+                )
+            });
+            let tree = advise_by_tree(&text);
+            proptest::prop_assert!(advise == tree, "{text}: {advise:?} vs {tree:?}");
+            let predict = read_predict(&text).map(|f| {
+                let rows = f.rows.map(|rows| {
+                    rows.iter().map(|r| r.map(|n| (!n.is_nan()).then_some(n))).collect()
+                });
+                ((owned(f.model), owned(f.machine)), rows)
+            });
+            let tree = predict_by_tree(&text);
+            proptest::prop_assert!(predict == tree, "{text}: {predict:?} vs {tree:?}");
+        }
     }
 
     #[test]
@@ -2003,6 +1893,81 @@ mod tests {
             post(&router, "/v1/advise", r#"{"o": 120, "v": 900, "machine": "summit"}"#).status,
             400
         );
+    }
+
+    /// Non-canonical `/v1/advise` and `/v1/predict` bodies, each pinned
+    /// to its exact status and body bytes: an error's literal JSON, or
+    /// the 200 answer of an equivalent canonical body. The rules: the
+    /// first of duplicate keys wins; unknown keys and values of the wrong
+    /// type read as absent; a syntax error comes first, then an unknown
+    /// model's 404, then the `rows` checks (missing, empty, too many, the
+    /// first bad row and key).
+    #[test]
+    fn non_canonical_bodies_answer_pinned_bytes() {
+        enum Want {
+            Error(u16, &'static str),
+            SameAs(&'static str),
+        }
+        use Want::{Error, SameAs};
+        let router = test_router();
+        const ADVISE: &str = "/v1/advise";
+        const PREDICT: &str = "/v1/predict";
+        const OV_400: &str = r#"{"error":"\"o\" and \"v\" must be positive integers"}"#;
+        let too_many = format!(
+            r#"{{"rows":[{{"o":0}}{}]}}"#,
+            r#",{"o":1,"v":2,"nodes":3,"tile":4}"#.repeat(MAX_PREDICT_ROWS)
+        );
+        let deep = format!(r#"{{"x":{}{},"o":120,"v":900}}"#, "[".repeat(70), "]".repeat(70));
+        let cases: Vec<(&str, &[u8], Want)> = vec![
+            // Escapes, in a value and in a key.
+            (ADVISE, br#"{"o": 120, "v": 900, "goal": "st\u0071"}"#, SameAs(r#"{"o":120,"v":900,"goal":"stq"}"#)),
+            (ADVISE, br#"{"\u006f": 120, "v": 900, "goal": "b\u0071"}"#, SameAs(r#"{"o":120,"v":900,"goal":"bq"}"#)),
+            (ADVISE, br#"{"o":120,"v":900,"model":"g\u0062","machine":"AUR\u004fRA"}"#, SameAs(r#"{"o":120,"v":900,"model":"gb","machine":"AURORA"}"#)),
+            // Duplicate keys: the first wins, even when it has the wrong type.
+            (ADVISE, br#"{"o": 120, "v": 900, "o": 7, "goal": "bq", "goal": "stq"}"#, SameAs(r#"{"o":120,"v":900,"goal":"bq"}"#)),
+            (ADVISE, br#"{"o": "120", "o": 120, "v": 900}"#, Error(400, OV_400)),
+            // Unknown keys and nested unknown values are skipped.
+            (ADVISE, br#"{"o":120,"note":"x","v":900,"goal":"bq","n":1}"#, SameAs(r#"{"o":120,"v":900,"goal":"bq"}"#)),
+            (ADVISE, br#"{"extra":{"a":[1,{"b":null,"c":[true,false]}],"d":"\n"},"o":120,"v":900,"goal":"bq"}"#, SameAs(r#"{"o":120,"v":900,"goal":"bq"}"#)),
+            (ADVISE, deep.as_bytes(), Error(400, r#"{"error":"invalid JSON: nesting too deep at byte 69"}"#)),
+            // Wrong types read as absent; so does every field of a non-object.
+            (ADVISE, br#"{"o":120,"v":900,"goal":7,"budget":"2.5"}"#, SameAs(r#"{"o":120,"v":900}"#)),
+            (ADVISE, br#"{"o":120.5,"v":900}"#, Error(400, OV_400)),
+            (ADVISE, br#"[120, 900]"#, Error(400, OV_400)),
+            // Syntax: trailing garbage, a non-finite number, truncation, bad UTF-8.
+            (ADVISE, br#"{"o":120,"v":900} trailing"#, Error(400, r#"{"error":"invalid JSON: trailing characters after JSON value at byte 18"}"#)),
+            (ADVISE, br#"{"o":1e999,"v":900}"#, Error(400, r#"{"error":"invalid JSON: invalid number at byte 5"}"#)),
+            (ADVISE, br#"{"o":120,"v":9"#, Error(400, r#"{"error":"invalid JSON: expected ',' or '}' in object at byte 14"}"#)),
+            (ADVISE, b"{\"o\":120,\"v\":900,\"goal\":\"\xff\"}", Error(400, r#"{"error":"request body is not valid UTF-8"}"#)),
+            // Predict: escapes, duplicates and unknown keys, top level and in rows.
+            (PREDICT, br#"{"ro\u0077s":[{"o":120,"o":-1,"v":900,"nodes":64,"tile":24,"note":[1]}],"rows":"x","model":"\u0067b","x":{}}"#, SameAs(r#"{"rows":[{"o":120,"v":900,"nodes":64,"tile":24}]}"#)),
+            // Predict precedence: syntax, then the model, then rows in order.
+            (PREDICT, br#"{"model":"ghost","rows":[{"o":1}"#, Error(400, r#"{"error":"invalid JSON: expected ',' or ']' in array at byte 32"}"#)),
+            (PREDICT, br#"{"model":"ghost","rows":[]}"#, Error(404, r#"{"error":"no model named \"ghost\""}"#)),
+            (PREDICT, br#"{"rows":{"o":1}}"#, Error(400, r#"{"error":"missing \"rows\" array"}"#)),
+            (PREDICT, br#""rows""#, Error(400, r#"{"error":"missing \"rows\" array"}"#)),
+            (PREDICT, br#"{"rows":[]}"#, Error(400, r#"{"error":"\"rows\" is empty"}"#)),
+            (PREDICT, too_many.as_bytes(), Error(400, r#"{"error":"too many rows (max 10000)"}"#)),
+            (PREDICT, br#"{"rows":[[120,900,64,24]]}"#, Error(400, r#"{"error":"rows[0]: missing or non-positive \"o\""}"#)),
+            (PREDICT, br#"{"rows":[{"o":120,"v":900,"nodes":64,"tile":24},{"tile":-1,"o":1,"nodes":"2"}]}"#, Error(400, r#"{"error":"rows[1]: missing or non-positive \"v\""}"#)),
+        ];
+        for (path, body, want) in cases {
+            let got = router.handle(&Request::new("POST", path, body));
+            let (status, expected) = match want {
+                Error(status, text) => (status, text.as_bytes().to_vec()),
+                SameAs(canonical) => {
+                    let resp = post(&router, path, canonical);
+                    assert_eq!(resp.status, 200, "{canonical}");
+                    (200, resp.body.into_bytes())
+                }
+            };
+            assert_eq!(
+                (got.status, String::from_utf8_lossy(&got.body)),
+                (status, String::from_utf8_lossy(&expected)),
+                "{path} {}",
+                String::from_utf8_lossy(body)
+            );
+        }
     }
 
     #[test]
@@ -2172,11 +2137,11 @@ mod tests {
     }
 
     /// The event loop answers a request itself only when
-    /// `answer_if_cached` does: a fresh cache hit with a canonical body.
-    /// A probe that misses records nothing; a hit is counted once and is
-    /// the worker's answer.
+    /// `answer_if_cached` does: a fresh cache hit whose body is at most
+    /// `INLINE_BODY_MAX` bytes. A probe that misses records nothing; a
+    /// hit is counted once and is the worker's answer.
     #[test]
-    fn only_fresh_canonical_cache_hits_answer_on_the_event_loop() {
+    fn only_fresh_cache_hits_answer_on_the_event_loop() {
         let (router, path, x, y) = file_backed_router("probe");
         let advise = |body: &str| Request::new("POST", "/v1/advise", body.as_bytes());
         let inline = |req: &Request| router.answer_if_cached(req, Instant::now());
@@ -2202,14 +2167,25 @@ mod tests {
         assert_eq!(scrape(&router, "chemcost_advise_cache_misses_total"), 1);
         assert_eq!(scrape(&router, advise_total), 2);
 
-        // Predicts, other methods, non-canonical bodies (the same
-        // question with an escape) and invalid questions go to a worker.
+        // Predicts, other methods, bodies past INLINE_BODY_MAX (the same
+        // question padded with whitespace) and invalid questions go to a
+        // worker.
         let predict = r#"{"rows": [{"o": 120, "v": 900, "nodes": 64, "tile": 24}]}"#;
+        let padded = |len: usize| format!("{body}{}", " ".repeat(len - body.len()));
         assert!(inline(&Request::new("POST", "/v1/predict", predict.as_bytes())).is_none());
         assert!(inline(&Request::new("PUT", "/v1/advise", body.as_bytes())).is_none());
-        assert!(inline(&advise(r#"{"o": 120, "v": 900, "goal": "st\u0071"}"#)).is_none());
+        assert!(inline(&advise(&padded(INLINE_BODY_MAX + 1))).is_none());
         assert!(inline(&advise(r#"{"o": 120, "v": 900, "goal": "??"}"#)).is_none());
         assert_eq!(scrape(&router, advise_total), 2, "nothing above was counted");
+
+        // The same question with an escape is the same cached answer:
+        // the loop replays the bytes a worker sends.
+        let escaped = inline(&advise(r#"{"o": 120, "v": 900, "goal": "st\u0071"}"#))
+            .expect("an escaped cached question answers inline");
+        assert_eq!((escaped.status, &escaped.body), (200, &cold.body));
+        let at_max = inline(&advise(&padded(INLINE_BODY_MAX))).expect("a body at the limit");
+        assert_eq!((at_max.status, &at_max.body), (200, &cold.body));
+        assert_eq!(scrape(&router, "chemcost_advise_cache_hits_total"), 3);
 
         // A group with a candidate in shadow answers inline too: the
         // journal entry carries the candidate, which scores the answer

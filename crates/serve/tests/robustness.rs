@@ -1,25 +1,25 @@
 //! Property tests for the robustness layer: `X-Deadline-Ms` parsing
-//! (through both the direct parser and the full HTTP request reader) and
-//! registry reloads against truncated, garbage or cyclic model files.
+//! (through both the direct parser and the daemon's HTTP request
+//! parser), `--slo-file` parsing, and registry reloads against
+//! truncated, garbage or cyclic model files.
 //!
 //! The invariants under test are the ones `docs/ROBUSTNESS.md` promises:
 //! a malformed deadline header is always a structured 400-class error,
-//! never a silently guessed budget, and a failed reload never unseats
-//! the last-good model.
+//! never a silently guessed budget; an SLO file is parsed or refused,
+//! never a panic; and a failed reload never unseats the last-good model.
 
 use chemcost_linalg::Matrix;
 use chemcost_ml::gradient_boosting::GradientBoosting;
 use chemcost_ml::Regressor;
-use chemcost_serve::http::{read_request, Request};
-use chemcost_serve::parse_deadline_ms;
+use chemcost_serve::http::{parse_request, Request};
+use chemcost_serve::{parse_deadline_ms, parse_slo_file};
 use chemcost_serve::{ModelRegistry, Router};
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::io::BufReader;
 use std::sync::Arc;
 
 /// A request carrying the given `X-Deadline-Ms` raw value (pre-lowered
-/// header key, as `read_request` produces).
+/// header key, as `parse_request` produces).
 fn req_with_deadline(value: Option<&str>) -> Request {
     let mut headers = HashMap::new();
     if let Some(v) = value {
@@ -34,8 +34,8 @@ fn req_with_deadline(value: Option<&str>) -> Request {
     }
 }
 
-/// Drive the real wire parser: serialize a request with the given header
-/// lines and read it back.
+/// Drive the daemon's wire parser: serialize a request with the given
+/// header lines and parse it back.
 fn parse_wire(header_lines: &[String]) -> Request {
     let mut raw = String::from("GET /healthz HTTP/1.1\r\n");
     for line in header_lines {
@@ -43,8 +43,10 @@ fn parse_wire(header_lines: &[String]) -> Request {
         raw.push_str("\r\n");
     }
     raw.push_str("\r\n");
-    let mut reader = BufReader::new(raw.as_bytes());
-    read_request(&mut reader).expect("well-formed request").expect("one request")
+    let (req, consumed) =
+        parse_request(raw.as_bytes()).expect("well-formed request").expect("one request");
+    assert_eq!(consumed, raw.len());
+    req
 }
 
 /// Random upper/lower casing of `X-Deadline-Ms`, driven by `bits`.
@@ -119,6 +121,72 @@ proptest! {
             req_with_deadline(None)
         };
         prop_assert_eq!(parse_deadline_ms(&req), Ok(None));
+    }
+}
+
+/// The pieces `--slo-file` text is built from: section headers, every
+/// key the parser knows plus an unknown one, values of every kind
+/// (durations past `Duration::MAX` among them), and punctuation.
+const SLO_PIECES: [&str; 34] = [
+    "[slo.a]",
+    "[slo.",
+    "[wrong.b]",
+    "]",
+    "signal",
+    "hist",
+    "q",
+    "num",
+    "den",
+    "prefix",
+    "max",
+    "min",
+    "fast_window",
+    "slow_window",
+    "pending_for",
+    "clear_for",
+    "critical",
+    "wat",
+    "\"quantile\"",
+    "\"ratio\"",
+    "\"delta\"",
+    "\"rate\"",
+    "0.99",
+    "-1",
+    "1e999",
+    "\"5m\"",
+    "\"99999999999999999999h\"",
+    "20000000000000000000",
+    "true",
+    "=",
+    "\"",
+    "#",
+    "\n",
+    " ",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn slo_files_parse_or_fail_but_never_panic(
+        picks in proptest::collection::vec(0usize..SLO_PIECES.len(), 0..64),
+    ) {
+        let text: String = picks.iter().map(|&i| SLO_PIECES[i]).collect();
+        // Either verdict is fine; a panic fails the property.
+        let _ = parse_slo_file(&text);
+    }
+
+    #[test]
+    fn slo_lines_with_every_key_and_value_parse_or_fail(
+        lines in proptest::collection::vec((4usize..18, 18usize..29), 1..12),
+    ) {
+        // Well-formed `key = value` lines under one header reach every
+        // key's own value parser.
+        let mut text = String::from("[slo.a]\n");
+        for (key, value) in lines {
+            text.push_str(&format!("{} = {}\n", SLO_PIECES[key], SLO_PIECES[value]));
+        }
+        let _ = parse_slo_file(&text);
     }
 }
 

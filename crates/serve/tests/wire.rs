@@ -186,9 +186,9 @@ fn without_ids(head: &str) -> String {
         .join("\r\n")
 }
 
-/// One connection pipelines a miss, a hit, a hit, a miss, and a cached
-/// question sent with a non-canonical body. The loop answers the two
-/// canonical hits itself; the rest ride workers. The answers still come
+/// One connection pipelines a miss, a hit, a hit, a miss, and the cached
+/// question sent with an escape. The loop answers the three hits itself;
+/// the misses ride workers. The answers still come
 /// back in request order, byte-identical apart from the id headers to
 /// the same questions asked one at a time, and each advise counts
 /// exactly one cache hit or miss.
@@ -203,8 +203,8 @@ fn pipelined_hits_and_misses_answer_in_order_as_if_asked_alone() {
         cached,
         cached,
         r#"{"o":102,"v":802,"goal":"pareto"}"#,
-        // The cached question again; the escape sends it to the tree
-        // parser on a worker, where it hits.
+        // The cached question again, spelled with an escape: the same
+        // key, so the loop answers it too.
         r#"{"o":116,"v":840,"goal":"st\u0071"}"#,
     ];
     let mut stream = connect(addr);
